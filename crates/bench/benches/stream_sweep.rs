@@ -1,4 +1,4 @@
-//! Throughput and allocation profile of the streaming execution mode.
+//! Throughput and allocation profile of the streaming (capture-less) path.
 //!
 //! Two measurements, both deterministic (seeded workloads, serial
 //! steady-state loop), so `ci.sh` can gate on them:
@@ -13,10 +13,10 @@
 //!   cold resolution (BENCH_pr3.json) and down from the 3 allocs/query
 //!   the `resolve`-by-value path cost before the scratch pool.
 //! * **Fig. 12 streamed throughput** — the full trace replay through
-//!   [`fig12_stream`] on a 4-worker pool, reporting sampled cache-model
+//!   [`fig12_with`] on a 4-worker pool, reporting sampled cache-model
 //!   queries per second. The full-scale figure is 92.7M queries; the
-//!   measured rate is what makes `repro fig12 --full --stream` a
-//!   minutes-scale run.
+//!   measured rate is what makes `repro fig12 --full` a minutes-scale
+//!   run.
 //!
 //! Output: human-readable `bench stream_sweep/...` lines plus
 //! `BENCH_pr8.json` at the repository root.
@@ -29,9 +29,9 @@ use std::time::Instant;
 
 use criterion::black_box;
 use lookaside::engine::Executor;
+use lookaside::experiments::fig12_with;
 use lookaside::internet::{Internet, InternetParams};
 use lookaside::netsim::CaptureFilter;
-use lookaside::stream::fig12_stream;
 use lookaside::wire::ext::RemedyMode;
 use lookaside::wire::RrType;
 use lookaside::workload::PopulationParams;
@@ -126,9 +126,9 @@ fn main() {
 
     // --- throughput: the streamed Fig. 12 replay on four workers.
     let exec = Executor::new(4);
-    black_box(fig12_stream(&exec, SEED, FIG12_SCALE)); // warm-up
+    black_box(fig12_with(&exec, SEED, FIG12_SCALE)); // warm-up
     let started = Instant::now();
-    let data = black_box(fig12_stream(&exec, SEED, FIG12_SCALE));
+    let data = black_box(fig12_with(&exec, SEED, FIG12_SCALE));
     let seconds = started.elapsed().as_secs_f64();
     let modeled_queries = *data.cumulative_queries.last().unwrap_or(&0);
     let sampled_queries = modeled_queries / FIG12_SCALE;

@@ -1,12 +1,21 @@
 //! Regenerates every table and figure of the paper.
 //!
 //! ```text
-//! repro [--full] [--jobs N] [--batch|--stream] [--checkpoint P|--resume P]
-//!       [--allow-partial]   [table1|table2|table3|table4|table5|
-//!                            fig8|fig9|fig10|fig11|fig12|order|utility|
-//!                            survey|dict|attacks|chaos|byzantine|lifecycle|
-//!                            farm|all]
+//! repro [--full] [--jobs N] [--checkpoint P|--resume P] [--allow-partial]
+//!       [EXPERIMENT|all]
 //! ```
+//!
+//! `EXPERIMENT` is one of these sections, listed in the order `all` (the
+//! default) runs them; names joined by `/` print the same section:
+//!
+//! ```text
+//! table1 table2 table3 table4 table5/fig10 fig8/fig9 order utility fig11
+//! fig12 nsec3 qmin vantage deployment tlds trace survey dict attacks
+//! chaos byzantine lifecycle farm
+//! ```
+//!
+//! An unknown flag or experiment name prints the usage line on stderr and
+//! exits with status 2.
 //!
 //! Without `--full`, dataset sweeps stop at 10k domains (seconds); with it
 //! they include the 100k and 1M points (minutes).
@@ -16,12 +25,9 @@
 //! is byte-identical for every N — parallelism only changes wall-clock
 //! time, never results.
 //!
-//! Experiments run in the **streaming** execution mode by default:
-//! packets fold into accumulators as they happen instead of being
-//! captured and classified afterwards, holding O(shards) memory.
-//! `--batch` (or `LOOKASIDE_BATCH=1`) opts back into the capture-based
-//! oracle pipeline. Output is byte-identical either way — `ci.sh` diffs
-//! the two — so the flag trades nothing but peak memory.
+//! Every experiment folds packets into its accumulators as the network
+//! emits them instead of capturing and classifying afterwards, so a
+//! sweep holds O(shards) memory.
 //!
 //! `--checkpoint P` / `--resume P` (or `LOOKASIDE_CHECKPOINT=P`) journal
 //! every completed `fig12` window shard to the CRC-checked file `P`; a
@@ -32,6 +38,7 @@
 //! stderr instead of aborting.
 
 use std::env;
+use std::process::ExitCode;
 
 use lookaside::attacks;
 use lookaside::byzantine::{byzantine_sweep, ByzantineConfig};
@@ -46,155 +53,156 @@ use lookaside::report::{megabytes, pct, render_table};
 use lookaside::workload;
 use lookaside_resolver::{environments, InstallMethod};
 
-fn main() {
+/// A printable section: the names it answers to, and how to print it
+/// given `--full`.
+type Section = (&'static [&'static str], fn(bool));
+
+/// Every section `repro` prints, in the order `all` runs them. Dispatch,
+/// the usage line, and the header doc all follow this table.
+const SECTIONS: &[Section] = &[
+    (&["table1"], |_| print_table1()),
+    (&["table2"], |_| print_table2()),
+    (&["table3"], |_| print_table3()),
+    (&["table4"], |full| print_table4(&table_sizes(full))),
+    (&["table5", "fig10"], |full| print_table5_fig10(&table_sizes(full))),
+    (&["fig8", "fig9"], |full| print_fig8_9(&sweep_sizes(full))),
+    (&["order"], |_| print_order()),
+    (&["utility"], |full| print_utility(if full { 10_000 } else { 2_000 })),
+    (&["fig11"], |full| print_fig11(if full { 10_000 } else { 1_000 })),
+    (&["fig12"], |full| print_fig12(if full { 1 } else { 500 })),
+    (&["nsec3"], |full| print_nsec3(if full { 5_000 } else { 500 })),
+    (&["qmin"], |full| print_qmin(if full { 2_000 } else { 300 })),
+    (&["vantage"], |full| print_vantage(if full { 2_000 } else { 300 })),
+    (&["deployment"], |full| print_deployment(if full { 5_000 } else { 800 })),
+    (&["tlds"], |full| print_tlds(if full { 5_000 } else { 800 })),
+    (&["trace"], |full| print_trace(if full { (50_000, 5_000) } else { (3_000, 500) })),
+    (&["survey"], |_| print_survey()),
+    (&["dict"], |_| print_dictionary()),
+    (&["attacks"], |_| print_attacks()),
+    (&["chaos"], |full| print_chaos(if full { 120 } else { 25 })),
+    (&["byzantine"], |full| print_byzantine(if full { 60 } else { 15 })),
+    (&["lifecycle"], |full| print_lifecycle(if full { 10 } else { 5 })),
+    (&["farm"], |full| print_farm(if full { 500 } else { 2_000 })),
+];
+
+/// The parsed command line.
+#[derive(Default)]
+struct Args {
+    full: bool,
+    jobs: Option<usize>,
+    journal: Option<String>,
+    allow_partial: bool,
+    /// The section to print; `None` means `all`.
+    section: Option<usize>,
+}
+
+fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    if let Some(jobs) = parse_jobs(&args) {
+    let args = match parse_args(&args) {
+        Ok(args) => args,
+        Err(problem) => {
+            eprintln!("repro: {problem}\n{}", usage());
+            return ExitCode::from(2);
+        }
+    };
+    if let Some(jobs) = args.jobs {
         // The engine reads LOOKASIDE_JOBS when experiments construct their
         // executor; setting it here makes --jobs authoritative for the
         // whole process.
         env::set_var(lookaside::engine::JOBS_ENV, jobs.to_string());
     }
-    if args.iter().any(|a| a == "--stream") {
-        // Experiments consult LOOKASIDE_STREAM through ExecMode::from_env
-        // when they dispatch; setting it here makes --stream authoritative
-        // for the whole process (it also wins over --batch).
-        env::set_var(lookaside::engine::STREAM_ENV, "1");
-    }
-    if args.iter().any(|a| a == "--batch") {
-        // Streaming is the default; --batch opts back into the capture
-        // oracle.
-        env::set_var(lookaside::engine::BATCH_ENV, "1");
-    }
-    if args.iter().any(|a| a == "--allow-partial") {
+    if args.allow_partial {
         env::set_var(lookaside::engine::ALLOW_PARTIAL_ENV, "1");
     }
-    if let Some(path) = parse_value(&args, &["--checkpoint", "--resume"]) {
+    if let Some(path) = &args.journal {
         // --checkpoint and --resume are the same mechanism: the journal
         // loader folds back whatever valid prefix the file holds (none,
         // for a fresh path) and the sweep continues from there.
         env::set_var(lookaside::engine::CHECKPOINT_ENV, path);
     }
-    let mut skip_next = false;
-    let what = args
-        .iter()
-        .filter(|a| {
-            let keep = !skip_next;
-            skip_next = ["--jobs", "--checkpoint", "--resume"].contains(&a.as_str());
-            keep && !a.starts_with("--")
-        })
-        .map(String::as_str)
-        .next()
-        .unwrap_or("all")
-        .to_string();
+    for (i, (_, print)) in SECTIONS.iter().enumerate() {
+        if args.section.is_none_or(|wanted| wanted == i) {
+            print(args.full);
+        }
+    }
+    ExitCode::SUCCESS
+}
 
-    let sweep: Vec<usize> = if full {
+/// The one-line usage summary printed with every command-line error.
+fn usage() -> String {
+    let names: Vec<&str> = SECTIONS.iter().flat_map(|(names, _)| names.iter().copied()).collect();
+    format!(
+        "usage: repro [--full] [--jobs N] [--checkpoint P|--resume P] [--allow-partial] [all|{}]",
+        names.join("|")
+    )
+}
+
+/// Parses the command line, accepting both `--flag VALUE` and
+/// `--flag=VALUE` for the flags that take a value. Anything unknown is
+/// an error, never silently ignored.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args::default();
+    let mut named: Option<&str> = None;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, value)) if flag.starts_with("--") => (flag, Some(value)),
+            _ => (arg.as_str(), None),
+        };
+        let mut value = || {
+            inline
+                .map(str::to_string)
+                .or_else(|| it.next().cloned())
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        match flag {
+            "--full" if inline.is_none() => parsed.full = true,
+            "--allow-partial" if inline.is_none() => parsed.allow_partial = true,
+            "--jobs" => {
+                let jobs = value()?;
+                let jobs =
+                    jobs.parse().map_err(|_| format!("--jobs needs a number, got {jobs:?}"))?;
+                parsed.jobs = Some(jobs);
+            }
+            "--checkpoint" | "--resume" => parsed.journal = Some(value()?),
+            _ if flag.starts_with('-') => return Err(format!("unknown flag {arg:?}")),
+            _ => {
+                if let Some(first) = named.replace(arg) {
+                    return Err(format!("one experiment at a time, got {first:?} and {arg:?}"));
+                }
+            }
+        }
+    }
+    parsed.section = match named {
+        None | Some("all") => None,
+        Some(name) => Some(
+            SECTIONS
+                .iter()
+                .position(|(names, _)| names.contains(&name))
+                .ok_or_else(|| format!("unknown experiment {name:?}"))?,
+        ),
+    };
+    Ok(parsed)
+}
+
+/// Dataset sizes for Tables 4 and 5.
+fn table_sizes(full: bool) -> Vec<usize> {
+    if full {
+        lookaside_bench::PAPER_SIZES.to_vec()
+    } else {
+        lookaside_bench::QUICK_SIZES.to_vec()
+    }
+}
+
+/// Dataset sizes for the Figs. 8–9 sweep.
+fn sweep_sizes(full: bool) -> Vec<usize> {
+    if full {
         let mut sizes = lookaside_bench::SWEEP_SIZES.to_vec();
         sizes.push(1_000_000);
         sizes
     } else {
         lookaside_bench::QUICK_SIZES.to_vec()
-    };
-    let t45: Vec<usize> = if full {
-        lookaside_bench::PAPER_SIZES.to_vec()
-    } else {
-        lookaside_bench::QUICK_SIZES.to_vec()
-    };
-
-    let run_all = what == "all";
-    let wants = |name: &str| run_all || what == name;
-
-    if wants("table1") {
-        print_table1();
     }
-    if wants("table2") {
-        print_table2();
-    }
-    if wants("table3") {
-        print_table3();
-    }
-    if wants("table4") {
-        print_table4(&t45);
-    }
-    if wants("table5") || wants("fig10") {
-        print_table5_fig10(&t45);
-    }
-    if wants("fig8") || wants("fig9") {
-        print_fig8_9(&sweep);
-    }
-    if wants("order") {
-        print_order();
-    }
-    if wants("utility") {
-        print_utility(if full { 10_000 } else { 2_000 });
-    }
-    if wants("fig11") {
-        print_fig11(if full { 10_000 } else { 1_000 });
-    }
-    if wants("fig12") {
-        print_fig12(if full { 1 } else { 500 });
-    }
-    if wants("nsec3") {
-        print_nsec3(if full { 5_000 } else { 500 });
-    }
-    if wants("qmin") {
-        print_qmin(if full { 2_000 } else { 300 });
-    }
-    if wants("vantage") {
-        print_vantage(if full { 2_000 } else { 300 });
-    }
-    if wants("deployment") {
-        print_deployment(if full { 5_000 } else { 800 });
-    }
-    if wants("tlds") {
-        print_tlds(if full { 5_000 } else { 800 });
-    }
-    if wants("trace") {
-        print_trace(if full { (50_000, 5_000) } else { (3_000, 500) });
-    }
-    if wants("survey") {
-        print_survey();
-    }
-    if wants("dict") {
-        print_dictionary();
-    }
-    if wants("attacks") {
-        print_attacks();
-    }
-    if wants("chaos") {
-        print_chaos(if full { 120 } else { 25 });
-    }
-    if wants("byzantine") {
-        print_byzantine(if full { 60 } else { 15 });
-    }
-    if wants("lifecycle") {
-        print_lifecycle(if full { 10 } else { 5 });
-    }
-    if wants("farm") {
-        print_farm(if full { 500 } else { 2_000 });
-    }
-}
-
-/// Extracts `--jobs N` / `--jobs=N` from the argument list.
-fn parse_jobs(args: &[String]) -> Option<usize> {
-    parse_value(args, &["--jobs"]).and_then(|v| v.parse().ok())
-}
-
-/// Extracts the value of the first flag in `names` present in the
-/// argument list, accepting both `--flag VALUE` and `--flag=VALUE`.
-fn parse_value(args: &[String], names: &[&str]) -> Option<String> {
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if names.contains(&arg.as_str()) {
-            return it.next().cloned();
-        }
-        for name in names {
-            if let Some(v) = arg.strip_prefix(&format!("{name}=")) {
-                return Some(v.to_string());
-            }
-        }
-    }
-    None
 }
 
 fn print_table1() {
@@ -805,4 +813,53 @@ fn print_farm(ditl_scale: u64) {
         "(the Fig. 12 day-in-the-life volume replayed against the farm instead of one resolver: \
          per-client attribution survives any partition of the trace)"
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn flags_take_values_inline_or_next() {
+        let a = parse(&["fig12", "--full", "--jobs", "3", "--resume=j.ckpt"]).unwrap();
+        assert!(a.full && !a.allow_partial);
+        assert_eq!(a.jobs, Some(3));
+        assert_eq!(a.journal.as_deref(), Some("j.ckpt"));
+        assert_eq!(a.section.map(|i| SECTIONS[i].0), Some(&["fig12"][..]));
+        assert_eq!(parse(&["--jobs=2", "all"]).unwrap().section, None);
+        assert_eq!(parse(&["fig10"]).unwrap().section, parse(&["table5"]).unwrap().section);
+    }
+
+    #[test]
+    fn unknown_input_is_an_error() {
+        for bad in [
+            &["nosuch"][..],
+            &["--stream", "fig9"],
+            &["--jobs"],
+            &["--jobs", "many"],
+            &["--full=yes"],
+            &["table1", "table2"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
+
+    /// The header doc lists exactly the sections of [`SECTIONS`], in
+    /// order, so the two cannot drift apart.
+    #[test]
+    fn header_doc_lists_every_section() {
+        let source = include_str!("repro.rs");
+        let start = source.find("//! table1").expect("header lists the sections");
+        let listed: Vec<&str> = source[start..]
+            .lines()
+            .take_while(|line| !line.starts_with("//! ```"))
+            .flat_map(|line| line.trim_start_matches("//!").split_whitespace())
+            .collect();
+        let table: Vec<String> = SECTIONS.iter().map(|(names, _)| names.join("/")).collect();
+        assert_eq!(listed, table);
+    }
 }

@@ -17,7 +17,6 @@
 //! a valid quick experiment.
 
 use lookaside::experiments::{QuerySet, RunConfig};
-use lookaside_netsim::CaptureFilter;
 use lookaside_resolver::{BindConfig, InstallMethod, ResolverConfig, UnboundConfig};
 use lookaside_wire::ext::RemedyMode;
 use lookaside_workload::PopulationParams;
@@ -95,7 +94,6 @@ pub fn parse_lab_config(text: &str) -> Result<RunConfig, LabConfigError> {
         queries: QuerySet::Top(100),
         resolver: ResolverConfig::Bind(BindConfig::correct()),
         remedy: RemedyMode::None,
-        capture: CaptureFilter::DlvOnly,
         seed: 1,
         dlv_span_ttl: lookaside_server::DLV_SPAN_TTL,
         dlv_denial: DenialMode::Nsec,

@@ -9,7 +9,7 @@ use lookaside_wire::ext::RemedyMode;
 use lookaside_wire::{Message, Name, RData};
 use serde::Serialize;
 
-use crate::experiments::{run, RunConfig, RunOutcome};
+use crate::experiments::{run, run_with, RunConfig, RunOutcome};
 
 /// Outcome of a man-in-the-middle attack on a remedy signal: leakage with
 /// the remedy in place, and leakage once the attacker rewrites the signal.
@@ -65,39 +65,13 @@ pub fn txt_poison_attack(n: usize, seed: u64) -> SignalAttackOutcome {
     }
 }
 
-/// Like [`run`] but with a man-in-the-middle installed. Reimplements the
-/// run loop because the tamper hook must be registered on the freshly
-/// built network.
+/// [`run`] with a man-in-the-middle installed on the freshly built
+/// network — the tamper hook is the only difference from a clean run.
 fn run_with_tamper(
     config: &RunConfig,
     tamper: impl FnMut(&mut Message, Direction) + 'static,
 ) -> RunOutcome {
-    use crate::internet::{Internet, InternetParams};
-    use lookaside_wire::RrType;
-
-    let limit = match &config.queries {
-        crate::experiments::QuerySet::Top(n) => *n,
-        other => panic!("tampered runs support Top(n) query sets, got {other:?}"),
-    };
-    let mut params = InternetParams::for_top(limit, config.population, config.remedy);
-    params.seed = config.seed;
-    params.capture = config.capture;
-    params.dlv_span_ttl = config.dlv_span_ttl;
-    let mut internet = Internet::build(params);
-    internet.net.set_tamper(Some(Box::new(tamper)));
-    let mut resolver = internet.resolver(config.resolver, config.seed ^ 0x5a17);
-    let names = internet.population.top(limit);
-    for name in &names {
-        let _ = resolver.resolve(&mut internet.net, name, RrType::A);
-    }
-    RunOutcome {
-        stats: internet.net.stats().clone(),
-        leakage: crate::leakage::classify(internet.net.capture(), &internet.dlv_apex),
-        counters: resolver.counters,
-        statuses: Default::default(),
-        elapsed_ns: internet.net.now_ns(),
-        queried: names.len(),
-    }
+    run_with(config, |internet| internet.net.set_tamper(Some(Box::new(tamper))))
 }
 
 /// §6.2.4 dictionary attack on hashed DLV.

@@ -203,7 +203,8 @@ pub fn byzantine_sweep(config: &ByzantineConfig) -> Vec<ByzantinePoint> {
 
 /// [`byzantine_sweep`] on an explicit executor. Each cell builds a fresh
 /// Internet replica, so cells are natural shards; the point list comes
-/// back in serial order, identical for every worker count.
+/// back in serial order, identical for every worker count. Cells run
+/// under the session supervisor (retries, coverage accounting).
 pub fn byzantine_sweep_with(
     exec: &lookaside_engine::Executor,
     config: &ByzantineConfig,
@@ -215,9 +216,7 @@ pub fn byzantine_sweep_with(
         }
     }
     let shards = lookaside_engine::ShardPlan::new(config.seed).over(cells);
-    lookaside_engine::expect_all(
-        exec.run(&shards, |shard| run_cell(config, shard.input.0, shard.input.1)),
-    )
+    crate::parallel::collect(exec, &shards, |shard| run_cell(config, shard.input.0, shard.input.1))
 }
 
 /// The measured workload: mostly sequential ranks (fresh names, as in the

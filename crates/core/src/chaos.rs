@@ -29,7 +29,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use lookaside_netsim::{CaptureFilter, Direction, DlvQueryCounter, LinkFaults};
+use lookaside_netsim::{CaptureFilter, DlvQueryCounter, LinkFaults};
 use lookaside_resolver::{BindConfig, FeatureModel, ResolverConfig, RetryPolicy};
 use lookaside_wire::ext::RemedyMode;
 use lookaside_wire::RrType;
@@ -37,7 +37,6 @@ use lookaside_workload::PopulationParams;
 use serde::Serialize;
 
 use crate::internet::{Internet, InternetParams, DLV_ADDR};
-use crate::stream::ExecMode;
 
 /// One fault level applied to the resolver ↔ DLV-registry link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -179,35 +178,24 @@ pub struct ChaosPoint {
 }
 
 /// Runs the full sweep on the session executor (`--jobs` /
-/// `LOOKASIDE_JOBS`), streaming when `LOOKASIDE_STREAM` is set: every
-/// fault level crossed with every timer profile, in profile-major order.
+/// `LOOKASIDE_JOBS`): every fault level crossed with every timer profile,
+/// in profile-major order.
 pub fn chaos_outage(config: &ChaosConfig) -> Vec<ChaosPoint> {
-    chaos_outage_mode(&crate::parallel::executor(), config, ExecMode::from_env())
+    chaos_outage_with(&crate::parallel::executor(), config)
 }
 
-/// [`chaos_outage`] on an explicit executor (batch mode). Every grid cell
-/// already builds a fresh Internet replica, so cells are natural shards:
-/// the point list comes back in the same profile-major order the serial
-/// loop produced, identical for every worker count.
-pub fn chaos_outage_with(
-    exec: &lookaside_engine::Executor,
-    config: &ChaosConfig,
-) -> Vec<ChaosPoint> {
-    chaos_outage_mode(exec, config, ExecMode::Batch)
-}
-
-/// [`chaos_outage`] with an explicit execution mode. In streaming mode
-/// each cell runs capture-less with a [`DlvQueryCounter`] sink counting
-/// leaked packets on the fly — byte-identical to the batch capture count.
+/// [`chaos_outage`] on an explicit executor. Every grid cell already
+/// builds a fresh Internet replica, so cells are natural shards: the
+/// point list comes back in the same profile-major order the serial loop
+/// produced, identical for every worker count.
 ///
 /// Cells run under the session supervisor: a failed cell is retried
 /// within the bounded budget, and with `--allow-partial` a still-failing
 /// cell is dropped from the grid (printed in the coverage table, never
 /// silently) instead of aborting the sweep.
-pub fn chaos_outage_mode(
+pub fn chaos_outage_with(
     exec: &lookaside_engine::Executor,
     config: &ChaosConfig,
-    mode: ExecMode,
 ) -> Vec<ChaosPoint> {
     let mut cells = Vec::with_capacity(config.outages.len() * config.profiles.len());
     for &profile in &config.profiles {
@@ -216,41 +204,21 @@ pub fn chaos_outage_mode(
         }
     }
     let shards = lookaside_engine::ShardPlan::new(config.seed).over(cells);
-    let sup = crate::parallel::supervisor();
-    crate::parallel::accept(exec.run_fold_supervised(
-        &shards,
-        |shard| run_cell(config, shard.input.0, shard.input.1, mode),
-        Vec::with_capacity(shards.len()),
-        |mut acc, _cell, point| {
-            acc.push(point);
-            acc
-        },
-        &sup,
-    ))
+    crate::parallel::collect(exec, &shards, |shard| run_cell(config, shard.input.0, shard.input.1))
 }
 
-fn run_cell(
-    config: &ChaosConfig,
-    outage: Outage,
-    profile: TimerProfile,
-    mode: ExecMode,
-) -> ChaosPoint {
+fn run_cell(config: &ChaosConfig, outage: Outage, profile: TimerProfile) -> ChaosPoint {
     let limit = config.warmup + config.queries;
     let population = PopulationParams { size: limit.max(1000), ..PopulationParams::default() };
     let mut params = InternetParams::for_top(limit, population, RemedyMode::None);
     params.seed = config.seed;
-    params.capture = if mode.is_stream() { CaptureFilter::None } else { CaptureFilter::DlvOnly };
+    params.capture = CaptureFilter::None;
     let mut internet = Internet::build(params);
-    // Streaming: count DLV query packets as they happen instead of
-    // retaining them. `reset_measurement` resets the sink exactly when it
-    // clears the capture, so the warm-up epoch is discarded identically.
-    let counter = if mode.is_stream() {
-        let sink = Rc::new(RefCell::new(DlvQueryCounter::new()));
-        internet.net.set_observer(Box::new(Rc::clone(&sink)));
-        Some(sink)
-    } else {
-        None
-    };
+    // Count DLV query packets as they happen instead of retaining them.
+    // `reset_measurement` resets the sink along with the clock and
+    // statistics, so the warm-up epoch is discarded.
+    let counter = Rc::new(RefCell::new(DlvQueryCounter::new()));
+    internet.net.set_observer(Box::new(Rc::clone(&counter)));
 
     // Aggressive NSEC caching would suppress most look-aside lookups for
     // fresh names; §7.3's point is precisely that without it "every query
@@ -273,7 +241,7 @@ fn run_cell(
         let _ = resolver.resolve(&mut internet.net, &qname, RrType::A);
     }
 
-    // Measurement epoch: clean capture and counters, then break the link.
+    // Measurement epoch: clean counters, then break the link.
     internet.net.reset_measurement();
     internet.net.fault_plane_mut().set_link(DLV_ADDR, outage.faults());
 
@@ -288,12 +256,7 @@ fn run_cell(
         latencies_ns.push(internet.net.now_ns() - before);
     }
 
-    let dlv_packets = match &counter {
-        Some(sink) => sink.borrow().queries as usize,
-        None => {
-            internet.net.capture().dlv_queries().filter(|p| p.direction == Direction::Query).count()
-        }
-    };
+    let dlv_packets = counter.borrow().queries as usize;
     let stats = internet.net.stats();
     latencies_ns.sort_unstable();
     ChaosPoint {
@@ -326,30 +289,6 @@ mod tests {
 
     fn by(points: &[ChaosPoint], profile: TimerProfile) -> Vec<&ChaosPoint> {
         points.iter().filter(|p| p.profile == profile).collect()
-    }
-
-    #[test]
-    fn streamed_sweep_is_byte_identical_to_batch() {
-        let config = ChaosConfig {
-            outages: vec![Outage::Loss(0), Outage::Loss(250), Outage::Blackhole],
-            profiles: vec![TimerProfile::NoRetry, TimerProfile::Retry],
-            ..ChaosConfig::quick(10)
-        };
-        let exec = lookaside_engine::Executor::new(2);
-        let batch = chaos_outage_mode(&exec, &config, ExecMode::Batch);
-        let stream = chaos_outage_mode(&exec, &config, ExecMode::Stream);
-        assert_eq!(batch.len(), stream.len());
-        for (b, s) in batch.iter().zip(&stream) {
-            let cell = format!("{:?}/{:?}", b.outage, b.profile);
-            assert_eq!(b.dlv_packets, s.dlv_packets, "{cell}");
-            assert_eq!(b.dlv_per_query, s.dlv_per_query, "{cell}");
-            assert_eq!(b.answered, s.answered, "{cell}");
-            assert_eq!(b.p50_ms, s.p50_ms, "{cell}");
-            assert_eq!(b.p95_ms, s.p95_ms, "{cell}");
-            assert_eq!(b.retransmissions, s.retransmissions, "{cell}");
-            assert_eq!(b.timeouts, s.timeouts, "{cell}");
-            assert_eq!(b.servfail_entries, s.servfail_entries, "{cell}");
-        }
     }
 
     #[test]

@@ -2,9 +2,13 @@
 //!
 //! Every experiment is deterministic given its seed, builds a fresh
 //! simulated Internet (cold caches, like the paper's per-dataset runs),
-//! drives the resolver, and interprets the packet capture.
+//! drives the resolver, and classifies the DLV packets the run emits.
 
-use lookaside_engine::{expect_all, Executor, ShardPlan};
+use std::cell::RefCell;
+use std::path::Path;
+use std::rc::Rc;
+
+use lookaside_engine::{Checkpoint, Executor, ShardPlan};
 use lookaside_netsim::{CaptureFilter, TrafficStats};
 use lookaside_resolver::{BindConfig, Counters, InstallMethod, ResolverConfig};
 use lookaside_wire::ext::RemedyMode;
@@ -13,7 +17,8 @@ use lookaside_workload::{DitlTrace, PopulationParams, Zipf};
 use serde::Serialize;
 
 use crate::internet::{Internet, InternetParams};
-use crate::leakage::{classify, LeakageReport};
+use crate::leakage::{classify, LeakSink, LeakageReport};
+use crate::parallel::{collect, fold};
 
 /// Which names a run queries.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,8 +88,6 @@ pub struct RunConfig {
     pub resolver: ResolverConfig,
     /// Active remedy.
     pub remedy: RemedyMode,
-    /// Capture filter.
-    pub capture: CaptureFilter,
     /// Master seed (latency, behavioural probabilities).
     pub seed: u64,
     /// DLV registry NSEC span TTL.
@@ -103,7 +106,6 @@ impl RunConfig {
             queries: QuerySet::Top(n),
             resolver: ResolverConfig::Bind(BindConfig::correct()),
             remedy: RemedyMode::None,
-            capture: CaptureFilter::DlvOnly,
             seed: 1,
             dlv_span_ttl: lookaside_server::DLV_SPAN_TTL,
             dlv_denial: lookaside_zone::DenialMode::Nsec,
@@ -117,7 +119,6 @@ impl RunConfig {
             queries: QuerySet::Top(n),
             resolver: ResolverConfig::Bind(BindConfig::correct()),
             remedy,
-            capture: CaptureFilter::DlvOnly,
             seed: 1,
             dlv_span_ttl: lookaside_server::DLV_SPAN_TTL,
             dlv_denial: lookaside_zone::DenialMode::Nsec,
@@ -142,19 +143,6 @@ pub struct StatusTally {
     pub errors: usize,
 }
 
-impl StatusTally {
-    /// Adds another shard's tallies — all fields are additive counts.
-    // lint:sink(determinism)
-    pub fn merge(&mut self, other: &StatusTally) {
-        self.secure += other.secure;
-        self.secure_via_dlv += other.secure_via_dlv;
-        self.insecure += other.insecure;
-        self.bogus += other.bogus;
-        self.indeterminate += other.indeterminate;
-        self.errors += other.errors;
-    }
-}
-
 /// Everything a run produced.
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
@@ -174,13 +162,26 @@ pub struct RunOutcome {
 
 /// Executes one run.
 pub fn run(config: &RunConfig) -> RunOutcome {
+    run_with(config, |_| {})
+}
+
+/// [`run`] with `prepare` applied to the freshly built Internet before
+/// the resolver is created — the one place a [`RunConfig`] becomes an
+/// Internet and a resolver (the §6.2.3 attacks install their tamper hook
+/// here). The network retains no packets: a [`LeakSink`] observer
+/// classifies the DLV traffic as it is emitted.
+pub(crate) fn run_with(config: &RunConfig, prepare: impl FnOnce(&mut Internet)) -> RunOutcome {
     let limit = config.queries.max_rank().max(1);
     let mut params = InternetParams::for_top(limit, config.population, config.remedy);
     params.dlv_span_ttl = config.dlv_span_ttl;
     params.dlv_denial = config.dlv_denial;
     params.seed = config.seed;
-    params.capture = config.capture;
+    params.capture = CaptureFilter::None;
     let mut internet = Internet::build(params);
+    let sink =
+        Rc::new(RefCell::new(LeakSink::new(CaptureFilter::DlvOnly, internet.dlv_apex.clone())));
+    internet.net.set_observer(Box::new(Rc::clone(&sink)));
+    prepare(&mut internet);
     let mut resolver = internet.resolver(config.resolver, config.seed ^ 0x5a17);
     let names = config.queries.names(&internet);
     let mut statuses = StatusTally::default();
@@ -188,9 +189,10 @@ pub fn run(config: &RunConfig) -> RunOutcome {
         let result = resolver.resolve(&mut internet.net, name, RrType::A);
         crate::parallel::tally(&mut statuses, &result);
     }
+    let leakage = std::mem::take(&mut sink.borrow_mut().report);
     RunOutcome {
         stats: internet.net.stats().clone(),
-        leakage: classify(internet.net.capture(), &internet.dlv_apex),
+        leakage,
         counters: resolver.counters,
         statuses,
         elapsed_ns: internet.net.now_ns(),
@@ -226,7 +228,6 @@ pub fn table3(seed: u64) -> Vec<Table3Row> {
                 queries: QuerySet::Huque,
                 resolver: ResolverConfig::Bind(method.bind_config()),
                 remedy: RemedyMode::None,
-                capture: CaptureFilter::DlvOnly,
                 seed,
                 dlv_span_ttl: lookaside_server::DLV_SPAN_TTL,
                 dlv_denial: lookaside_zone::DenialMode::Nsec,
@@ -288,7 +289,6 @@ pub fn table4(sizes: &[usize], seed: u64) -> Vec<Table4Row> {
         .map(|&n| {
             let mut config = RunConfig::for_top(n, RemedyMode::None);
             config.seed = seed;
-            config.capture = CaptureFilter::None;
             let outcome = run(&config);
             let s = &outcome.stats;
             Table4Row {
@@ -352,11 +352,9 @@ pub fn table5(sizes: &[usize], seed: u64) -> Vec<Table5Row> {
         .map(|&n| {
             let mut base_cfg = RunConfig::for_top(n, RemedyMode::None);
             base_cfg.seed = seed;
-            base_cfg.capture = CaptureFilter::None;
             let base = run(&base_cfg);
             let mut txt_cfg = RunConfig::for_top(n, RemedyMode::TxtSignal);
             txt_cfg.seed = seed;
-            txt_cfg.capture = CaptureFilter::None;
             let txt = run(&txt_cfg);
             // The paper's §6.2.3 method inserts TXT probes and compares
             // against "DLV alone": the overhead is the TXT-attributable
@@ -395,21 +393,20 @@ pub struct LeakPoint {
 }
 
 /// Runs the Fig. 8 / Fig. 9 sweep on the session executor (`--jobs` /
-/// `LOOKASIDE_JOBS`), streaming when `LOOKASIDE_STREAM` is set.
+/// `LOOKASIDE_JOBS`).
 pub fn fig8_9(sizes: &[usize], seed: u64) -> Vec<LeakPoint> {
-    if crate::stream::ExecMode::from_env().is_stream() {
-        crate::stream::fig8_9_stream(&crate::parallel::executor(), sizes, seed)
-    } else {
-        fig8_9_with(&crate::parallel::executor(), sizes, seed)
-    }
+    fig8_9_with(&crate::parallel::executor(), sizes, seed)
 }
 
 /// [`fig8_9`] on an explicit executor. Each dataset size is one shard — a
 /// full cold-cache run, exactly as the serial sweep performed them — so
-/// the reduced point list is identical for every worker count.
+/// the point list is identical for every worker count. Failed sizes are
+/// retried within the session's bounded budget; with `--allow-partial` a
+/// still-failing size is dropped from the list (and named in the coverage
+/// table on stderr).
 pub fn fig8_9_with(exec: &Executor, sizes: &[usize], seed: u64) -> Vec<LeakPoint> {
     let shards = ShardPlan::new(seed).over(sizes.iter().copied());
-    expect_all(exec.run(&shards, |shard| {
+    collect(exec, &shards, |shard| {
         let n = shard.input;
         let mut config = RunConfig::for_top(n, RemedyMode::None);
         config.seed = seed;
@@ -421,12 +418,12 @@ pub fn fig8_9_with(exec: &Executor, sizes: &[usize], seed: u64) -> Vec<LeakPoint
             proportion: count_leaked_ranked(&outcome) as f64 / n as f64,
             suppressed: outcome.counters.dlv_suppressed_by_nsec,
         }
-    }))
+    })
 }
 
 /// Distinct leaked *ranked domains* (TLD-level strip leaks and hoster-zone
 /// leaks excluded), matching the paper's "leaked domains" notion.
-pub(crate) fn count_leaked_ranked(outcome: &RunOutcome) -> usize {
+fn count_leaked_ranked(outcome: &RunOutcome) -> usize {
     outcome
         .leakage
         .leaked_names
@@ -595,7 +592,7 @@ pub fn vantage_sweep(n: usize, seed: u64) -> Vec<VantageRow> {
 /// building its own Internet replica with that vantage's latency profile.
 pub fn vantage_sweep_with(exec: &Executor, n: usize, seed: u64) -> Vec<VantageRow> {
     let shards = ShardPlan::new(seed).over(crate::internet::VantagePoint::ALL);
-    expect_all(exec.run(&shards, |shard| {
+    collect(exec, &shards, |shard| {
         let vantage = shard.input;
         let population = PopulationParams { size: n.max(1000), ..PopulationParams::default() };
         let mut params = InternetParams::for_top(n, population, RemedyMode::None);
@@ -615,7 +612,7 @@ pub fn vantage_sweep_with(exec: &Executor, n: usize, seed: u64) -> Vec<VantageRo
             distinct_leaked: leakage.distinct_leaked(),
             seconds: internet.net.stats().total_seconds(),
         }
-    }))
+    })
 }
 
 /// One side of the §7.3 NSEC-vs-NSEC3 trade-off.
@@ -754,7 +751,7 @@ pub fn deployment_sweep_with(
     seed: u64,
 ) -> Vec<DeploymentPoint> {
     let shards = ShardPlan::new(seed).over(densities_milli.iter().copied());
-    expect_all(exec.run(&shards, |shard| {
+    collect(exec, &shards, |shard| {
         let density = shard.input;
         let mut config = RunConfig::for_top(n, RemedyMode::None);
         config.seed = seed;
@@ -766,7 +763,7 @@ pub fn deployment_sweep_with(
             case2: outcome.leakage.case2,
             leak_fraction: outcome.leakage.leak_fraction(),
         }
-    }))
+    })
 }
 
 /// Results of replaying a repeat-heavy query trace through the *real*
@@ -847,44 +844,76 @@ pub struct Fig12Data {
     pub overhead_mbps: f64,
 }
 
-/// Builds Fig. 12 from a generated DITL trace.
+/// Builds Fig. 12 from a generated DITL trace on the session executor.
 ///
 /// Per-query byte costs are *measured* from a calibration run of the full
 /// simulator; the trace is then aggregated analytically (92.7M queries are
 /// not resolved one by one — the paper's own Fig. 12 likewise replays
 /// aggregate volumes). `scale` divides the trace volume for cheap test
 /// runs; use 1 for the full figure.
+///
+/// With `LOOKASIDE_CHECKPOINT` set (the `repro --checkpoint` / `--resume`
+/// flags) the window sweep journals through [`fig12_checkpointed`].
 pub fn fig12(seed: u64, scale: u64) -> Fig12Data {
-    if crate::stream::ExecMode::from_env().is_stream() {
-        crate::stream::fig12_stream(&crate::parallel::executor(), seed, scale)
-    } else {
-        fig12_with(&crate::parallel::executor(), seed, scale)
+    let exec = crate::parallel::executor();
+    match lookaside_engine::checkpoint_path() {
+        Some(path) => fig12_checkpointed(&exec, seed, scale, Path::new(&path)),
+        None => fig12_with(&exec, seed, scale),
     }
 }
 
-/// [`fig12`] on an explicit executor.
+/// [`fig12`] on an explicit executor, without a journal.
 ///
 /// Parallel decomposition: the cache model resets its TTL window every 60
 /// minutes, so the 420-minute trace is seven *independent* windows. Each
 /// window is one shard with its own splitmix draw stream (seeded from the
-/// shard seed), simulated in isolation; reduction concatenates the
-/// windows in shard order and prefix-sums the cumulative series — the
-/// same totals at any worker count. The two calibration runs (baseline
-/// and TXT remedy) are likewise independent shards.
+/// shard seed), simulated in isolation; the sweep folds each window's
+/// minute triples into the cumulative prefix sums as windows complete,
+/// in shard order — the same totals at any worker count, holding one
+/// window's triples at a time. The two calibration runs (baseline and
+/// TXT remedy) are likewise independent shards.
 pub fn fig12_with(exec: &Executor, seed: u64, scale: u64) -> Fig12Data {
+    fig12_sweep(exec, seed, scale, None)
+}
+
+/// [`fig12_with`] journalling every completed window shard to `journal`:
+/// an atomic, CRC-checked [`Checkpoint`] file keyed by a fingerprint of
+/// `(seed, scale, window count)`. A run killed mid-sweep resumes from the
+/// journal's valid prefix — already-journalled windows fold back without
+/// re-running — and produces byte-identical output; a journal written
+/// under different parameters is refused.
+pub fn fig12_checkpointed(exec: &Executor, seed: u64, scale: u64, journal: &Path) -> Fig12Data {
+    fig12_sweep(exec, seed, scale, Some(journal))
+}
+
+/// Prefix-sum accumulator for the Fig. 12 cumulative series — the fold
+/// state [`fig12_sweep`] threads through the window shards.
+struct Fig12Acc {
+    cum_q: u64,
+    cum_base: u64,
+    cum_overhead: u64,
+    queries: Vec<u64>,
+    baseline: Vec<u64>,
+    overhead: Vec<u64>,
+}
+
+fn fig12_sweep(exec: &Executor, seed: u64, scale: u64, journal: Option<&Path>) -> Fig12Data {
     assert!(scale >= 1);
     let trace = DitlTrace::generate(seed);
 
     // Calibration: measure average upstream bytes per cold resolution and
     // per TXT probe from a small real run of each configuration.
     let calib = ShardPlan::new(seed ^ 0xca11b).over([RemedyMode::None, RemedyMode::TxtSignal]);
-    let calibrated = expect_all(exec.run(&calib, |shard| {
+    let calibrated = collect(exec, &calib, |shard| {
         let mut cfg = RunConfig::quick(60);
         cfg.remedy = shard.input;
-        cfg.capture = CaptureFilter::None;
         run(&cfg)
-    }));
-    let (base, txt) = (&calibrated[0], &calibrated[1]);
+    });
+    let [base, txt] = calibrated.as_slice() else {
+        // Every window cost derives from calibration; there is no
+        // partial figure without it, --allow-partial or not.
+        panic!("fig12 calibration shard failed; the figure cannot be produced");
+    };
     let cold_bytes_per_resolution = base.stats.total_bytes() as f64 / base.queried as f64;
     let txt_probes = txt.stats.queries_of(RrType::Txt).max(1);
     let txt_bytes_per_probe = txt.stats.bytes_of(RrType::Txt) as f64 / txt_probes as f64;
@@ -899,8 +928,10 @@ pub fn fig12_with(exec: &Executor, seed: u64, scale: u64) -> Fig12Data {
     // smoke-testing only.
     let windows: Vec<Vec<u64>> =
         trace.per_minute().chunks(60).map(|chunk| chunk.to_vec()).collect();
+    let window_count = windows.len() as u64;
     let shards = ShardPlan::new(seed ^ 0xd17f).over(windows);
-    let per_window = expect_all(exec.run(&shards, |shard| {
+    let minutes_total = trace.per_minute().len();
+    let task = |shard: &lookaside_engine::Shard<Vec<u64>>| {
         let zipf = Zipf::new(2_000_000, 0.92);
         let mut seen = vec![false; zipf.n() + 1];
         let mut rng_state = shard.seed;
@@ -929,30 +960,56 @@ pub fn fig12_with(exec: &Executor, seed: u64, scale: u64) -> Fig12Data {
             minutes.push((volume, base_bytes, overhead_bytes));
         }
         minutes
-    }));
-
-    // Reduce in window order: concatenate, then prefix-sum.
-    let mut cum_q = 0u64;
-    let mut cum_base = 0u64;
-    let mut cum_overhead = 0u64;
-    let mut cumulative_queries = Vec::with_capacity(trace.per_minute().len());
-    let mut cumulative_baseline_bytes = Vec::with_capacity(trace.per_minute().len());
-    let mut cumulative_overhead_bytes = Vec::with_capacity(trace.per_minute().len());
-    for (volume, base_bytes, overhead_bytes) in per_window.into_iter().flatten() {
-        cum_q += volume;
-        cum_base += base_bytes;
-        cum_overhead += overhead_bytes;
-        cumulative_queries.push(cum_q);
-        cumulative_baseline_bytes.push(cum_base);
-        cumulative_overhead_bytes.push(cum_overhead);
-    }
-    let overhead_mbps =
-        *cumulative_overhead_bytes.last().unwrap() as f64 * 8.0 / (420.0 * 60.0) / 1e6;
+    };
+    let init = Fig12Acc {
+        cum_q: 0,
+        cum_base: 0,
+        cum_overhead: 0,
+        queries: Vec::with_capacity(minutes_total),
+        baseline: Vec::with_capacity(minutes_total),
+        overhead: Vec::with_capacity(minutes_total),
+    };
+    let prefix_sum = |mut acc: Fig12Acc, minutes: Vec<(u64, u64, u64)>| {
+        for (volume, base_bytes, overhead_bytes) in minutes {
+            acc.cum_q += volume;
+            acc.cum_base += base_bytes;
+            acc.cum_overhead += overhead_bytes;
+            acc.queries.push(acc.cum_q);
+            acc.baseline.push(acc.cum_base);
+            acc.overhead.push(acc.cum_overhead);
+        }
+        acc
+    };
+    let acc = match journal {
+        Some(path) => {
+            // The fingerprint binds the journal to everything that shapes
+            // a window's bytes; resuming under different parameters is a
+            // refusal, not a silent mix of two runs.
+            let run_id =
+                lookaside_engine::run_fingerprint(&[0xf161_2a11, seed, scale, window_count]);
+            let mut ckpt = Checkpoint::resume(path, run_id, 1)
+                .unwrap_or_else(|e| panic!("fig12 journal {}: {e}", path.display()));
+            let sup = crate::parallel::supervisor();
+            let outcome = exec
+                .sweep_checkpointed(
+                    &shards,
+                    task,
+                    init,
+                    |acc, _, m| prefix_sum(acc, m),
+                    &sup,
+                    &mut ckpt,
+                )
+                .unwrap_or_else(|e| panic!("fig12 journal {}: {e}", path.display()));
+            crate::parallel::accept(outcome)
+        }
+        None => fold(exec, &shards, task, init, prefix_sum),
+    };
+    let overhead_mbps = acc.cum_overhead as f64 * 8.0 / (420.0 * 60.0) / 1e6;
     Fig12Data {
         per_minute: trace.per_minute().to_vec(),
-        cumulative_queries,
-        cumulative_baseline_bytes,
-        cumulative_overhead_bytes,
+        cumulative_queries: acc.queries,
+        cumulative_baseline_bytes: acc.baseline,
+        cumulative_overhead_bytes: acc.overhead,
         overhead_mbps,
     }
 }

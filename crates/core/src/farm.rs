@@ -46,14 +46,13 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use lookaside_engine::Executor;
+use lookaside_engine::{Executor, ShardPlan};
 use lookaside_population::{PlaneParams, StubPlane};
 use lookaside_server::DLV_SPAN_TTL;
 use lookaside_workload::{DitlTrace, DomainPopulation, PopulationParams, Zipf, DITL_MINUTES};
 use serde::Serialize;
 
-use crate::parallel::{fold_cohorts, map_cohorts};
-use crate::stream::ExecMode;
+use crate::parallel::fold;
 
 fn mix(a: u64, b: u64) -> u64 {
     let mut x = a ^ b.wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -347,35 +346,20 @@ impl Farm {
         }
     }
 
-    /// Merges per-cohort tallies on `exec`: in batch mode all cohort
-    /// tallies are collected then absorbed in cohort order; in streaming
-    /// mode (`LOOKASIDE_STREAM`) [`fold_cohorts`] absorbs each tally as
-    /// its cohort completes, keeping one live tally per worker. The
-    /// reduction is a set union plus a min-merge, so both paths (and any
-    /// worker count) produce the same bytes.
+    /// Merges per-cohort tallies on `exec`: one shard per cohort index
+    /// (seeded from `splitmix64(seed, cohort)`), each tally absorbed as
+    /// its cohort completes, so one tally per worker is live at a time.
+    /// The reduction is a set union plus a min-merge, so any worker count
+    /// produces the same bytes.
     fn merged_tallies<F>(&self, cohorts: usize, exec: &Executor, work: F) -> CohortTally
     where
         F: Fn(&lookaside_engine::Shard<usize>) -> CohortTally + Sync,
     {
-        if ExecMode::from_env().is_stream() {
-            fold_cohorts(
-                self.config.seed,
-                cohorts,
-                exec,
-                work,
-                CohortTally::default(),
-                |mut acc, tally| {
-                    acc.absorb(tally);
-                    acc
-                },
-            )
-        } else {
-            let mut merged = CohortTally::default();
-            for tally in map_cohorts(self.config.seed, cohorts, exec, work) {
-                merged.absorb(tally);
-            }
-            merged
-        }
+        let plan = ShardPlan::new(self.config.seed).over(0..cohorts);
+        fold(exec, &plan, work, CohortTally::default(), |mut acc, tally| {
+            acc.absorb(tally);
+            acc
+        })
     }
 
     /// Runs one topology at `resolvers` instances, sharded by client

@@ -1,16 +1,24 @@
 //! The Case-1 / Case-2 leakage classifier (§3 of the paper).
 //!
-//! Like the paper's pipeline, classification runs over the *packet capture*
-//! rather than resolver internals: a DLV query is Case 1 when the registry
-//! answered `NOERROR` (a record was deposited — no worse than ordinary DNS
-//! exposure) and Case 2 — a privacy leak — when it answered `NXDOMAIN`
-//! ("No such name"), i.e. the registry observed a domain it holds nothing
-//! for. §5.3 measures validation utility the same way.
+//! Like the paper's pipeline, classification looks at *packets* rather
+//! than resolver internals: a DLV query is Case 1 when the registry
+//! answered `NOERROR` with a record (a deposit — no worse than ordinary
+//! DNS exposure) and Case 2 — a privacy leak — when it answered
+//! `NXDOMAIN` ("No such name") or an empty `NOERROR`, i.e. the registry
+//! observed a domain it holds nothing for. §5.3 measures validation
+//! utility the same way.
+//!
+//! Each DLV response is classified on its own, so the report can be
+//! folded packet by packet as the network emits them ([`LeakSink`], what
+//! every experiment uses) or computed over a finished capture
+//! ([`classify`], the paper's offline pcap analysis). `classify` stays
+//! as the reference: the tee test (`tests/tee.rs`) feeds both from one
+//! run and demands equal reports.
 
 use std::collections::BTreeSet;
 
-use lookaside_netsim::{Capture, Direction};
-use lookaside_wire::{Name, Rcode};
+use lookaside_netsim::{Capture, CaptureFilter, Direction, Packet, PacketSink};
+use lookaside_wire::{Name, Rcode, RrType};
 use serde::Serialize;
 
 /// Classification of one run's DLV traffic.
@@ -50,20 +58,6 @@ impl LeakageReport {
     pub fn distinct_leaked(&self) -> usize {
         self.leaked_names.len()
     }
-
-    /// Merges another shard's report into this one: counts add, leaked
-    /// name sets union. Because [`classify`] examines each packet
-    /// independently and `leaked_names` is an order-insensitive set,
-    /// merging per-shard reports equals classifying the shards' merged
-    /// capture — a property the engine determinism tests pin down.
-    // lint:sink(determinism)
-    pub fn merge(&mut self, other: &LeakageReport) {
-        self.dlv_queries += other.dlv_queries;
-        self.dlv_responses += other.dlv_responses;
-        self.case1 += other.case1;
-        self.case2 += other.case2;
-        self.leaked_names.extend(other.leaked_names.iter().cloned());
-    }
 }
 
 /// Classifies a capture's DLV traffic against the registry apex.
@@ -97,11 +91,67 @@ pub fn classify(capture: &Capture, dlv_apex: &Name) -> LeakageReport {
     report
 }
 
+/// The per-packet Case-1/Case-2 classifier: [`classify`] as a fold over
+/// the packet stream, plus the retention filter a capture would apply.
+///
+/// Installed as the network's observer, it sees every packet the network
+/// builds, keeps the ones its [`CaptureFilter`] retains, and applies the
+/// per-packet logic of [`classify`]. After a run the accumulated
+/// [`LeakageReport`] equals classifying the capture that filter would
+/// have recorded — without the capture.
+#[derive(Debug, Clone)]
+pub struct LeakSink {
+    filter: CaptureFilter,
+    dlv_apex: Name,
+    /// The report accumulated so far.
+    pub report: LeakageReport,
+}
+
+impl LeakSink {
+    /// A sink retaining what `filter` keeps, classifying against
+    /// `dlv_apex`.
+    pub fn new(filter: CaptureFilter, dlv_apex: Name) -> Self {
+        LeakSink { filter, dlv_apex, report: LeakageReport::default() }
+    }
+}
+
+impl PacketSink for LeakSink {
+    fn observe(&mut self, packet: &Packet) {
+        // Retention first (the `Capture::record` predicate), then the
+        // classifier's own DLV-type filter — `classify` only ever looks
+        // at DLV packets, whatever the capture retained.
+        if !self.filter.keeps(packet.qtype) || packet.qtype != RrType::Dlv {
+            return;
+        }
+        match packet.direction {
+            Direction::Query => self.report.dlv_queries += 1,
+            Direction::Response => {
+                self.report.dlv_responses += 1;
+                match (packet.rcode, packet.answers) {
+                    (Rcode::NoError, answers) if answers > 0 => self.report.case1 += 1,
+                    (Rcode::NoError, _) | (Rcode::NxDomain, _) => {
+                        self.report.case2 += 1;
+                        let leaked = packet
+                            .qname
+                            .strip_suffix(&self.dlv_apex)
+                            .filter(|n| !n.is_root())
+                            .unwrap_or_else(|| packet.qname.clone());
+                        self.report.leaked_names.insert(leaked);
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+
+    fn reset(&mut self) {
+        self.report = LeakageReport::default();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lookaside_netsim::{CaptureFilter, Packet};
-    use lookaside_wire::RrType;
     use std::net::Ipv4Addr;
 
     fn packet(qname: &str, direction: Direction, rcode: Rcode) -> Packet {
@@ -143,32 +193,6 @@ mod tests {
         let leaked: Vec<String> = report.leaked_names.iter().map(|n| n.to_string()).collect();
         // Canonical order: names under com before net.
         assert_eq!(leaked, ["com.", "leaky.com.", "net."]);
-    }
-
-    #[test]
-    fn merged_reports_equal_report_of_merged_capture() {
-        let apex = Name::parse("dlv.isc.org.").unwrap();
-        let mut shard0 = Capture::new(CaptureFilter::DlvOnly);
-        shard0.record(packet("island.com.dlv.isc.org.", Direction::Query, Rcode::NoError));
-        shard0.record(packet("island.com.dlv.isc.org.", Direction::Response, Rcode::NoError));
-        shard0.record(packet("leaky.com.dlv.isc.org.", Direction::Query, Rcode::NoError));
-        shard0.record(packet("leaky.com.dlv.isc.org.", Direction::Response, Rcode::NxDomain));
-        let mut shard1 = Capture::new(CaptureFilter::DlvOnly);
-        shard1.record(packet("other.net.dlv.isc.org.", Direction::Query, Rcode::NoError));
-        shard1.record(packet("other.net.dlv.isc.org.", Direction::Response, Rcode::NxDomain));
-        // Same leaked name observed by both shards: the set must dedup.
-        shard1.record(packet("leaky.com.dlv.isc.org.", Direction::Query, Rcode::NoError));
-        shard1.record(packet("leaky.com.dlv.isc.org.", Direction::Response, Rcode::NxDomain));
-
-        let mut merged_reports = classify(&shard0, &apex);
-        merged_reports.merge(&classify(&shard1, &apex));
-
-        let mut merged_capture = Capture::new(CaptureFilter::DlvOnly);
-        merged_capture.merge(&shard0);
-        merged_capture.merge(&shard1);
-        assert_eq!(merged_reports, classify(&merged_capture, &apex));
-        assert_eq!(merged_reports.distinct_leaked(), 2);
-        assert_eq!(merged_reports.case2, 3);
     }
 
     #[test]

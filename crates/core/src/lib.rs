@@ -7,7 +7,9 @@
 //!   synthetic TLDs, the `isc.org` → `dlv.isc.org` registry chain, the DLV
 //!   repository (calibrated contents), and a default-route synthetic
 //!   authority serving the million-domain tail,
-//! * [`leakage`] — the Case-1/Case-2 classifier over packet captures (§3),
+//! * [`leakage`] — the Case-1/Case-2 classifier (§3): [`LeakSink`] folds
+//!   each DLV packet into the report as the network emits it, and
+//!   [`classify`] computes the same report over a finished capture,
 //! * [`experiments`] — one runner per table/figure of the paper's
 //!   evaluation (Tables 2–5, Figs. 8–12, plus the §5.1/§5.2/§5.3
 //!   headline numbers),
@@ -16,17 +18,15 @@
 //!   retransmission, with and without SERVFAIL caching,
 //! * [`attacks`] — §6.2.3 signaling attacks and the §6.2.4 dictionary
 //!   attack on hashed DLV,
-//! * [`parallel`] — the deterministic sharded execution glue: per-shard
-//!   [`parallel::Worker`]s owning private Internet replicas, driven by the
-//!   `lookaside-engine` thread pool (`--jobs` / `LOOKASIDE_JOBS`), with
-//!   reduction in shard-id order so any worker count is byte-identical,
+//! * [`parallel`] — the deterministic sharded execution glue: every sweep
+//!   runs its shards (each owning a private Internet replica) on the
+//!   `lookaside-engine` thread pool (`--jobs` / `LOOKASIDE_JOBS`) under
+//!   the session supervisor, folding results in shard-id order so any
+//!   worker count is byte-identical,
 //! * [`farm`] — the million-stub client plane in front of a resolver
 //!   farm: topology-aware (per-resolver / shared-cache / ODoH /
 //!   Resolver-Less), cache-hit-aware, per-client case-2 leak accounting
 //!   over `lookaside-population`'s synthetic stubs,
-//! * [`stream`] — the streaming execution mode (`LOOKASIDE_STREAM` /
-//!   `repro --stream`): capture-less runs folding each packet into the
-//!   leakage accumulators as it happens, byte-identical to batch,
 //! * [`report`] — plain-text table rendering for the `repro` binary.
 //!
 //! # Quickstart
@@ -53,16 +53,12 @@ pub mod leakage;
 pub mod lifecycle;
 pub mod parallel;
 pub mod report;
-pub mod stream;
 
 pub use client::Client;
 pub use farm::{Farm, FarmConfig, FarmTopology, TopologyReport};
 pub use internet::{Internet, InternetParams, VantagePoint};
-pub use leakage::{classify, LeakageReport};
-pub use parallel::{accept, executor, fold_cohorts, map_cohorts, run_sharded, supervisor, Worker};
-pub use stream::{
-    fig12_stream, fig12_stream_checkpointed, fig8_9_stream, run_stream, ExecMode, LeakSink,
-};
+pub use leakage::{classify, LeakSink, LeakageReport};
+pub use parallel::{accept, executor, supervisor};
 
 pub use lookaside_population as population;
 

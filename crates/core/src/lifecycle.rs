@@ -271,13 +271,14 @@ pub fn lifecycle_sweep(config: &LifecycleConfig) -> Vec<LifecyclePoint> {
 
 /// [`lifecycle_sweep`] on an explicit executor. Each scenario builds a
 /// fresh Internet replica, so scenarios are natural shards; results come
-/// back in serial order, identical for every worker count.
+/// back in serial order, identical for every worker count. Scenarios run
+/// under the session supervisor (retries, coverage accounting).
 pub fn lifecycle_sweep_with(
     exec: &lookaside_engine::Executor,
     config: &LifecycleConfig,
 ) -> Vec<LifecyclePoint> {
     let shards = lookaside_engine::ShardPlan::new(config.seed).over(config.scenarios.clone());
-    lookaside_engine::expect_all(exec.run(&shards, |shard| run_cell(config, shard.input)))
+    crate::parallel::collect(exec, &shards, |shard| run_cell(config, shard.input))
 }
 
 /// The measured workload: the first `needed` *anchored* ranks — signed

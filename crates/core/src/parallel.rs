@@ -1,34 +1,27 @@
 //! Sharded parallel execution of experiments.
 //!
 //! This module is the glue between the generic `lookaside-engine`
-//! executor and the study's simulated Internet. The paper's own
-//! methodology is embarrassingly parallel: independent measurement boxes
-//! each run a slice of the ranked query list against their own resolver,
-//! and the pcaps are merged offline. [`run_sharded`] reproduces exactly
-//! that fleet model:
+//! executor and the study's experiments. The paper's own methodology is
+//! embarrassingly parallel: independent measurement runs each build their
+//! own environment, and their results are combined offline. Every sweep
+//! here has that shape:
 //!
-//! * the rank list is split into contiguous ranges by
-//!   [`ShardPlan::split_range`],
-//! * each shard's [`Worker`] builds a **private replica** of the
-//!   simulated Internet (the simulator's `Rc`-based oracle is not
-//!   thread-shareable — and per-box replicas are the honest model
-//!   anyway), runs its ranks in its own virtual time, and returns its
-//!   capture plus additive counters. The replica's capture owns a
-//!   private `NameTable` (see `lookaside_wire::NameTable`), so repeated
-//!   qnames within a shard share one allocation while shards share no
-//!   memory at all — interning changes where bytes live, never what they
-//!   are, which is why it cannot perturb determinism,
-//! * reduction merges captures in ascending shard id
-//!   ([`Capture::merge`]'s `(shard_id, seq)` total order), sums the
-//!   additive statistics, classifies leakage over the merged capture,
-//!   and takes the *maximum* shard virtual time as the fleet's elapsed
-//!   time (the boxes run concurrently in simulated time too).
+//! * the experiment turns its workload into a
+//!   [`ShardPlan`](lookaside_engine::ShardPlan) — one shard per dataset
+//!   size, grid cell, vantage point, scenario, trace window, or client
+//!   cohort;
+//! * each shard builds a **private replica** of whatever it simulates
+//!   (the simulator's `Rc`-based oracle is not thread-shareable, and
+//!   per-run replicas are the honest model anyway) and returns a small
+//!   result — a table row, a tally, a window's minute triples;
+//! * [`Executor::sweep`] runs the plan under the session [`Supervisor`]
+//!   and folds the results in ascending shard id, and [`accept`] enforces
+//!   the coverage contract on the outcome.
 //!
-//! Every replica is built from the same [`RunConfig`], so with one shard
-//! the fleet degenerates to exactly [`run`]'s serial path — byte for
-//! byte. With any shard count, the output is a pure function of
-//! `(config, shard count)`: worker threads only decide *when* a shard
-//! runs, never what it produces, so `--jobs 1` and `--jobs N` are
+//! [`collect`] and [`fold`] are the two shapes experiments need: a row
+//! per shard in plan order, or one accumulator folded in plan order.
+//! Worker threads only decide *when* a shard runs, never what it
+//! produces or where its result lands, so `--jobs 1` and `--jobs N` are
 //! byte-identical (the engine determinism suite pins this down).
 //!
 //! # Two cohort models
@@ -36,15 +29,14 @@
 //! The workspace shards along two different axes, and the distinction is
 //! load-bearing:
 //!
-//! * **Rank sweeps shard by contiguous rank range** (this module's
-//!   [`run_sharded`]). The paper's boxes each replay a contiguous slice
-//!   of the ranked list, and adjacent ranks share registry NSEC spans —
-//!   slicing contiguously preserves the span-cache locality the Fig. 8/9
-//!   calibration anchors depend on. Hashing ranks across boxes would
-//!   scatter neighbours and silently deflate cache-hit ratios.
-//! * **Client planes shard by hashed client cohort** ([`map_cohorts`],
-//!   used by [`crate::farm`]). Clients are independent; their cohort is a
-//!   pure function of `(seed, client)` (see
+//! * **Rank sweeps keep each run whole.** Adjacent ranks share registry
+//!   NSEC spans, so one run replays its contiguous ranked list on one
+//!   resolver — that span-cache locality is what the Fig. 8/9
+//!   calibration anchors depend on. Sweeps shard across *runs* (sizes,
+//!   remedies, cells), never across the ranks inside one.
+//! * **Client planes shard by hashed client cohort** (used by
+//!   [`crate::farm`]). Clients are independent; their cohort is a pure
+//!   function of `(seed, client)` (see
 //!   `lookaside_population::StubPlane::cohort_of`), and the farm's
 //!   reduction is a set union plus a min-merge — associative and
 //!   commutative — so *any* partition of clients reduces to the same
@@ -54,16 +46,10 @@
 //! Both models end at the same place: output is a pure function of the
 //! configuration, never of the worker pool.
 
-use std::ops::Range;
+use lookaside_engine::{Executor, Shard, Supervisor, SweepOutcome};
+use lookaside_resolver::SecurityStatus;
 
-use lookaside_engine::{expect_all, Executor, ShardPlan, Supervisor, SweepOutcome};
-use lookaside_netsim::{Capture, TrafficStats};
-use lookaside_resolver::{Counters, RecursiveResolver, SecurityStatus};
-use lookaside_wire::{Name, RrType};
-
-use crate::experiments::{run, QuerySet, RunConfig, RunOutcome, StatusTally};
-use crate::internet::{Internet, InternetParams};
-use crate::leakage::classify;
+use crate::experiments::StatusTally;
 
 /// The executor experiments route through: honours `LOOKASIDE_JOBS`,
 /// defaulting to the machine's available parallelism.
@@ -74,8 +60,8 @@ pub fn executor() -> Executor {
 /// The supervisor experiments route through: honours
 /// `LOOKASIDE_RETRIES`, `LOOKASIDE_WATCHDOG_MS` and `LOOKASIDE_FAULTS`,
 /// defaulting to three attempts per shard with the watchdog disarmed and
-/// no injected faults — a configuration under which every clean run is
-/// byte-identical to the unsupervised path.
+/// no injected faults — a configuration under which every clean run
+/// completes every shard on its first attempt.
 pub fn supervisor() -> Supervisor {
     Supervisor::from_env()
 }
@@ -105,128 +91,37 @@ pub fn accept<A>(outcome: SweepOutcome<A>) -> A {
     outcome.value
 }
 
-/// Maps `work` over cohorts `0..cohorts` on `exec`'s pool and returns the
-/// per-cohort results in cohort order.
-///
-/// This is the client-plane half of the fleet machinery (see the module
-/// docs): each shard's input is a cohort *index*, the caller resolves
-/// membership through a stable hash, and the caller's reduction must be
-/// order-independent. The engine seeds each shard from
-/// `splitmix64(seed, cohort)` should `work` want per-cohort entropy;
-/// results come back indexed by cohort id, never by completion order, so
-/// the worker pool cannot leak into the output.
-pub fn map_cohorts<T, F>(seed: u64, cohorts: usize, exec: &Executor, work: F) -> Vec<T>
+/// Runs every shard through `task` on `exec` under the session
+/// [`supervisor`] and returns the results in shard order, through
+/// [`accept`] — a degraded sweep aborts with its coverage table unless
+/// `--allow-partial` is set, in which case failed shards are missing
+/// from the list.
+pub fn collect<I, T, F>(exec: &Executor, shards: &[Shard<I>], task: F) -> Vec<T>
 where
+    I: Sync,
     T: Send,
-    F: Fn(&lookaside_engine::Shard<usize>) -> T + Sync,
+    F: Fn(&Shard<I>) -> T + Sync,
 {
-    assert!(cohorts > 0, "cohort count must be positive");
-    let plan = ShardPlan::new(seed).over(0..cohorts);
-    let sup = supervisor();
-    accept(exec.run_fold_supervised(
-        &plan,
-        work,
-        Vec::with_capacity(cohorts),
-        |mut acc, _cohort, t| {
-            acc.push(t);
-            acc
-        },
-        &sup,
-    ))
+    let rows = Vec::with_capacity(shards.len());
+    fold(exec, shards, task, rows, |mut rows, row| {
+        rows.push(row);
+        rows
+    })
 }
 
-/// [`map_cohorts`]'s streaming twin: folds per-cohort results into one
-/// accumulator in ascending cohort order instead of collecting a vector,
-/// so only one cohort result is live at a time. For the order-free
-/// reductions client planes use (set union + min-merge), the fold equals
-/// merging the collected vector — the farm equivalence tests pin it down.
-///
-/// Runs under the session [`supervisor`]: failed cohorts are retried
-/// under the bounded budget, and a degraded sweep aborts with its
-/// coverage table via [`accept`] unless `--allow-partial` is set.
-pub fn fold_cohorts<T, A, F, G>(
-    seed: u64,
-    cohorts: usize,
-    exec: &Executor,
-    work: F,
-    init: A,
-    mut fold: G,
-) -> A
+/// Runs every shard through `task` on `exec` under the session
+/// [`supervisor`] and folds the results into `init` in ascending shard
+/// id as they complete, through [`accept`]. Only the accumulator and the
+/// out-of-order completions waiting for their turn are live at a time.
+pub fn fold<I, T, A, F, G>(exec: &Executor, shards: &[Shard<I>], task: F, init: A, mut fold: G) -> A
 where
+    I: Sync,
     T: Send,
-    F: Fn(&lookaside_engine::Shard<usize>) -> T + Sync,
+    F: Fn(&Shard<I>) -> T + Sync,
     G: FnMut(A, T) -> A,
 {
-    assert!(cohorts > 0, "cohort count must be positive");
-    let plan = ShardPlan::new(seed).over(0..cohorts);
     let sup = supervisor();
-    accept(exec.run_fold_supervised(&plan, work, init, |acc, _cohort, t| fold(acc, t), &sup))
-}
-
-/// One measurement box of the fleet: a private simulated-Internet replica
-/// plus the resolver under test, re-buildable cheaply from a [`RunConfig`].
-pub struct Worker {
-    internet: Internet,
-    resolver: RecursiveResolver,
-}
-
-impl Worker {
-    /// Builds a replica for `config` — identical to the environment
-    /// [`run`] builds, so a single-shard fleet reproduces the serial path
-    /// exactly. Each worker calls this on its own thread; replicas share
-    /// nothing.
-    pub fn replica(config: &RunConfig) -> Self {
-        let limit = config.queries.max_rank().max(1);
-        let mut params = InternetParams::for_top(limit, config.population, config.remedy);
-        params.dlv_span_ttl = config.dlv_span_ttl;
-        params.dlv_denial = config.dlv_denial;
-        params.seed = config.seed;
-        params.capture = config.capture;
-        let internet = Internet::build(params);
-        let resolver = internet.resolver(config.resolver, config.seed ^ 0x5a17);
-        Worker { internet, resolver }
-    }
-
-    /// Resolves the half-open rank range `lo..hi` in order and returns the
-    /// box's local measurements. Consumes the worker: a fleet box runs one
-    /// slice, then ships its capture for offline merging.
-    pub fn run_ranks(mut self, ranks: Range<usize>) -> ShardOutcome {
-        let mut statuses = StatusTally::default();
-        let names: Vec<Name> = self.internet.population.rank_range(ranks).collect();
-        for name in &names {
-            let result = self.resolver.resolve(&mut self.internet.net, name, RrType::A);
-            tally(&mut statuses, &result);
-        }
-        ShardOutcome {
-            capture: self.internet.net.capture().clone(),
-            stats: self.internet.net.stats().clone(),
-            counters: self.resolver.counters,
-            statuses,
-            elapsed_ns: self.internet.net.now_ns(),
-            queried: names.len(),
-            dlv_apex: self.internet.dlv_apex.clone(),
-        }
-    }
-}
-
-/// What one fleet box ships home: its pcap and additive counters. The
-/// capture is kept raw (not pre-classified) so reduction can classify the
-/// *merged* capture, exactly like the paper's offline analysis.
-pub struct ShardOutcome {
-    /// The box's packet capture.
-    pub capture: Capture,
-    /// The box's upstream traffic totals.
-    pub stats: TrafficStats,
-    /// Resolver-internal counters.
-    pub counters: Counters,
-    /// Validation-status tallies.
-    pub statuses: StatusTally,
-    /// The box's simulated wall-clock, nanoseconds.
-    pub elapsed_ns: u64,
-    /// Names the box queried.
-    pub queried: usize,
-    /// Registry apex, for classification.
-    pub dlv_apex: Name,
+    accept(exec.sweep(shards, task, init, |acc, _id, value| fold(acc, value), &sup))
 }
 
 /// Records one resolution's validation status into a tally.
@@ -250,111 +145,37 @@ pub(crate) fn tally(
     }
 }
 
-/// Runs `config` as a fleet of `shards` independent measurement boxes on
-/// `exec`'s worker pool and reduces deterministically.
-///
-/// With `shards <= 1` — or a query set that is not a rank sweep
-/// ([`QuerySet::Top`]) — this is exactly [`run`]. With more shards the
-/// rank list is split contiguously; each box starts cold (fresh caches,
-/// like the paper's per-box runs), so totals can differ from the
-/// single-box serial path — but they are **identical across every
-/// `jobs` value and across repeated runs**, which is the invariant the
-/// engine guarantees and the tests enforce.
-pub fn run_sharded(config: &RunConfig, shards: usize, exec: &Executor) -> RunOutcome {
-    let n = match &config.queries {
-        QuerySet::Top(n) => *n,
-        _ => return run(config),
-    };
-    let plan = ShardPlan::new(config.seed).split_range(1..n + 1, shards);
-    if plan.len() <= 1 {
-        return run(config);
-    }
-    let outcomes =
-        expect_all(exec.run(&plan, |shard| Worker::replica(config).run_ranks(shard.input.clone())));
-    reduce(outcomes)
-}
-
-/// Deterministic reduction: captures merge in ascending shard id, the
-/// additive counters sum, elapsed time is the fleet maximum.
-// lint:sink(determinism)
-fn reduce(shards: Vec<ShardOutcome>) -> RunOutcome {
-    let mut capture = Capture::default();
-    let mut stats = TrafficStats::new();
-    let mut counters = Counters::default();
-    let mut statuses = StatusTally::default();
-    let mut elapsed_ns = 0u64;
-    let mut queried = 0usize;
-    let mut dlv_apex = None;
-    for shard in &shards {
-        capture.merge(&shard.capture);
-        stats.merge(&shard.stats);
-        counters.merge(&shard.counters);
-        statuses.merge(&shard.statuses);
-        elapsed_ns = elapsed_ns.max(shard.elapsed_ns);
-        queried += shard.queried;
-        dlv_apex.get_or_insert_with(|| shard.dlv_apex.clone());
-    }
-    let dlv_apex = dlv_apex.expect("reduce requires at least one shard");
-    RunOutcome {
-        leakage: classify(&capture, &dlv_apex),
-        stats,
-        counters,
-        statuses,
-        elapsed_ns,
-        queried,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lookaside_engine::ShardPlan;
 
     #[test]
-    fn single_shard_fleet_is_byte_identical_to_serial() {
-        let config = RunConfig::quick(25);
-        let serial = run(&config);
-        let fleet = run_sharded(&config, 1, &Executor::serial());
-        assert_eq!(fleet.stats, serial.stats);
-        assert_eq!(fleet.leakage, serial.leakage);
-        assert_eq!(fleet.counters, serial.counters);
-        assert_eq!(fleet.statuses, serial.statuses);
-        assert_eq!(fleet.elapsed_ns, serial.elapsed_ns);
-        assert_eq!(fleet.queried, serial.queried);
-    }
-
-    #[test]
-    fn fleet_output_is_jobs_invariant() {
-        let config = RunConfig::quick(24);
-        let reference = run_sharded(&config, 3, &Executor::serial());
+    fn collect_keeps_shard_order_at_any_job_count() {
+        let shards = ShardPlan::new(5).over(0..40u64);
+        let serial = collect(&Executor::serial(), &shards, |s| s.seed ^ s.input);
+        let want: Vec<u64> = shards.iter().map(|s| s.seed ^ s.input).collect();
+        assert_eq!(serial, want);
         for jobs in [2, 4] {
-            let parallel = run_sharded(&config, 3, &Executor::new(jobs));
-            assert_eq!(parallel.stats, reference.stats, "jobs={jobs}");
-            assert_eq!(parallel.leakage, reference.leakage, "jobs={jobs}");
-            assert_eq!(parallel.counters, reference.counters, "jobs={jobs}");
-            assert_eq!(parallel.elapsed_ns, reference.elapsed_ns, "jobs={jobs}");
+            assert_eq!(collect(&Executor::new(jobs), &shards, |s| s.seed ^ s.input), want);
         }
     }
 
     #[test]
-    fn fleet_queries_every_rank_exactly_once() {
-        let config = RunConfig::quick(30);
-        let fleet = run_sharded(&config, 4, &Executor::new(2));
-        assert_eq!(fleet.queried, 30);
-        let total = fleet.statuses.secure
-            + fleet.statuses.insecure
-            + fleet.statuses.bogus
-            + fleet.statuses.indeterminate
-            + fleet.statuses.errors;
-        assert_eq!(total, 30);
-    }
-
-    #[test]
-    fn non_rank_query_sets_fall_back_to_serial() {
-        let mut config = RunConfig::quick(12);
-        config.queries = QuerySet::Ranks(vec![3, 1, 2]);
-        let serial = run(&config);
-        let fleet = run_sharded(&config, 4, &Executor::new(4));
-        assert_eq!(fleet.stats, serial.stats);
-        assert_eq!(fleet.leakage, serial.leakage);
+    fn fold_sees_results_in_shard_order() {
+        let shards = ShardPlan::new(0).over(0..64usize);
+        for jobs in [1, 2, 8] {
+            let order = fold(
+                &Executor::new(jobs),
+                &shards,
+                |s| s.input,
+                Vec::new(),
+                |mut acc, v| {
+                    acc.push(v);
+                    acc
+                },
+            );
+            assert_eq!(order, (0..64).collect::<Vec<_>>(), "jobs={jobs}");
+        }
     }
 }

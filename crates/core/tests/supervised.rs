@@ -1,5 +1,5 @@
 //! Integration tests for supervised sweeps: checkpoint/resume through the
-//! public `fig12_stream_checkpointed` path, journal corruption fixtures,
+//! public `fig12_checkpointed` path, journal corruption fixtures,
 //! and property tests that retry/fault supervision never changes results.
 //!
 //! Everything here drives the explicit-path APIs (no `LOOKASIDE_*`
@@ -14,8 +14,7 @@ use lookaside::engine::{
     run_fingerprint, Checkpoint, EngineFaultPlan, Executor, RetryPolicy, Shard, ShardPlan,
     Supervisor,
 };
-use lookaside::experiments::Fig12Data;
-use lookaside::stream::{fig12_stream, fig12_stream_checkpointed};
+use lookaside::experiments::{fig12_checkpointed, fig12_with, Fig12Data};
 use proptest::prelude::*;
 
 /// Fig. 12 at 1/500000 sampling: seconds-fast, several window shards.
@@ -40,13 +39,15 @@ fn assert_fig12_identical(a: &Fig12Data, b: &Fig12Data) {
 #[test]
 fn checkpointed_fig12_matches_plain_and_resumes_byte_identical() {
     let exec = Executor::new(2);
-    let plain = fig12_stream(&exec, 7, SCALE);
+    let plain = fig12_with(&exec, 7, SCALE);
+    // The window fold is worker-count invariant.
+    assert_fig12_identical(&fig12_with(&Executor::serial(), 7, SCALE), &plain);
     let path = temp_journal("full");
-    let first = fig12_stream_checkpointed(&exec, 7, SCALE, &path);
+    let first = fig12_checkpointed(&exec, 7, SCALE, &path);
     assert_fig12_identical(&first, &plain);
     // Resuming a completed journal satisfies every shard from disk and
     // must still reproduce the figure byte for byte.
-    let resumed = fig12_stream_checkpointed(&exec, 7, SCALE, &path);
+    let resumed = fig12_checkpointed(&exec, 7, SCALE, &path);
     assert_fig12_identical(&resumed, &plain);
     let _ = fs::remove_file(&path);
 }
@@ -54,15 +55,15 @@ fn checkpointed_fig12_matches_plain_and_resumes_byte_identical() {
 #[test]
 fn torn_journal_tail_resumes_byte_identical() {
     let exec = Executor::serial();
-    let plain = fig12_stream(&exec, 11, SCALE);
+    let plain = fig12_with(&exec, 11, SCALE);
     let path = temp_journal("torn");
-    let _ = fig12_stream_checkpointed(&exec, 11, SCALE, &path);
+    let _ = fig12_checkpointed(&exec, 11, SCALE, &path);
     let bytes = fs::read(&path).unwrap();
     assert!(bytes.len() > 32, "journal too small to tear meaningfully");
     // A SIGKILL mid-append leaves a partial trailing record; the resume
     // must drop it silently and re-run only the missing shards.
     fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-    let resumed = fig12_stream_checkpointed(&exec, 11, SCALE, &path);
+    let resumed = fig12_checkpointed(&exec, 11, SCALE, &path);
     assert_fig12_identical(&resumed, &plain);
     let _ = fs::remove_file(&path);
 }
@@ -70,9 +71,9 @@ fn torn_journal_tail_resumes_byte_identical() {
 #[test]
 fn corrupt_mid_journal_record_resumes_byte_identical() {
     let exec = Executor::serial();
-    let plain = fig12_stream(&exec, 13, SCALE);
+    let plain = fig12_with(&exec, 13, SCALE);
     let path = temp_journal("corrupt");
-    let _ = fig12_stream_checkpointed(&exec, 13, SCALE, &path);
+    let _ = fig12_checkpointed(&exec, 13, SCALE, &path);
     let mut bytes = fs::read(&path).unwrap();
     // Flip one byte halfway through: that record's CRC fails, the journal
     // is truncated to the last valid record before it, and the suffix is
@@ -80,7 +81,7 @@ fn corrupt_mid_journal_record_resumes_byte_identical() {
     let at = bytes.len() / 2;
     bytes[at] ^= 0xff;
     fs::write(&path, &bytes).unwrap();
-    let resumed = fig12_stream_checkpointed(&exec, 13, SCALE, &path);
+    let resumed = fig12_checkpointed(&exec, 13, SCALE, &path);
     assert_fig12_identical(&resumed, &plain);
     let _ = fs::remove_file(&path);
 }
@@ -107,7 +108,7 @@ proptest! {
         jobs in 1usize..5,
     ) {
         let shards = ShardPlan::new(seed).over(0..24u64);
-        let clean = Executor::serial().run_fold_supervised(
+        let clean = Executor::serial().sweep(
             &shards, shard_value, Vec::new(), fold_pairs, &Supervisor::new());
         // Attempts 0..3 may panic; attempt 3 always runs clean, so a
         // 4-attempt budget is guaranteed to complete every shard.
@@ -123,14 +124,14 @@ proptest! {
             },
         };
         let faulted = Executor::new(jobs)
-            .run_fold_supervised(&shards, shard_value, Vec::new(), fold_pairs, &sup);
+            .sweep(&shards, shard_value, Vec::new(), fold_pairs, &sup);
         prop_assert!(faulted.coverage.is_complete());
         prop_assert_eq!(&faulted.value, &clean.value);
         // The retry accounting is a pure function of the fault plan, so a
         // serial run under the same supervisor reports the same coverage
         // (speculation aside — there is no watchdog here).
         let serial = Executor::serial()
-            .run_fold_supervised(&shards, shard_value, Vec::new(), fold_pairs, &sup);
+            .sweep(&shards, shard_value, Vec::new(), fold_pairs, &sup);
         prop_assert_eq!(serial.coverage.retried, faulted.coverage.retried);
         prop_assert_eq!(serial.coverage.failed, faulted.coverage.failed);
         prop_assert_eq!(&serial.value, &clean.value);
@@ -149,7 +150,7 @@ proptest! {
         let path = temp_journal(&format!("cut-{seed}-{cut_percent}"));
         let mut ckpt = Checkpoint::fresh(&path, run_id, 1).unwrap();
         let full = Executor::serial()
-            .run_fold_checkpointed(
+            .sweep_checkpointed(
                 &shards, shard_value, Vec::new(), fold_pairs, &Supervisor::new(), &mut ckpt)
             .unwrap();
         drop(ckpt);
@@ -165,7 +166,7 @@ proptest! {
         drop(ckpt);
         let mut ckpt = Checkpoint::resume(&path, run_id, 1).unwrap();
         let again = Executor::serial()
-            .run_fold_checkpointed(
+            .sweep_checkpointed(
                 &shards, shard_value, Vec::new(), fold_pairs, &Supervisor::new(), &mut ckpt)
             .unwrap();
         prop_assert_eq!(&again.value, &full.value);

@@ -55,26 +55,31 @@ impl Sha256 {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut input = data;
         if self.buffer_len > 0 {
-            let need = 64 - self.buffer_len;
-            let take = need.min(input.len());
-            self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&input[..take]);
+            let take = (64 - self.buffer_len).min(input.len());
+            let (head, rest) = input.split_at(take);
+            if let Some(gap) = self.buffer.get_mut(self.buffer_len..self.buffer_len + take) {
+                gap.copy_from_slice(head);
+            }
             self.buffer_len += take;
-            input = &input[take..];
+            input = rest;
             if self.buffer_len == 64 {
                 let block = self.buffer;
                 self.compress(&block);
                 self.buffer_len = 0;
             }
         }
-        while input.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&input[..64]);
-            self.compress(&block);
-            input = &input[64..];
+        let mut blocks = input.chunks_exact(64);
+        for block in &mut blocks {
+            if let Ok(block) = <&[u8; 64]>::try_from(block) {
+                self.compress(block);
+            }
         }
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffer_len = input.len();
+        let tail = blocks.remainder();
+        if !tail.is_empty() {
+            if let Some(start) = self.buffer.get_mut(..tail.len()) {
+                start.copy_from_slice(tail);
+                self.buffer_len = tail.len();
+            }
         }
     }
 
@@ -86,33 +91,43 @@ impl Sha256 {
             self.update(&[0]);
         }
         // Manual length append: update() would re-count these bytes.
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        let (_, length) = self.buffer.split_at_mut(56);
+        length.copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buffer;
         self.compress(&block);
 
         let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
+        // The message schedule: the block's 16 big-endian words, then 48
+        // more, each mixing the words 16, 15, 7 and 2 places back.
         let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+            if let [b0, b1, b2, b3] = *bytes {
+                *word = u32::from_be_bytes([b0, b1, b2, b3]);
+            }
         }
         for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
+            let at = |back: usize| w.get(i - back).copied().unwrap_or(0);
+            let (w15, w2) = (at(15), at(2));
+            let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+            let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+            let next = at(16).wrapping_add(s0).wrapping_add(at(7)).wrapping_add(s1);
+            if let Some(word) = w.get_mut(i) {
+                *word = next;
+            }
         }
 
         let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
+        for (k, wi) in K.iter().zip(w) {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
-            let t1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
+            let t1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(*k).wrapping_add(wi);
             let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
             let maj = (a & b) ^ (a & c) ^ (b & c);
             let t2 = s0.wrapping_add(maj);
@@ -125,14 +140,9 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (word, add) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *word = word.wrapping_add(add);
+        }
     }
 }
 

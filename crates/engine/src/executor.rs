@@ -1,6 +1,5 @@
-//! The parallel executor: a `std::thread` worker pool draining a bounded
-//! shard queue, with per-shard panic isolation and order-preserving
-//! result collection.
+//! The parallel executor: the worker-pool size plus per-shard panic
+//! isolation. The supervised sweep over it lives in `supervisor.rs`.
 
 use std::env;
 use std::num::NonZeroUsize;
@@ -8,66 +7,22 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread;
 
 use crate::plan::Shard;
-use crate::queue::BoundedQueue;
 
 /// Environment variable overriding the default worker count.
 pub const JOBS_ENV: &str = "LOOKASIDE_JOBS";
 
-/// Environment variable forcing the streaming execution mode
-/// (`1`/`true`/`on`). Streaming has been the default since PR 9; this
-/// knob remains for scripts that set it explicitly and wins over
-/// [`BATCH_ENV`] when both are set. Streaming and batch are
-/// byte-identical by contract; the variables only pick which machinery
-/// produces those bytes.
-pub const STREAM_ENV: &str = "LOOKASIDE_STREAM";
-
-/// Environment variable opting out of the streaming default and into the
-/// batch oracle (`1`/`true`/`on`) — the `repro --batch` flag sets it.
-pub const BATCH_ENV: &str = "LOOKASIDE_BATCH";
-
 pub(crate) fn env_flag(name: &str) -> bool {
-    // lint:allow(determinism::env-read) -- LOOKASIDE_STREAM/LOOKASIDE_BATCH pick between two byte-identical execution paths; they can never reach results
+    // lint:allow(determinism::env-read) -- only LOOKASIDE_ALLOW_PARTIAL is read here: it decides whether a degraded sweep aborts or returns its partial fold, and the coverage table always names the missing shards
     matches!(env::var(name).ok().as_deref().map(str::trim), Some("1" | "true" | "on"))
 }
 
-/// Whether batch execution was requested via [`BATCH_ENV`].
-pub fn batch_requested() -> bool {
-    env_flag(BATCH_ENV)
-}
-
-/// Whether streaming execution is selected: the default, unless
-/// [`BATCH_ENV`] opts out. An explicit [`STREAM_ENV`] always wins.
-pub fn stream_requested() -> bool {
-    env_flag(STREAM_ENV) || !batch_requested()
-}
-
-/// A shard that panicked instead of producing a result.
-///
-/// Panic isolation keeps one bad cell from poisoning a whole sweep: the
-/// worker catches the unwind, reports it here, and moves on to the next
-/// shard.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardError {
-    /// Position of the failing shard in the submitted plan.
-    pub shard_id: usize,
-    /// The panic payload, stringified.
-    pub message: String,
-}
-
-impl std::fmt::Display for ShardError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "shard {} panicked: {}", self.shard_id, self.message)
-    }
-}
-
-impl std::error::Error for ShardError {}
-
 /// Runs shard plans across a worker pool.
 ///
-/// Determinism contract: `run` returns results in submission order, each
-/// produced by a pure function of its shard — so the output is identical
-/// for every `jobs` value, including 1. Thread scheduling can only change
-/// *when* a shard runs, never what it computes or where its result lands.
+/// Determinism contract: [`Executor::sweep`] folds results in shard-id
+/// order, each produced by a pure function of its shard — so the output
+/// is identical for every `jobs` value, including 1. Thread scheduling
+/// can only change *when* a shard runs, never what it computes or where
+/// its result lands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Executor {
     jobs: usize,
@@ -99,59 +54,6 @@ impl Executor {
     pub fn jobs(&self) -> usize {
         self.jobs
     }
-
-    /// Runs every shard through `task`, returning one result per shard in
-    /// submission order.
-    ///
-    /// With one worker (or one shard) everything runs inline on the
-    /// calling thread; otherwise a scoped pool of `min(jobs, shards)`
-    /// workers drains a bounded queue. A panicking shard yields
-    /// `Err(ShardError)` in its slot; the remaining shards still run.
-    pub fn run<I, T, F>(&self, shards: &[Shard<I>], task: F) -> Vec<Result<T, ShardError>>
-    where
-        I: Sync,
-        T: Send,
-        F: Fn(&Shard<I>) -> T + Sync,
-    {
-        let workers = self.jobs.min(shards.len());
-        if workers <= 1 {
-            return shards.iter().map(|shard| run_one(&task, shard)).collect();
-        }
-        let queue: BoundedQueue<(usize, &Shard<I>)> = BoundedQueue::new(workers * 2);
-        let mut slots: Vec<Option<Result<T, ShardError>>> = shards.iter().map(|_| None).collect();
-        thread::scope(|scope| {
-            let queue = &queue;
-            let task = &task;
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut done = Vec::new();
-                        while let Some((slot, shard)) = queue.pop() {
-                            done.push((slot, run_one(task, shard)));
-                        }
-                        done
-                    })
-                })
-                .collect();
-            for item in shards.iter().enumerate() {
-                if !queue.push(item) {
-                    break;
-                }
-            }
-            queue.close();
-            for handle in handles {
-                // lint:allow(panic::expect) -- worker closures only pop the queue and call run_one, which catches every shard panic; a failed join is an engine bug, not a shard fault
-                let worker_results = handle.join().expect("worker died outside a shard");
-                for (slot, result) in worker_results {
-                    if let Some(cell) = slots.get_mut(slot) {
-                        *cell = Some(result);
-                    }
-                }
-            }
-        });
-        // lint:allow(panic::expect) -- every shard id is pushed exactly once and each worker reports every shard it popped, so a hole here is an engine bug worth failing loudly
-        slots.into_iter().map(|slot| slot.expect("every shard reports exactly once")).collect()
-    }
 }
 
 impl Default for Executor {
@@ -160,31 +62,15 @@ impl Default for Executor {
     }
 }
 
-/// Unwraps a full set of shard results, panicking with the first
-/// [`ShardError`] — for experiments where a missing cell would corrupt
-/// the table being built.
-///
-/// # Panics
-///
-/// Panics if any shard failed.
-#[allow(clippy::panic)]
-pub fn expect_all<T>(results: Vec<Result<T, ShardError>>) -> Vec<T> {
-    results
-        .into_iter()
-        .map(|r| match r {
-            Ok(v) => v,
-            // lint:allow(panic::panic-macro) -- expect_all's documented contract is to propagate the first shard failure as a panic
-            Err(e) => panic!("{e}"),
-        })
-        .collect()
-}
-
-pub(crate) fn run_one<I, T, F>(task: &F, shard: &Shard<I>) -> Result<T, ShardError>
+/// Runs one shard attempt with panic isolation: a panicking task becomes
+/// `Err` with the panic message instead of unwinding through the pool, so
+/// one bad cell never poisons a sweep — the supervisor retries it or
+/// lists it in the coverage.
+pub(crate) fn run_one<I, T, F>(task: &F, shard: &Shard<I>) -> Result<T, String>
 where
     F: Fn(&Shard<I>) -> T,
 {
-    catch_unwind(AssertUnwindSafe(|| task(shard)))
-        .map_err(|payload| ShardError { shard_id: shard.id, message: panic_message(&*payload) })
+    catch_unwind(AssertUnwindSafe(|| task(shard))).map_err(|payload| panic_message(&*payload))
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -201,17 +87,34 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::plan::ShardPlan;
+    use crate::supervisor::{Supervisor, SweepOutcome};
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Collects every completed shard's result in shard order.
+    fn collect<T: Send>(
+        exec: Executor,
+        shards: &[Shard<usize>],
+        task: impl Fn(&Shard<usize>) -> T + Sync,
+    ) -> SweepOutcome<Vec<T>> {
+        exec.sweep(
+            shards,
+            task,
+            Vec::new(),
+            |mut acc, _id, value| {
+                acc.push(value);
+                acc
+            },
+            &Supervisor::new(),
+        )
+    }
 
     #[test]
     fn results_keep_submission_order_at_any_job_count() {
         let shards = ShardPlan::new(3).over(0..64usize);
-        let serial: Vec<u64> =
-            expect_all(Executor::serial().run(&shards, |s| s.seed ^ s.input as u64));
+        let serial = collect(Executor::serial(), &shards, |s| s.seed ^ s.input as u64).value;
         for jobs in [2, 3, 8] {
-            let parallel: Vec<u64> =
-                expect_all(Executor::new(jobs).run(&shards, |s| s.seed ^ s.input as u64));
-            assert_eq!(parallel, serial, "jobs={jobs}");
+            let parallel = collect(Executor::new(jobs), &shards, |s| s.seed ^ s.input as u64);
+            assert_eq!(parallel.value, serial, "jobs={jobs}");
         }
     }
 
@@ -219,50 +122,47 @@ mod tests {
     fn every_shard_runs_exactly_once() {
         let shards = ShardPlan::new(0).over(0..100usize);
         let ran = AtomicUsize::new(0);
-        let results = Executor::new(4).run(&shards, |s| {
+        let out = collect(Executor::new(4), &shards, |s| {
             ran.fetch_add(1, Ordering::Relaxed);
             s.input
         });
         assert_eq!(ran.load(Ordering::Relaxed), 100);
-        assert_eq!(results.len(), 100);
+        assert_eq!(out.value, (0..100).collect::<Vec<_>>());
+        assert_eq!(out.coverage.completed, 100);
     }
 
     #[test]
     fn panicking_shard_reports_error_without_poisoning_the_run() {
         let shards = ShardPlan::new(1).over(0..10usize);
         for jobs in [1, 4] {
-            let results = Executor::new(jobs).run(&shards, |s| {
+            let out = collect(Executor::new(jobs), &shards, |s| {
                 assert!(s.input != 3, "cell {} exploded", s.input);
                 s.input * 2
             });
-            for (i, result) in results.iter().enumerate() {
-                if i == 3 {
-                    let err = result.as_ref().expect_err("shard 3 must fail");
-                    assert_eq!(err.shard_id, 3);
-                    assert!(err.message.contains("cell 3 exploded"), "{err}");
-                } else {
-                    assert_eq!(*result.as_ref().expect("healthy shard"), i * 2);
-                }
-            }
+            let want: Vec<usize> = (0..10).filter(|&i| i != 3).map(|i| i * 2).collect();
+            assert_eq!(out.value, want, "jobs={jobs}");
+            let [failure] = out.coverage.failed.as_slice() else {
+                panic!("jobs={jobs}: exactly shard 3 must fail: {}", out.coverage.table());
+            };
+            assert_eq!(failure.shard_id, 3);
+            assert_eq!(failure.attempts, Supervisor::new().retry.max_attempts);
+            assert!(failure.message.contains("cell 3 exploded"), "{}", failure.message);
         }
     }
 
     #[test]
-    #[should_panic(expected = "shard 2 panicked")]
-    fn expect_all_surfaces_the_first_failure() {
-        let shards = ShardPlan::new(1).over(0..4usize);
-        let results = Executor::serial().run(&shards, |s| {
-            assert!(s.input != 2, "boom");
-            s.input
-        });
-        let _ = expect_all(results);
-    }
-
-    #[test]
     fn empty_plan_is_fine() {
-        let shards: Vec<crate::plan::Shard<u8>> = Vec::new();
-        let results = Executor::new(8).run(&shards, |s| s.input);
-        assert!(results.is_empty());
+        let shards: Vec<Shard<u8>> = Vec::new();
+        let out = Executor::new(8).sweep(
+            &shards,
+            |s| s.input,
+            41u32,
+            |acc, _id, v| acc + u32::from(v),
+            &Supervisor::new(),
+        );
+        assert_eq!(out.value, 41);
+        assert!(out.coverage.is_complete());
+        assert_eq!(out.coverage.total, 0);
     }
 
     #[test]

@@ -7,37 +7,40 @@
 //! bit-for-bit determinism**:
 //!
 //! * [`ShardPlan`] / [`Shard`] — pure-function decomposition of a
-//!   workload (sweep points, grid cells, rank ranges, trace windows),
+//!   workload (sweep points, grid cells, client cohorts, trace windows),
 //!   each shard deriving its private RNG seed as
 //!   [`splitmix64`]`(root_seed, shard_id)`,
 //! * [`BoundedQueue`] — the bounded work queue workers drain,
 //! * [`Executor`] — a scoped `std::thread` pool with a `--jobs N` knob
 //!   (default [`std::thread::available_parallelism`], overridable via the
-//!   `LOOKASIDE_JOBS` environment variable) and per-shard panic
-//!   isolation: a panicking shard becomes a [`ShardError`] result instead
-//!   of poisoning the run.
+//!   `LOOKASIDE_JOBS` environment variable) and per-shard panic isolation,
+//! * [`Executor::sweep`] — the one way to run a plan: every shard under a
+//!   [`Supervisor`] (bounded retries, watchdog, seeded fault injection),
+//!   results folded into one accumulator in shard-id order, failures
+//!   listed in the returned [`SweepOutcome`]'s [`Coverage`] instead of
+//!   aborting the run. [`Executor::sweep_checkpointed`] is the same sweep
+//!   journalling each completed shard to a [`Checkpoint`].
 //!
 //! The engine is workload-agnostic on purpose: it knows nothing about
 //! DNS, captures, or simulated internets. Higher layers (the `lookaside`
 //! core crate) hand it closures whose *workers own private simulated
-//! Internet replicas*, then reduce the per-shard outputs in shard-id
+//! Internet replicas*, and the fold sees their outputs in shard-id
 //! order — which is what makes `jobs=1` and `jobs=N` byte-identical.
 //!
 //! # Example
 //!
 //! ```
-//! use lookaside_engine::{expect_all, Executor, ShardPlan};
+//! use lookaside_engine::{Executor, ShardPlan, Supervisor};
 //!
-//! let shards = ShardPlan::new(42).split_range(1..101, 4);
-//! let sums: Vec<usize> = expect_all(
-//!     Executor::new(4).run(&shards, |shard| shard.input.clone().sum::<usize>()),
-//! );
-//! assert_eq!(sums.iter().sum::<usize>(), (1..101).sum::<usize>());
-//! // Identical reduction regardless of worker count:
-//! let serial: Vec<usize> = expect_all(
-//!     Executor::serial().run(&shards, |shard| shard.input.clone().sum::<usize>()),
-//! );
-//! assert_eq!(sums, serial);
+//! let shards = ShardPlan::new(42).over(1..101usize);
+//! let sum = |exec: Executor| {
+//!     exec.sweep(&shards, |shard| shard.input, 0, |acc, _id, v| acc + v, &Supervisor::new())
+//! };
+//! let wide = sum(Executor::new(4));
+//! assert!(wide.coverage.is_complete());
+//! assert_eq!(wide.value, (1..101).sum::<usize>());
+//! // Identical fold regardless of worker count:
+//! assert_eq!(wide, sum(Executor::serial()));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -46,7 +49,6 @@
 mod checkpoint;
 pub mod diag;
 mod executor;
-mod fold;
 mod plan;
 mod queue;
 mod seed;
@@ -55,10 +57,7 @@ mod supervisor;
 pub use checkpoint::{
     crc32, run_fingerprint, Checkpoint, JournalCodec, JournalError, JOURNAL_MAGIC, JOURNAL_VERSION,
 };
-pub use executor::{
-    batch_requested, expect_all, stream_requested, Executor, ShardError, BATCH_ENV, JOBS_ENV,
-    STREAM_ENV,
-};
+pub use executor::{Executor, JOBS_ENV};
 pub use plan::{Shard, ShardPlan};
 pub use queue::BoundedQueue;
 pub use seed::splitmix64;

@@ -1,14 +1,12 @@
 //! Shard plans: deterministic decomposition of a workload.
 //!
 //! A [`ShardPlan`] turns one experiment's workload — sweep points, chaos
-//! grid cells, domain rank ranges, DITL trace windows — into numbered
+//! grid cells, client cohorts, DITL trace windows — into numbered
 //! [`Shard`]s. The decomposition is a pure function of the inputs: shard
 //! `k` always receives the same slice of work and the same derived seed,
 //! so the executor may run shards on any number of threads in any order
 //! and reduction by shard id reproduces the single-threaded result
 //! bit for bit.
-
-use std::ops::Range;
 
 use crate::seed::splitmix64;
 
@@ -50,30 +48,6 @@ impl ShardPlan {
             .map(|(id, input)| Shard { id, seed: splitmix64(self.root_seed, id as u64), input })
             .collect()
     }
-
-    /// Splits a contiguous range into at most `shards` non-empty,
-    /// near-equal contiguous sub-ranges (earlier shards take the
-    /// remainder). Concatenating the sub-ranges in shard order always
-    /// reproduces `range` exactly.
-    pub fn split_range(self, range: Range<usize>, shards: usize) -> Vec<Shard<Range<usize>>> {
-        let len = range.end.saturating_sub(range.start);
-        if len == 0 {
-            return Vec::new();
-        }
-        let shards = shards.clamp(1, len);
-        let base = len / shards;
-        let extra = len % shards;
-        let mut out = Vec::with_capacity(shards);
-        let mut lo = range.start;
-        for id in 0..shards {
-            let take = base + usize::from(id < extra);
-            let hi = lo + take;
-            out.push(Shard { id, seed: splitmix64(self.root_seed, id as u64), input: lo..hi });
-            lo = hi;
-        }
-        debug_assert_eq!(lo, range.end);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -92,32 +66,10 @@ mod tests {
     }
 
     #[test]
-    fn split_range_concatenates_back() {
-        for (lo, hi, k) in [(1usize, 101, 4), (0, 7, 3), (5, 6, 8), (10, 10, 2), (1, 9, 1)] {
-            let shards = ShardPlan::new(1).split_range(lo..hi, k);
-            let mut walked = lo;
-            for (i, s) in shards.iter().enumerate() {
-                assert_eq!(s.id, i);
-                assert_eq!(s.input.start, walked, "contiguous");
-                assert!(!s.input.is_empty(), "no empty shards");
-                walked = s.input.end;
-            }
-            assert_eq!(walked, if lo == hi { lo } else { hi });
-            assert!(shards.len() <= k.max(1));
-        }
-    }
-
-    #[test]
-    fn split_range_balances_sizes() {
-        let shards = ShardPlan::new(0).split_range(0..10, 4);
-        let sizes: Vec<usize> = shards.iter().map(|s| s.input.len()).collect();
-        assert_eq!(sizes, [3, 3, 2, 2]);
-    }
-
-    #[test]
     fn plans_are_deterministic() {
-        let a = ShardPlan::new(77).split_range(1..1000, 8);
-        let b = ShardPlan::new(77).split_range(1..1000, 8);
+        let a = ShardPlan::new(77).over(1..1000usize);
+        let b = ShardPlan::new(77).over(1..1000usize);
         assert_eq!(a, b);
+        assert_ne!(a, ShardPlan::new(78).over(1..1000usize), "seeds follow the root");
     }
 }

@@ -2,8 +2,9 @@
 //! speculative re-dispatch, seeded fault injection, and graceful
 //! degradation over [`Executor`] sweeps (DESIGN.md §14).
 //!
-//! [`Executor::run_fold_supervised`] wraps the streaming fold with a
-//! supervising dispatcher:
+//! [`Executor::sweep`] is the engine's one way to run a shard plan: a
+//! worker pool whose results fold into one accumulator in ascending
+//! shard id, under a supervising dispatcher:
 //!
 //! * failed shards are requeued under a bounded, seeded [`RetryPolicy`]
 //!   with a per-shard attempt budget;
@@ -34,7 +35,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::checkpoint::{Checkpoint, JournalCodec, JournalError};
-use crate::executor::{run_one, Executor, ShardError};
+use crate::executor::{run_one, Executor};
 use crate::plan::Shard;
 use crate::queue::BoundedQueue;
 use crate::seed::splitmix64;
@@ -373,9 +374,14 @@ impl Executor {
     /// ascending shard-id order, passing the shard id alongside each
     /// value so degraded folds can account for holes.
     ///
-    /// Never panics on shard failure: shards that exhaust their retry
-    /// budget are skipped by the fold and listed in the coverage.
-    pub fn run_fold_supervised<I, T, A, F, G>(
+    /// With one worker (or one shard) everything runs inline; otherwise a
+    /// scoped pool drains a bounded queue while the calling thread folds,
+    /// buffering out-of-order completions until every lower shard id has
+    /// been folded or has failed. Never panics on shard failure: shards
+    /// that exhaust their retry budget are skipped by the fold and listed
+    /// in the coverage.
+    // lint:entry(hot-path)
+    pub fn sweep<I, T, A, F, G>(
         &self,
         shards: &[Shard<I>],
         task: F,
@@ -394,16 +400,16 @@ impl Executor {
         outcome
     }
 
-    /// [`run_fold_supervised`](Executor::run_fold_supervised) with a
-    /// checkpoint journal: shard results already in the journal are
-    /// folded without re-running, and shards completed by this run are
-    /// appended to it as the fold front advances.
+    /// [`sweep`](Executor::sweep) with a checkpoint journal: shard
+    /// results already in the journal are folded without re-running, and
+    /// shards completed by this run are appended to it as the fold front
+    /// advances.
     ///
     /// # Errors
     ///
     /// Returns the first [`JournalError`] hit while appending; the
     /// journal's durable prefix remains valid for a later resume.
-    pub fn run_fold_checkpointed<I, T, A, F, G>(
+    pub fn sweep_checkpointed<I, T, A, F, G>(
         &self,
         shards: &[Shard<I>],
         task: F,
@@ -429,35 +435,6 @@ impl Executor {
         ckpt.sync()?;
         Ok(outcome)
     }
-
-    /// Runs every shard under supervision, collecting one `Option<T>`
-    /// per shard in submission order — `None` marks a shard that
-    /// exhausted its retry budget (listed in the coverage).
-    pub fn run_supervised<I, T, F>(
-        &self,
-        shards: &[Shard<I>],
-        task: F,
-        sup: &Supervisor,
-    ) -> SweepOutcome<Vec<Option<T>>>
-    where
-        I: Sync,
-        T: Send,
-        F: Fn(&Shard<I>) -> T + Sync,
-    {
-        let init: Vec<Option<T>> = (0..shards.len()).map(|_| None).collect();
-        self.run_fold_supervised(
-            shards,
-            task,
-            init,
-            |mut acc, slot, value| {
-                if let Some(cell) = acc.get_mut(slot) {
-                    *cell = Some(value);
-                }
-                acc
-            },
-            sup,
-        )
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -474,15 +451,12 @@ fn run_injected<I, T, F>(
     shard: &Shard<I>,
     attempt: u32,
     faults: &EngineFaultPlan,
-) -> Result<T, ShardError>
+) -> Result<T, String>
 where
     F: Fn(&Shard<I>) -> T,
 {
     match faults.draw(shard.id, attempt) {
-        EngineFault::Panic => Err(ShardError {
-            shard_id: shard.id,
-            message: format!("injected worker panic (attempt {attempt})"),
-        }),
+        EngineFault::Panic => Err(format!("injected worker panic (attempt {attempt})")),
         EngineFault::Stall(d) => {
             thread::sleep(d);
             run_one(task, shard)
@@ -607,7 +581,7 @@ where
                             cov.failed.push(ShardFailure {
                                 shard_id: shard.id,
                                 attempts: attempt,
-                                message: err.message,
+                                message: err,
                             });
                             break;
                         }
@@ -677,7 +651,7 @@ fn supervise_parallel<I, T, A, F, G>(
     let workers = exec.jobs().min(n);
     let capacity = workers * 2;
     let queue: BoundedQueue<(usize, u32)> = BoundedQueue::new(capacity);
-    let (tx, rx) = mpsc::channel::<(usize, u32, Result<T, ShardError>)>();
+    let (tx, rx) = mpsc::channel::<(usize, u32, Result<T, String>)>();
 
     thread::scope(|scope| {
         let queue = &queue;
@@ -803,7 +777,7 @@ fn supervise_parallel<I, T, A, F, G>(
                     let budgeted = attempt < SPECULATIVE_BASE;
                     if budgeted {
                         had_failure[slot] = true;
-                        last_error[slot] = Some(err.message);
+                        last_error[slot] = Some(err);
                         if budget_dispatched[slot] < sup.retry.max_attempts {
                             // Seeded requeue position: spread retries so
                             // they do not redispatch in lockstep.
@@ -858,7 +832,7 @@ mod tests {
     }
 
     fn sum_supervised(jobs: usize, shards: &[Shard<usize>], sup: &Supervisor) -> SweepOutcome<u64> {
-        Executor::new(jobs).run_fold_supervised(
+        Executor::new(jobs).sweep(
             shards,
             |s| s.seed ^ s.input as u64,
             0u64,
@@ -1007,7 +981,7 @@ mod tests {
     }
 
     #[test]
-    fn run_supervised_marks_failed_shards_as_none() {
+    fn degraded_sweep_folds_surviving_shard_ids_in_order() {
         let shards = ShardPlan::new(1).over(0..10usize);
         let sup = Supervisor {
             retry: RetryPolicy::NONE,
@@ -1020,18 +994,22 @@ mod tests {
                 faulty_attempts: u32::MAX,
             },
         };
-        let out = Executor::new(4).run_supervised(&shards, |s| s.input * 2, &sup);
-        assert_eq!(out.value.len(), 10);
+        let out = Executor::new(4).sweep(
+            &shards,
+            |s| s.input * 2,
+            Vec::new(),
+            |mut acc, id, value| {
+                acc.push((id, value));
+                acc
+            },
+            &sup,
+        );
         let failed: std::collections::BTreeSet<usize> =
             out.coverage.failed.iter().map(|f| f.shard_id).collect();
         assert!(!failed.is_empty(), "seed 42 must fail a shard at one attempt");
-        for (i, cell) in out.value.iter().enumerate() {
-            if failed.contains(&i) {
-                assert!(cell.is_none(), "failed shard {i} must be None");
-            } else {
-                assert_eq!(*cell, Some(i * 2), "shard {i}");
-            }
-        }
+        let want: Vec<(usize, usize)> =
+            (0..10).filter(|i| !failed.contains(i)).map(|i| (i, i * 2)).collect();
+        assert_eq!(out.value, want);
     }
 
     #[test]
@@ -1049,7 +1027,7 @@ mod tests {
         // First run: journal everything, remember the clean fold.
         let mut ck: Checkpoint<u64> = Checkpoint::fresh(&path, run_id, 1).expect("fresh");
         let first = Executor::new(2)
-            .run_fold_checkpointed(
+            .sweep_checkpointed(
                 &shards,
                 task,
                 Vec::new(),
@@ -1069,7 +1047,7 @@ mod tests {
         let reran = AtomicUsize::new(0);
         let mut ck: Checkpoint<u64> = Checkpoint::resume(&path, run_id, 1).expect("resume");
         let second = Executor::new(4)
-            .run_fold_checkpointed(
+            .sweep_checkpointed(
                 &shards,
                 |s: &Shard<usize>| {
                     reran.fetch_add(1, Ordering::Relaxed);
@@ -1112,7 +1090,7 @@ mod tests {
         let reran = AtomicUsize::new(0);
         let mut ck: Checkpoint<u64> = Checkpoint::resume(&path, run_id, 1).expect("resume");
         let out = Executor::new(3)
-            .run_fold_checkpointed(
+            .sweep_checkpointed(
                 &shards,
                 |s: &Shard<usize>| {
                     reran.fetch_add(1, Ordering::Relaxed);

@@ -7,28 +7,9 @@
 //! resolver-internal bookkeeping.
 
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use lookaside_wire::{Name, NameTable, Rcode, RrType};
 use serde::{Deserialize, Serialize};
-
-/// Process-wide switch for qname interning in captures (on by default).
-///
-/// Interning is purely a storage optimisation — it can never change a
-/// packet's qname value, only which allocation backs it — so flipping this
-/// must not change any observable output. The property tests assert exactly
-/// that by running the same experiment with interning on and off.
-static CAPTURE_INTERNING: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables qname interning for subsequently recorded packets.
-pub fn set_capture_interning(enabled: bool) {
-    CAPTURE_INTERNING.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether capture qname interning is currently enabled.
-pub fn capture_interning() -> bool {
-    CAPTURE_INTERNING.load(Ordering::Relaxed)
-}
 
 /// Direction of a captured packet relative to the resolver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -78,10 +59,9 @@ pub enum CaptureFilter {
 impl CaptureFilter {
     /// Whether a packet of this query type would be retained.
     ///
-    /// Public so streaming accumulators (which replace the capture
-    /// entirely) can apply exactly the retention rule the batch path would
-    /// have applied — the byte-identity contract between the two modes
-    /// hinges on this predicate being shared, not re-derived.
+    /// Public so packet sinks can apply exactly the retention rule a
+    /// capture applies — a sink and a capture fed the same packets agree
+    /// because this predicate is shared, not re-derived.
     pub fn keeps(self, qtype: RrType) -> bool {
         match self {
             CaptureFilter::All => true,
@@ -96,7 +76,8 @@ impl CaptureFilter {
 /// Each capture owns a private [`NameTable`]: retained packets of the same
 /// qname share one name allocation instead of one per packet. The table is
 /// per-capture (= per shard in parallel runs), never global, so shards
-/// share no state and merge order alone decides the combined log.
+/// share no state. Interning changes which allocation backs a qname,
+/// never its value.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Capture {
     filter: CaptureFilter,
@@ -113,9 +94,7 @@ impl Capture {
     /// Records a packet if the filter keeps it.
     pub fn record(&mut self, mut packet: Packet) {
         if self.filter.keeps(packet.qtype) {
-            if capture_interning() {
-                packet.qname = self.names.intern(&packet.qname);
-            }
+            packet.qname = self.names.intern(&packet.qname);
             self.packets.push(packet);
         }
     }
@@ -141,33 +120,6 @@ impl Capture {
     /// pure leak.
     pub fn dlv_responses(&self) -> impl Iterator<Item = &Packet> {
         self.packets.iter().filter(|p| p.qtype == RrType::Dlv && p.direction == Direction::Response)
-    }
-
-    /// Appends another capture's packets to this one, preserving each
-    /// capture's internal order — the simulator's "mergecap".
-    ///
-    /// Ordering contract: shard reductions call this in ascending shard
-    /// id, so the merged log is totally ordered by `(shard_id, seq)` —
-    /// packets from shard *k* all precede packets from shard *k+1*, and
-    /// within a shard capture order (the shard's virtual-time order) is
-    /// kept. Each shard runs its own virtual clock from zero, so
-    /// timestamps are **not** globally monotone after a merge; analyses
-    /// that classify per-name (leakage Case 1/Case 2) are insensitive to
-    /// this, exactly as the paper's offline pcap analysis is insensitive
-    /// to which measurement box captured a packet first.
-    ///
-    /// `other`'s packets were already filtered by its own filter at
-    /// record time; they are appended verbatim, not re-filtered.
-    // lint:sink(determinism)
-    pub fn merge(&mut self, other: &Capture) {
-        let intern = capture_interning();
-        for p in &other.packets {
-            let mut p = p.clone();
-            if intern {
-                p.qname = self.names.intern(&p.qname);
-            }
-            self.packets.push(p);
-        }
     }
 
     /// Clears retained packets and the intern table (filter unchanged).
@@ -342,24 +294,6 @@ mod tests {
         assert!(text.contains("# timeouts=1 retransmissions=2 duplicates=0"));
         let back = Capture::parse_text(&text).unwrap();
         assert_eq!(back.packets(), cap.packets());
-    }
-
-    #[test]
-    fn merge_appends_in_shard_order() {
-        let mut shard0 = Capture::new(CaptureFilter::All);
-        shard0.record(packet(RrType::Dlv, Direction::Query, Rcode::NoError));
-        shard0.record(packet(RrType::Dlv, Direction::Response, Rcode::NoError));
-        let mut shard1 = Capture::new(CaptureFilter::DlvOnly);
-        shard1.record(packet(RrType::A, Direction::Query, Rcode::NoError)); // dropped at record
-        shard1.record(packet(RrType::Dlv, Direction::Query, Rcode::NxDomain));
-        let mut merged = Capture::new(CaptureFilter::All);
-        merged.merge(&shard0);
-        merged.merge(&shard1);
-        assert_eq!(merged.len(), 3);
-        // Shard 0's packets precede shard 1's; order within a shard kept.
-        assert_eq!(merged.packets()[0], shard0.packets()[0]);
-        assert_eq!(merged.packets()[1], shard0.packets()[1]);
-        assert_eq!(merged.packets()[2], shard1.packets()[0]);
     }
 
     #[test]

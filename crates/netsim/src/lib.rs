@@ -49,9 +49,7 @@ mod network;
 mod observe;
 mod stats;
 
-pub use capture::{
-    capture_interning, set_capture_interning, Capture, CaptureFilter, Direction, Packet,
-};
+pub use capture::{Capture, CaptureFilter, Direction, Packet};
 pub use fault::{FaultPlan, FaultPlane, LinkFaults};
 pub use latency::LatencyModel;
 pub use network::{

@@ -1,17 +1,18 @@
 // lint:stream-hot-path
 //! Streaming packet observers — the fold-style alternative to [`Capture`].
 //!
-//! Batch experiments record packets into a capture and analyse the vector
-//! afterwards; that is faithful to the paper's pcap pipeline but costs
-//! O(queries) memory. A [`PacketSink`] instead sees each packet at the
-//! moment [`crate::Network`] would have recorded it and folds it into an
-//! accumulator immediately, so the network retains nothing.
+//! A capture keeps every retained packet for analysis afterwards; that is
+//! faithful to the paper's pcap pipeline but costs O(queries) memory. A
+//! [`PacketSink`] instead sees each packet at the moment
+//! [`crate::Network`] records it and folds it into an accumulator
+//! immediately, so nothing needs to be retained.
 //!
-//! Equivalence contract: the network shows a sink **every** packet it
-//! builds, unfiltered, in capture order — the same packets, in the same
-//! order, that a [`CaptureFilter::All`] capture would retain. A sink that
-//! wants batch-identical results applies the run's [`CaptureFilter`] via
-//! [`CaptureFilter::keeps`] itself, mirroring what `Capture::record` does.
+//! Tee contract: the network shows a sink **every** packet it builds,
+//! unfiltered, in capture order, at the same emission points where it
+//! records into its own capture — and `reset_measurement` clears both
+//! together. A sink that wants what a capture would have retained applies
+//! the run's [`CaptureFilter`] via [`CaptureFilter::keeps`] itself,
+//! mirroring what `Capture::record` does.
 //!
 //! This module is tagged as streaming steady-state: `observe` runs once
 //! per packet for tens of millions of packets, so it must not allocate.
@@ -28,8 +29,7 @@ use crate::capture::{Direction, Packet};
 /// A streaming observer of simulated packets.
 ///
 /// Implementations fold packets into aggregate state; they must be pure
-/// functions of the packet stream so that streaming and batch execution
-/// stay byte-identical.
+/// functions of the packet stream so that a run's results are too.
 pub trait PacketSink {
     /// Called once per packet, in capture order, before loss is applied to
     /// queries (a lost query is still a sent query, exactly as captures
@@ -53,8 +53,8 @@ impl<S: PacketSink + ?Sized> PacketSink for Rc<RefCell<S>> {
     }
 }
 
-/// Counts DLV-type query packets — the streaming replacement for
-/// `capture().dlv_queries().count()` in the chaos harness.
+/// Counts DLV-type query packets — the chaos harness's on-wire exposure
+/// count, without retaining the packets.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DlvQueryCounter {
     /// Number of DLV queries (not responses) observed since the last reset.

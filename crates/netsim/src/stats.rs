@@ -187,37 +187,6 @@ impl TrafficStats {
             stale_serves: self.stale_serves.saturating_sub(baseline.stale_serves),
         }
     }
-
-    /// Merges another run's totals into this one, component-wise.
-    ///
-    /// Addition is commutative, so the merged totals are independent of
-    /// merge order; shard reductions still merge in ascending shard id for
-    /// uniformity with [`crate::Capture::merge`], where order *does*
-    /// matter.
-    // lint:sink(determinism)
-    pub fn merge(&mut self, other: &TrafficStats) {
-        for (t, n) in &other.queries_by_type {
-            *self.queries_by_type.entry(*t).or_insert(0) += n;
-        }
-        for (t, n) in &other.bytes_by_type {
-            *self.bytes_by_type.entry(*t).or_insert(0) += n;
-        }
-        for (c, n) in &other.responses_by_rcode {
-            *self.responses_by_rcode.entry(*c).or_insert(0) += n;
-        }
-        for (t, n) in &other.time_by_type {
-            *self.time_by_type.entry(*t).or_insert(0) += n;
-        }
-        self.query_bytes += other.query_bytes;
-        self.response_bytes += other.response_bytes;
-        self.timeouts += other.timeouts;
-        self.retransmissions += other.retransmissions;
-        self.duplicates += other.duplicates;
-        self.malformed_responses += other.malformed_responses;
-        self.spoofed_responses += other.spoofed_responses;
-        self.forced_truncations += other.forced_truncations;
-        self.stale_serves += other.stale_serves;
-    }
 }
 
 #[cfg(test)]
@@ -273,46 +242,5 @@ mod tests {
         assert_eq!(overhead.queries_of(RrType::A), 0);
         assert_eq!(overhead.total_bytes(), 130);
         assert_eq!(overhead.total_time_ns(), 4_000_000);
-    }
-
-    #[test]
-    fn merge_adds() {
-        let mut a = sample();
-        let b = sample();
-        a.merge(&b);
-        assert_eq!(a.total_queries(), 6);
-        assert_eq!(a.queries_of(RrType::A), 4);
-    }
-
-    #[test]
-    fn sharded_merge_equals_one_pass() {
-        // The merge-safety contract: recording exchanges across two stats
-        // and merging is indistinguishable from recording them into one.
-        let mut one_pass = TrafficStats::new();
-        let mut shard_a = TrafficStats::new();
-        let mut shard_b = TrafficStats::new();
-        one_pass.record(RrType::A, Rcode::NoError, 30, 100, 1_000_000);
-        shard_a.record(RrType::A, Rcode::NoError, 30, 100, 1_000_000);
-        one_pass.record_timeout(RrType::Dlv, 44, 2_000_000_000);
-        shard_b.record_timeout(RrType::Dlv, 44, 2_000_000_000);
-        one_pass.record(RrType::Dlv, Rcode::NxDomain, 50, 120, 3_000_000);
-        shard_b.record(RrType::Dlv, Rcode::NxDomain, 50, 120, 3_000_000);
-        one_pass.malformed_responses += 1;
-        shard_a.malformed_responses += 1;
-        one_pass.spoofed_responses += 2;
-        shard_b.spoofed_responses += 2;
-        one_pass.forced_truncations += 1;
-        shard_a.forced_truncations += 1;
-        one_pass.stale_serves += 3;
-        shard_b.stale_serves += 3;
-        let mut merged = TrafficStats::new();
-        merged.merge(&shard_a);
-        merged.merge(&shard_b);
-        assert_eq!(merged, one_pass);
-        // And order-independence, since every field is additive:
-        let mut reversed = TrafficStats::new();
-        reversed.merge(&shard_b);
-        reversed.merge(&shard_a);
-        assert_eq!(reversed, one_pass);
     }
 }

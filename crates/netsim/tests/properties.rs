@@ -86,11 +86,6 @@ proptest! {
         prop_assert_eq!(overhead.total_queries() + base.total_queries(), total.total_queries());
         prop_assert_eq!(overhead.total_bytes() + base.total_bytes(), total.total_bytes());
         prop_assert_eq!(overhead.total_time_ns() + base.total_time_ns(), total.total_time_ns());
-        // And merge is the inverse direction.
-        let mut merged = base.clone();
-        merged.merge(&overhead);
-        prop_assert_eq!(merged.total_queries(), total.total_queries());
-        prop_assert_eq!(merged.total_bytes(), total.total_bytes());
     }
 
     #[test]

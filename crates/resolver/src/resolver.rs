@@ -172,28 +172,6 @@ pub struct Counters {
     pub stale_rejected_expired_sig: u64,
 }
 
-impl Counters {
-    /// Adds another resolver's counters into this one — every field is a
-    /// primary additive count, so a fleet of per-shard resolvers reduces
-    /// to exactly the totals one resolver doing all the work would show.
-    // lint:sink(determinism)
-    pub fn merge(&mut self, other: &Counters) {
-        self.resolutions += other.resolutions;
-        self.dlv_queries_sent += other.dlv_queries_sent;
-        self.dlv_suppressed_by_nsec += other.dlv_suppressed_by_nsec;
-        self.dlv_skipped_by_signal += other.dlv_skipped_by_signal;
-        self.bogus += other.bogus;
-        self.spoofs_discarded += other.spoofs_discarded;
-        self.spoofs_accepted += other.spoofs_accepted;
-        self.malformed_retries += other.malformed_retries;
-        self.bad_cache_hits += other.bad_cache_hits;
-        self.stale_answers += other.stale_answers;
-        self.expired_rrsig_bogus += other.expired_rrsig_bogus;
-        self.missing_anchor_indeterminate += other.missing_anchor_indeterminate;
-        self.stale_rejected_expired_sig += other.stale_rejected_expired_sig;
-    }
-}
-
 /// Everything the harness supplies to build a resolver.
 #[derive(Debug, Clone)]
 pub struct ResolverSetup {

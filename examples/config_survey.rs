@@ -7,7 +7,6 @@
 //! ```
 
 use lookaside::experiments::{run, QuerySet, RunConfig};
-use lookaside_netsim::CaptureFilter;
 use lookaside_resolver::{EffectiveBehavior, InstallMethod, ResolverConfig};
 use lookaside_wire::ext::RemedyMode;
 use lookaside_workload::PopulationParams;
@@ -29,7 +28,6 @@ fn main() {
             queries: QuerySet::Huque,
             resolver: ResolverConfig::Bind(method.bind_config()),
             remedy: RemedyMode::None,
-            capture: CaptureFilter::DlvOnly,
             seed: 3,
             dlv_span_ttl: lookaside_server::DLV_SPAN_TTL,
             dlv_denial: lookaside_zone::DenialMode::Nsec,

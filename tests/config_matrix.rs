@@ -2,7 +2,6 @@
 //! install × software combination gets the behaviour the paper describes.
 
 use lookaside::experiments::{run, QuerySet, RunConfig};
-use lookaside_netsim::CaptureFilter;
 use lookaside_resolver::{
     environments, EffectiveBehavior, InstallMethod, ResolverConfig, Software,
 };
@@ -47,7 +46,6 @@ fn huque_run(method: InstallMethod) -> lookaside::leakage::LeakageReport {
         queries: QuerySet::Huque,
         resolver: ResolverConfig::Bind(method.bind_config()),
         remedy: RemedyMode::None,
-        capture: CaptureFilter::DlvOnly,
         seed: 21,
         dlv_span_ttl: lookaside_server::DLV_SPAN_TTL,
         dlv_denial: lookaside_zone::DenialMode::Nsec,
@@ -100,7 +98,6 @@ fn unbound_never_leaks_secured_domains() {
             dlv_anchor: true,
         }),
         remedy: RemedyMode::None,
-        capture: CaptureFilter::DlvOnly,
         seed: 22,
         dlv_span_ttl: lookaside_server::DLV_SPAN_TTL,
         dlv_denial: lookaside_zone::DenialMode::Nsec,
@@ -121,7 +118,6 @@ fn disabling_lookaside_stops_all_dlv_traffic() {
         queries: QuerySet::Top(50),
         resolver: ResolverConfig::Bind(bind),
         remedy: RemedyMode::None,
-        capture: CaptureFilter::DlvOnly,
         seed: 23,
         dlv_span_ttl: lookaside_server::DLV_SPAN_TTL,
         dlv_denial: lookaside_zone::DenialMode::Nsec,

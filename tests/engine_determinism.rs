@@ -2,10 +2,10 @@
 //!
 //! The engine's contract is that worker threads decide *when* a shard
 //! runs, never *what* it produces: for a fixed seed, every worker count
-//! must yield byte-identical merged captures and byte-identical report
-//! text. These properties drive the fleet through the public API the
-//! `repro` binary uses, so `--jobs 1` vs `--jobs N` byte-identity is
-//! asserted against the same rendering the user sees.
+//! must yield byte-identical report text. These properties drive sweeps
+//! through the public API the `repro` binary uses, so `--jobs 1` vs
+//! `--jobs N` byte-identity is asserted against the same rendering the
+//! user sees.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -15,29 +15,9 @@ use proptest::prelude::*;
 
 use lookaside::byzantine::{byzantine_sweep_with, ByzantineConfig};
 use lookaside::chaos::{chaos_outage_with, ChaosConfig};
-use lookaside::engine::{expect_all, Executor, ShardPlan};
-use lookaside::experiments::{fig8_9_with, QuerySet, RunConfig};
-use lookaside::netsim::{Capture, Packet};
-use lookaside::parallel::{run_sharded, Worker};
+use lookaside::engine::Executor;
+use lookaside::experiments::fig8_9_with;
 use lookaside::report::fig8_9_table;
-
-/// Runs `config` as a `shards`-box fleet on `exec` and returns the merged
-/// capture's packets — the raw quantity whose ordering the engine must
-/// keep stable across worker counts.
-fn merged_packets(config: &RunConfig, shards: usize, exec: &Executor) -> Vec<Packet> {
-    let n = match &config.queries {
-        QuerySet::Top(n) => *n,
-        other => panic!("fleet test needs a rank sweep, got {other:?}"),
-    };
-    let plan = ShardPlan::new(config.seed).split_range(1..n + 1, shards);
-    let outcomes =
-        expect_all(exec.run(&plan, |shard| Worker::replica(config).run_ranks(shard.input.clone())));
-    let mut capture = Capture::default();
-    for outcome in &outcomes {
-        capture.merge(&outcome.capture);
-    }
-    capture.packets().to_vec()
-}
 
 /// Memoised serial references so each proptest case pays for one parallel
 /// run, not a parallel *and* a serial one.
@@ -56,25 +36,9 @@ where
     v
 }
 
-static CAPTURE_REFS: OnceLock<Mutex<HashMap<usize, Vec<Packet>>>> = OnceLock::new();
 static FIG9_REFS: OnceLock<Mutex<HashMap<usize, String>>> = OnceLock::new();
 
 proptest! {
-    /// Any shard count × any worker count: the merged capture is
-    /// byte-identical to the serial execution of the same shard plan.
-    #[test]
-    fn merged_captures_are_worker_count_invariant(
-        shards in 1usize..9,
-        jobs in 1usize..9,
-    ) {
-        let config = RunConfig::quick(16);
-        let reference = cached(&CAPTURE_REFS, shards, || {
-            merged_packets(&config, shards, &Executor::serial())
-        });
-        let parallel = merged_packets(&config, shards, &Executor::new(jobs));
-        prop_assert_eq!(parallel, reference);
-    }
-
     /// The `repro fig9` table text is byte-identical for every worker
     /// count, at every sweep width (each size is one shard).
     #[test]
@@ -88,23 +52,6 @@ proptest! {
         });
         let parallel = fig8_9_table(&fig8_9_with(&Executor::new(jobs), &sizes, 11));
         prop_assert_eq!(parallel, reference);
-    }
-}
-
-/// The fleet reduction itself (counters, leakage, statuses) is jobs-
-/// invariant through the public [`run_sharded`] entry point.
-#[test]
-fn run_sharded_outcome_is_worker_count_invariant() {
-    let config = RunConfig::quick(21);
-    let reference = run_sharded(&config, 5, &Executor::serial());
-    for jobs in [2, 3, 8] {
-        let parallel = run_sharded(&config, 5, &Executor::new(jobs));
-        assert_eq!(parallel.stats, reference.stats, "jobs={jobs}");
-        assert_eq!(parallel.leakage, reference.leakage, "jobs={jobs}");
-        assert_eq!(parallel.counters, reference.counters, "jobs={jobs}");
-        assert_eq!(parallel.statuses, reference.statuses, "jobs={jobs}");
-        assert_eq!(parallel.elapsed_ns, reference.elapsed_ns, "jobs={jobs}");
-        assert_eq!(parallel.queried, reference.queried, "jobs={jobs}");
     }
 }
 

@@ -134,7 +134,6 @@ fn bind_and_unbound_measure_identically_when_correct() {
             queries: QuerySet::Top(60),
             resolver: config,
             remedy: RemedyMode::None,
-            capture: CaptureFilter::DlvOnly,
             seed: 77,
             dlv_span_ttl: lookaside_server::DLV_SPAN_TTL,
             dlv_denial: lookaside_zone::DenialMode::Nsec,
@@ -151,7 +150,6 @@ fn run_outcomes_are_reproducible_end_to_end() {
         queries: QuerySet::Top(80),
         resolver: ResolverConfig::Bind(BindConfig::correct()),
         remedy: RemedyMode::None,
-        capture: CaptureFilter::DlvOnly,
         seed: 99,
         dlv_span_ttl: lookaside_server::DLV_SPAN_TTL,
         dlv_denial: lookaside_zone::DenialMode::Nsec,
