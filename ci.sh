@@ -7,14 +7,16 @@ cd "$(dirname "$0")"
 cargo build --release
 mkdir -p target/ci
 
-# Tier-1 tests must pass at both worker-pool extremes: the engine's
-# contract is that LOOKASIDE_JOBS changes wall-clock time only, never
-# results. The suite includes the wire-layer proptests (compact-Name
-# codec round-trips, canonical-order reference model) and the tee test
-# (tests/tee.rs), which feeds one run into both the network's capture
-# and a LeakSink and requires classify(capture) == sink.report.
-LOOKASIDE_JOBS=1 cargo test -q
-LOOKASIDE_JOBS=4 cargo test -q
+# Tier-1 tests. The engine's contract — the worker count changes
+# wall-clock time only, never results — is carried by the identity tests
+# that run every sweep on one worker and on several, explicit executors
+# in hand (tests/engine_determinism.rs, tests/lifecycle_sweep.rs,
+# tests/farm_determinism.rs, crates/core/tests/supervised.rs). The suite
+# also includes the wire-layer proptests (compact-Name codec round-trips,
+# canonical-order reference model) and the tee test (tests/tee.rs), which
+# feeds one run into both the network's capture and a LeakSink and
+# requires classify(capture) == sink.report.
+cargo test -q
 
 # `redundant_clone` is denied on top of the default set: the PR-3 memory
 # model makes clones cheap but the hot path is supposed to not need them
@@ -159,8 +161,8 @@ cargo clippy -p lookaside-resolver -- -D warnings -D clippy::panic -D clippy::un
 
 # Static-invariant gate: the workspace lint (crates/lint) walks every .rs
 # file, runs the lexical rules (hash-ordered collections, wall-clock
-# reads, ambient entropy, env reads outside the sanctioned seed path,
-# panics on hot paths, unsafe code), then builds the workspace call graph
+# reads, ambient entropy, env reads in result-bearing crates, panics on
+# hot paths, unsafe code), then builds the workspace call graph
 # and runs the three semantic dataflow passes: panic-reachability from
 # tagged hot-path entries, determinism taint into tagged sinks, and the
 # std::{fs,io,net} purity wall. Zero unsuppressed findings and zero stale

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use criterion::black_box;
 use lookaside::engine::Executor;
-use lookaside::experiments::fig8_9_with;
+use lookaside::experiments::fig8_9;
 
 struct CountingAlloc;
 
@@ -59,12 +59,12 @@ const PRE_REFACTOR_BYTES_PER_QUERY: u64 = 88_451;
 fn main() {
     // One warm-up run keeps one-time setup (environment probing, first
     // touch of lazily sized tables) out of the measured window.
-    black_box(fig8_9_with(&Executor::serial(), &SWEEP_SIZES, SEED));
+    black_box(fig8_9(&Executor::serial(), &SWEEP_SIZES, SEED));
 
     let queries: u64 = SWEEP_SIZES.iter().map(|&n| n as u64).sum();
     let a0 = ALLOCS.load(Ordering::Relaxed);
     let b0 = BYTES.load(Ordering::Relaxed);
-    black_box(fig8_9_with(&Executor::serial(), &SWEEP_SIZES, SEED));
+    black_box(fig8_9(&Executor::serial(), &SWEEP_SIZES, SEED));
     let allocs = ALLOCS.load(Ordering::Relaxed) - a0;
     let bytes = BYTES.load(Ordering::Relaxed) - b0;
 

@@ -3,6 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use lookaside::chaos::{chaos_outage, ChaosConfig, Outage, TimerProfile};
+use lookaside::engine::Executor;
 
 fn cell(outage: Outage, profile: TimerProfile) -> ChaosConfig {
     ChaosConfig {
@@ -15,17 +16,22 @@ fn cell(outage: Outage, profile: TimerProfile) -> ChaosConfig {
 }
 
 fn bench_chaos(c: &mut Criterion) {
+    // One cell is one shard, which runs inline at any worker count.
+    let exec = Executor::serial();
     c.bench_function("chaos/healthy_retry_cell", |b| {
-        b.iter(|| black_box(chaos_outage(&cell(Outage::Loss(0), TimerProfile::Retry))))
+        b.iter(|| black_box(chaos_outage(&exec, &cell(Outage::Loss(0), TimerProfile::Retry))))
     });
 
     c.bench_function("chaos/loss25_retry_cell", |b| {
-        b.iter(|| black_box(chaos_outage(&cell(Outage::Loss(250), TimerProfile::Retry))))
+        b.iter(|| black_box(chaos_outage(&exec, &cell(Outage::Loss(250), TimerProfile::Retry))))
     });
 
     c.bench_function("chaos/blackhole_sfcache_cell", |b| {
         b.iter(|| {
-            black_box(chaos_outage(&cell(Outage::Blackhole, TimerProfile::RetryServfailCache)))
+            black_box(chaos_outage(
+                &exec,
+                &cell(Outage::Blackhole, TimerProfile::RetryServfailCache),
+            ))
         })
     });
 }

@@ -8,9 +8,9 @@
 //! byte-identical either way, which the determinism suite enforces.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use lookaside::chaos::{chaos_outage_with, ChaosConfig};
+use lookaside::chaos::{chaos_outage, ChaosConfig};
 use lookaside::engine::Executor;
-use lookaside::experiments::fig8_9_with;
+use lookaside::experiments::fig8_9;
 
 const SWEEP_SIZES: [usize; 4] = [50, 100, 150, 200];
 
@@ -20,11 +20,11 @@ fn chaos_grid() -> ChaosConfig {
 
 fn bench_fig8_9(c: &mut Criterion) {
     c.bench_function("parallel/fig8_9_serial", |b| {
-        b.iter(|| black_box(fig8_9_with(&Executor::serial(), &SWEEP_SIZES, 11)))
+        b.iter(|| black_box(fig8_9(&Executor::serial(), &SWEEP_SIZES, 11)))
     });
     for jobs in [2, 4, 8] {
         c.bench_function(&format!("parallel/fig8_9_jobs{jobs}"), |b| {
-            b.iter(|| black_box(fig8_9_with(&Executor::new(jobs), &SWEEP_SIZES, 11)))
+            b.iter(|| black_box(fig8_9(&Executor::new(jobs), &SWEEP_SIZES, 11)))
         });
     }
 }
@@ -32,11 +32,11 @@ fn bench_fig8_9(c: &mut Criterion) {
 fn bench_chaos_grid(c: &mut Criterion) {
     let config = chaos_grid();
     c.bench_function("parallel/chaos_grid_serial", |b| {
-        b.iter(|| black_box(chaos_outage_with(&Executor::serial(), &config)))
+        b.iter(|| black_box(chaos_outage(&Executor::serial(), &config)))
     });
     for jobs in [2, 4, 8] {
         c.bench_function(&format!("parallel/chaos_grid_jobs{jobs}"), |b| {
-            b.iter(|| black_box(chaos_outage_with(&Executor::new(jobs), &config)))
+            b.iter(|| black_box(chaos_outage(&Executor::new(jobs), &config)))
         });
     }
 }

@@ -14,38 +14,44 @@
 //! chaos byzantine lifecycle farm
 //! ```
 //!
-//! An unknown flag or experiment name prints the usage line on stderr and
-//! exits with status 2.
+//! The command line is the whole configuration; `repro` reads no
+//! environment variables. An unknown flag or experiment name, `--jobs 0`,
+//! or a journal flag on a section that keeps no journal prints the usage
+//! line on stderr and exits with status 2.
 //!
 //! Without `--full`, dataset sweeps stop at 10k domains (seconds); with it
 //! they include the 100k and 1M points (minutes).
 //!
-//! `--jobs N` (or the `LOOKASIDE_JOBS` environment variable) sets the
-//! worker-pool size the experiment engine shards sweeps across. The output
-//! is byte-identical for every N — parallelism only changes wall-clock
-//! time, never results.
+//! `--jobs N` sets the worker-pool size the experiment engine shards
+//! sweeps across (default: the machine's available parallelism). The
+//! output is byte-identical for every N — parallelism only changes
+//! wall-clock time, never results.
 //!
 //! Every experiment folds packets into its accumulators as the network
 //! emits them instead of capturing and classifying afterwards, so a
 //! sweep holds O(shards) memory.
 //!
-//! `--checkpoint P` / `--resume P` (or `LOOKASIDE_CHECKPOINT=P`) journal
-//! every completed `fig12` window shard to the CRC-checked file `P`; a
-//! run killed mid-sweep resumes from the journal's valid prefix and
-//! produces byte-identical output. `--allow-partial` (or
-//! `LOOKASIDE_ALLOW_PARTIAL=1`) accepts sweeps whose shards exhausted
-//! their retry budget, printing an explicit per-shard coverage table to
-//! stderr instead of aborting.
+//! `--checkpoint P` / `--resume P` journal every completed `fig12` window
+//! shard to the CRC-checked file `P` (so they apply to `fig12` and `all`
+//! only); a run killed mid-sweep resumes from the journal's valid prefix
+//! and produces byte-identical output. A journal that is refused (not a
+//! journal, or written by a different run) or cannot be written prints
+//! `repro: fig12 journal P: <why>` on stderr and exits with status 3; a
+//! refused file is left untouched. `--allow-partial` accepts sweeps whose
+//! shards exhausted their retry budget, printing an explicit per-shard
+//! coverage table to stderr instead of aborting.
 
 use std::env;
-use std::process::ExitCode;
+use std::path::Path;
+use std::process::{self, ExitCode};
 
 use lookaside::attacks;
 use lookaside::byzantine::{byzantine_sweep, ByzantineConfig};
 use lookaside::chaos::{chaos_outage, ChaosConfig};
+use lookaside::engine::Executor;
 use lookaside::experiments::{
-    deployment_sweep, fig11, fig12, fig8_9, nsec3_tradeoff, order_matters, qmin_exposure, table3,
-    table4, table5, tld_breakdown, trace_replay, utility, vantage_sweep,
+    deployment_sweep, fig11, fig12, fig12_checkpointed, fig8_9, nsec3_tradeoff, order_matters,
+    qmin_exposure, table3, table4, table5, tld_breakdown, trace_replay, utility, vantage_sweep,
 };
 use lookaside::farm::{Farm, FarmConfig, TopologyReport};
 use lookaside::lifecycle::{lifecycle_sweep, LifecycleConfig};
@@ -54,8 +60,8 @@ use lookaside::workload;
 use lookaside_resolver::{environments, InstallMethod};
 
 /// A printable section: the names it answers to, and how to print it
-/// given `--full`.
-type Section = (&'static [&'static str], fn(bool));
+/// under the parsed command line.
+type Section = (&'static [&'static str], fn(&Args));
 
 /// Every section `repro` prints, in the order `all` runs them. Dispatch,
 /// the usage line, and the header doc all follow this table.
@@ -63,35 +69,36 @@ const SECTIONS: &[Section] = &[
     (&["table1"], |_| print_table1()),
     (&["table2"], |_| print_table2()),
     (&["table3"], |_| print_table3()),
-    (&["table4"], |full| print_table4(&table_sizes(full))),
-    (&["table5", "fig10"], |full| print_table5_fig10(&table_sizes(full))),
-    (&["fig8", "fig9"], |full| print_fig8_9(&sweep_sizes(full))),
+    (&["table4"], |a| print_table4(&table_sizes(a.full))),
+    (&["table5", "fig10"], |a| print_table5_fig10(&table_sizes(a.full))),
+    (&["fig8", "fig9"], |a| print_fig8_9(&a.exec, &sweep_sizes(a.full))),
     (&["order"], |_| print_order()),
-    (&["utility"], |full| print_utility(if full { 10_000 } else { 2_000 })),
-    (&["fig11"], |full| print_fig11(if full { 10_000 } else { 1_000 })),
-    (&["fig12"], |full| print_fig12(if full { 1 } else { 500 })),
-    (&["nsec3"], |full| print_nsec3(if full { 5_000 } else { 500 })),
-    (&["qmin"], |full| print_qmin(if full { 2_000 } else { 300 })),
-    (&["vantage"], |full| print_vantage(if full { 2_000 } else { 300 })),
-    (&["deployment"], |full| print_deployment(if full { 5_000 } else { 800 })),
-    (&["tlds"], |full| print_tlds(if full { 5_000 } else { 800 })),
-    (&["trace"], |full| print_trace(if full { (50_000, 5_000) } else { (3_000, 500) })),
+    (&["utility"], |a| print_utility(if a.full { 10_000 } else { 2_000 })),
+    (&["fig11"], |a| print_fig11(if a.full { 10_000 } else { 1_000 })),
+    (&["fig12"], |a| print_fig12(a, if a.full { 1 } else { 500 })),
+    (&["nsec3"], |a| print_nsec3(if a.full { 5_000 } else { 500 })),
+    (&["qmin"], |a| print_qmin(if a.full { 2_000 } else { 300 })),
+    (&["vantage"], |a| print_vantage(&a.exec, if a.full { 2_000 } else { 300 })),
+    (&["deployment"], |a| print_deployment(&a.exec, if a.full { 5_000 } else { 800 })),
+    (&["tlds"], |a| print_tlds(if a.full { 5_000 } else { 800 })),
+    (&["trace"], |a| print_trace(if a.full { (50_000, 5_000) } else { (3_000, 500) })),
     (&["survey"], |_| print_survey()),
     (&["dict"], |_| print_dictionary()),
     (&["attacks"], |_| print_attacks()),
-    (&["chaos"], |full| print_chaos(if full { 120 } else { 25 })),
-    (&["byzantine"], |full| print_byzantine(if full { 60 } else { 15 })),
-    (&["lifecycle"], |full| print_lifecycle(if full { 10 } else { 5 })),
-    (&["farm"], |full| print_farm(if full { 500 } else { 2_000 })),
+    (&["chaos"], |a| print_chaos(&a.exec, if a.full { 120 } else { 25 })),
+    (&["byzantine"], |a| print_byzantine(&a.exec, if a.full { 60 } else { 15 })),
+    (&["lifecycle"], |a| print_lifecycle(&a.exec, if a.full { 10 } else { 5 })),
+    (&["farm"], |a| print_farm(&a.exec, if a.full { 500 } else { 2_000 })),
 ];
 
-/// The parsed command line.
-#[derive(Default)]
+/// The parsed command line: everything a run is configured by.
 struct Args {
     full: bool,
-    jobs: Option<usize>,
+    /// The pool every sweep runs on: `--jobs` workers, and whether a
+    /// degraded sweep is accepted (`--allow-partial`).
+    exec: Executor,
+    /// The Fig. 12 window journal (`--checkpoint` / `--resume`).
     journal: Option<String>,
-    allow_partial: bool,
     /// The section to print; `None` means `all`.
     section: Option<usize>,
 }
@@ -105,24 +112,9 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if let Some(jobs) = args.jobs {
-        // The engine reads LOOKASIDE_JOBS when experiments construct their
-        // executor; setting it here makes --jobs authoritative for the
-        // whole process.
-        env::set_var(lookaside::engine::JOBS_ENV, jobs.to_string());
-    }
-    if args.allow_partial {
-        env::set_var(lookaside::engine::ALLOW_PARTIAL_ENV, "1");
-    }
-    if let Some(path) = &args.journal {
-        // --checkpoint and --resume are the same mechanism: the journal
-        // loader folds back whatever valid prefix the file holds (none,
-        // for a fresh path) and the sweep continues from there.
-        env::set_var(lookaside::engine::CHECKPOINT_ENV, path);
-    }
     for (i, (_, print)) in SECTIONS.iter().enumerate() {
         if args.section.is_none_or(|wanted| wanted == i) {
-            print(args.full);
+            print(&args);
         }
     }
     ExitCode::SUCCESS
@@ -138,10 +130,13 @@ fn usage() -> String {
 }
 
 /// Parses the command line, accepting both `--flag VALUE` and
-/// `--flag=VALUE` for the flags that take a value. Anything unknown is
-/// an error, never silently ignored.
+/// `--flag=VALUE` for the flags that take a value. Anything unknown, or
+/// anything the run would silently ignore, is an error.
 fn parse_args(args: &[String]) -> Result<Args, String> {
-    let mut parsed = Args::default();
+    let mut full = false;
+    let mut jobs = None;
+    let mut allow_partial = false;
+    let mut journal = None;
     let mut named: Option<&str> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -156,15 +151,16 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                 .ok_or_else(|| format!("{flag} needs a value"))
         };
         match flag {
-            "--full" if inline.is_none() => parsed.full = true,
-            "--allow-partial" if inline.is_none() => parsed.allow_partial = true,
+            "--full" if inline.is_none() => full = true,
+            "--allow-partial" if inline.is_none() => allow_partial = true,
             "--jobs" => {
-                let jobs = value()?;
-                let jobs =
-                    jobs.parse().map_err(|_| format!("--jobs needs a number, got {jobs:?}"))?;
-                parsed.jobs = Some(jobs);
+                let value = value()?;
+                match value.parse() {
+                    Ok(n) if n > 0 => jobs = Some(n),
+                    _ => return Err(format!("--jobs needs a positive number, got {value:?}")),
+                }
             }
-            "--checkpoint" | "--resume" => parsed.journal = Some(value()?),
+            "--checkpoint" | "--resume" => journal = Some(value()?),
             _ if flag.starts_with('-') => return Err(format!("unknown flag {arg:?}")),
             _ => {
                 if let Some(first) = named.replace(arg) {
@@ -173,7 +169,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             }
         }
     }
-    parsed.section = match named {
+    let section = match named {
         None | Some("all") => None,
         Some(name) => Some(
             SECTIONS
@@ -182,7 +178,11 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                 .ok_or_else(|| format!("unknown experiment {name:?}"))?,
         ),
     };
-    Ok(parsed)
+    if journal.is_some() && section.is_some_and(|i| SECTIONS[i].0 != ["fig12"]) {
+        return Err("--checkpoint/--resume journal fig12 only: name fig12 or all".to_string());
+    }
+    let exec = jobs.map_or_else(Executor::default, Executor::new).allow_partial(allow_partial);
+    Ok(Args { full, exec, journal, section })
 }
 
 /// Dataset sizes for Tables 4 and 5.
@@ -321,9 +321,9 @@ fn print_table5_fig10(sizes: &[usize]) {
     println!("(paper ratios: time 18.7\u{2192}29.2%, traffic 6.7\u{2192}10.0%, queries 10.8\u{2192}19.7%)");
 }
 
-fn print_fig8_9(sizes: &[usize]) {
+fn print_fig8_9(exec: &Executor, sizes: &[usize]) {
     println!("\n== Figs. 8\u{2013}9: DLV queries and leaked proportion ==");
-    print!("{}", lookaside::report::fig8_9_table(&fig8_9(sizes, 11)));
+    print!("{}", lookaside::report::fig8_9_table(&fig8_9(exec, sizes, 11)));
     println!("(paper: 84% @100 decaying ~linearly in log N to 6.8% @1M)");
 }
 
@@ -368,9 +368,20 @@ fn print_fig11(n: usize) {
     println!("(paper: TXT highest overhead, Z-bit minimal; both eliminate leaks)");
 }
 
-fn print_fig12(scale: u64) {
+fn print_fig12(args: &Args, scale: u64) {
     println!("\n== Fig. 12: DITL trace-driven overhead (sampling 1/{scale}) ==");
-    let data = fig12(23, scale);
+    let data = match &args.journal {
+        None => fig12(&args.exec, 23, scale),
+        // --checkpoint and --resume are the same mechanism: the journal
+        // loader folds back whatever valid prefix the file holds (none,
+        // for a fresh path) and the sweep continues from there.
+        Some(path) => {
+            fig12_checkpointed(&args.exec, 23, scale, Path::new(path)).unwrap_or_else(|err| {
+                eprintln!("repro: fig12 journal {path}: {err}");
+                process::exit(3)
+            })
+        }
+    };
     let minutes = data.per_minute.len();
     let sample = [0usize, minutes / 4, minutes / 2, 3 * minutes / 4, minutes - 1];
     let rows: Vec<Vec<String>> = sample
@@ -439,9 +450,9 @@ fn print_qmin(n: usize) {
     println!("(minimisation shields on-path servers; DLV leaks are untouched — the look-aside query *is* the name)");
 }
 
-fn print_vantage(n: usize) {
+fn print_vantage(exec: &Executor, n: usize) {
     println!("\n== \u{a7}7.1 vantage generality: same findings from every vantage (top-{n}) ==");
-    let rows: Vec<Vec<String>> = vantage_sweep(n, 43)
+    let rows: Vec<Vec<String>> = vantage_sweep(exec, n, 43)
         .iter()
         .map(|r| {
             vec![
@@ -459,9 +470,9 @@ fn print_vantage(n: usize) {
     println!("(paper \u{a7}7.1: \"results among different platforms remain the same\")");
 }
 
-fn print_deployment(n: usize) {
+fn print_deployment(exec: &Executor, n: usize) {
     println!("\n== \u{a7}7.1 deployment sweep: leak share vs DLV deposit density (top-{n}) ==");
-    let rows: Vec<Vec<String>> = deployment_sweep(n, &[0, 100, 300, 600, 1000], 39)
+    let rows: Vec<Vec<String>> = deployment_sweep(exec, n, &[0, 100, 300, 600, 1000], 39)
         .iter()
         .map(|r| {
             vec![
@@ -589,9 +600,9 @@ fn print_dictionary() {
     );
 }
 
-fn print_chaos(n: usize) {
+fn print_chaos(exec: &Executor, n: usize) {
     println!("\n== \u{a7}7.3.2 chaos sweep: DLV-registry outage vs leakage amplification ({n} queries/cell) ==");
-    let rows: Vec<Vec<String>> = chaos_outage(&ChaosConfig::quick(n))
+    let rows: Vec<Vec<String>> = chaos_outage(exec, &ChaosConfig::quick(n))
         .iter()
         .map(|p| {
             vec![
@@ -630,11 +641,11 @@ fn print_chaos(n: usize) {
     );
 }
 
-fn print_byzantine(n: usize) {
+fn print_byzantine(exec: &Executor, n: usize) {
     println!(
         "\n== Byzantine sweep: data-plane adversaries \u{d7} validator hardening ({n} queries/cell) =="
     );
-    let rows: Vec<Vec<String>> = byzantine_sweep(&ByzantineConfig::quick(n))
+    let rows: Vec<Vec<String>> = byzantine_sweep(exec, &ByzantineConfig::quick(n))
         .iter()
         .map(|p| {
             vec![
@@ -675,9 +686,9 @@ fn print_byzantine(n: usize) {
     );
 }
 
-fn print_lifecycle(n: usize) {
+fn print_lifecycle(exec: &Executor, n: usize) {
     println!("\n== key-lifecycle sweep: rollovers, expiry storms, RFC 5011 ({n} queries/event) ==");
-    let rows: Vec<Vec<String>> = lifecycle_sweep(&LifecycleConfig::quick(n))
+    let rows: Vec<Vec<String>> = lifecycle_sweep(exec, &LifecycleConfig::quick(n))
         .iter()
         .flat_map(|p| {
             p.events.iter().map(|e| {
@@ -783,8 +794,7 @@ const FARM_HEADERS: [&str; 14] = [
     "content-exp",
 ];
 
-fn print_farm(ditl_scale: u64) {
-    let exec = lookaside::executor();
+fn print_farm(exec: &Executor, ditl_scale: u64) {
     let farm = Farm::new(FarmConfig::paper_scale());
     let clients = farm.config().plane.clients;
     let resolvers = farm.config().resolvers;
@@ -792,7 +802,7 @@ fn print_farm(ditl_scale: u64) {
     println!(
         "\n== resolver farm: {clients} stub clients, {resolvers} resolvers, topology sweep =="
     );
-    print!("{}", render_table(&FARM_HEADERS, &farm_rows(&farm.sweep(&exec))));
+    print!("{}", render_table(&FARM_HEADERS, &farm_rows(&farm.sweep(exec))));
     println!(
         "(aggregation is the accidental remedy: a shared cache dedupes case-2 names across the \
          whole client base, an ODoH split leaves the registry's view intact but unlinkable, and \
@@ -800,7 +810,7 @@ fn print_farm(ditl_scale: u64) {
     );
 
     println!("\n== farm scaling: per-resolver caches, per-client leak rate vs farm size ==");
-    let curve = farm.scaling(&[1, 2, 4, 8, 16, 32], &exec);
+    let curve = farm.scaling(&[1, 2, 4, 8, 16, 32], exec);
     print!("{}", render_table(&FARM_HEADERS, &farm_rows(&curve)));
     println!(
         "(fragmenting the client base across more caches multiplies what the registry sees: \
@@ -808,7 +818,7 @@ fn print_farm(ditl_scale: u64) {
     );
 
     println!("\n== DITL-scale trace through the farm (1/{ditl_scale} sample) ==");
-    print!("{}", render_table(&FARM_HEADERS, &farm_rows(&farm.ditl(ditl_scale, &exec))));
+    print!("{}", render_table(&FARM_HEADERS, &farm_rows(&farm.ditl(ditl_scale, exec))));
     println!(
         "(the Fig. 12 day-in-the-life volume replayed against the farm instead of one resolver: \
          per-client attribution survives any partition of the trace)"
@@ -826,8 +836,8 @@ mod tests {
     #[test]
     fn flags_take_values_inline_or_next() {
         let a = parse(&["fig12", "--full", "--jobs", "3", "--resume=j.ckpt"]).unwrap();
-        assert!(a.full && !a.allow_partial);
-        assert_eq!(a.jobs, Some(3));
+        assert!(a.full && !a.exec.allows_partial());
+        assert_eq!(a.exec, Executor::new(3));
         assert_eq!(a.journal.as_deref(), Some("j.ckpt"));
         assert_eq!(a.section.map(|i| SECTIONS[i].0), Some(&["fig12"][..]));
         assert_eq!(parse(&["--jobs=2", "all"]).unwrap().section, None);
@@ -843,6 +853,10 @@ mod tests {
             &["--jobs", "many"],
             &["--full=yes"],
             &["table1", "table2"],
+            &["--jobs", "0"],
+            &["--jobs=0", "fig9"],
+            &["table1", "--resume", "j.ckpt"],
+            &["--checkpoint=j.ckpt", "chaos"],
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must be rejected");
         }

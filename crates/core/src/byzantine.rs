@@ -194,18 +194,12 @@ pub struct ByzantinePoint {
     pub timeouts: u64,
 }
 
-/// Runs the full sweep on the session executor (`--jobs` /
-/// `LOOKASIDE_JOBS`): every adversary crossed with every hardening
-/// profile, in profile-major order.
-pub fn byzantine_sweep(config: &ByzantineConfig) -> Vec<ByzantinePoint> {
-    byzantine_sweep_with(&crate::parallel::executor(), config)
-}
-
-/// [`byzantine_sweep`] on an explicit executor. Each cell builds a fresh
+/// Runs the full sweep on `exec`: every adversary crossed with every
+/// hardening profile, in profile-major order. Each cell builds a fresh
 /// Internet replica, so cells are natural shards; the point list comes
 /// back in serial order, identical for every worker count. Cells run
-/// under the session supervisor (retries, coverage accounting).
-pub fn byzantine_sweep_with(
+/// under the engine's retry supervisor (retries, coverage accounting).
+pub fn byzantine_sweep(
     exec: &lookaside_engine::Executor,
     config: &ByzantineConfig,
 ) -> Vec<ByzantinePoint> {
@@ -344,6 +338,7 @@ fn run_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lookaside_engine::Executor;
 
     fn cell(
         points: &[ByzantinePoint],
@@ -367,8 +362,8 @@ mod tests {
             profiles: vec![HardeningProfile::Full],
             ..small()
         };
-        let a = byzantine_sweep(&config);
-        let b = byzantine_sweep(&config);
+        let a = byzantine_sweep(&Executor::default(), &config);
+        let b = byzantine_sweep(&Executor::default(), &config);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.dlv_packets, y.dlv_packets);
             assert_eq!(x.answered, y.answered);
@@ -378,7 +373,7 @@ mod tests {
 
     #[test]
     fn hardening_survives_decommission_at_no_dlv_availability() {
-        let points = byzantine_sweep(&small());
+        let points = byzantine_sweep(&Executor::default(), &small());
         let no_dlv = cell(&points, Adversary::NoDlv, HardeningProfile::Off);
         assert!(no_dlv.availability > 0.9, "control cell must resolve: {no_dlv:?}");
         // Graceful degradation: every decommission stage under full
@@ -403,14 +398,17 @@ mod tests {
 
     #[test]
     fn forged_and_bogus_data_is_never_secure() {
-        let points = byzantine_sweep(&ByzantineConfig {
-            adversaries: vec![
-                Adversary::Baseline,
-                Adversary::Spoof(1000),
-                Adversary::Decommission(DecommissionStage::BogusSignatures),
-            ],
-            ..small()
-        });
+        let points = byzantine_sweep(
+            &Executor::default(),
+            &ByzantineConfig {
+                adversaries: vec![
+                    Adversary::Baseline,
+                    Adversary::Spoof(1000),
+                    Adversary::Decommission(DecommissionStage::BogusSignatures),
+                ],
+                ..small()
+            },
+        );
         let baseline = cell(&points, Adversary::Baseline, HardeningProfile::Off);
         assert!(baseline.dlv_secure > 0, "deposited islands must secure via DLV: {baseline:?}");
         // Accepted forgeries carry no valid signatures: an unhardened
@@ -436,10 +434,10 @@ mod tests {
 
     #[test]
     fn qid_and_source_checks_discard_forgeries() {
-        let points = byzantine_sweep(&ByzantineConfig {
-            adversaries: vec![Adversary::Spoof(1000)],
-            ..small()
-        });
+        let points = byzantine_sweep(
+            &Executor::default(),
+            &ByzantineConfig { adversaries: vec![Adversary::Spoof(1000)], ..small() },
+        );
         let off = cell(&points, Adversary::Spoof(1000), HardeningProfile::Off);
         let full = cell(&points, Adversary::Spoof(1000), HardeningProfile::Full);
         assert!(off.spoofs_accepted > 0, "unhardened resolver accepts forgeries: {off:?}");
@@ -449,11 +447,14 @@ mod tests {
 
     #[test]
     fn corruption_triggers_retries_and_amplifies_leakage() {
-        let points = byzantine_sweep(&ByzantineConfig {
-            adversaries: vec![Adversary::Baseline, Adversary::Corrupt(500)],
-            profiles: vec![HardeningProfile::Off],
-            ..small()
-        });
+        let points = byzantine_sweep(
+            &Executor::default(),
+            &ByzantineConfig {
+                adversaries: vec![Adversary::Baseline, Adversary::Corrupt(500)],
+                profiles: vec![HardeningProfile::Off],
+                ..small()
+            },
+        );
         let baseline = cell(&points, Adversary::Baseline, HardeningProfile::Off);
         let corrupt = cell(&points, Adversary::Corrupt(500), HardeningProfile::Off);
         assert!(corrupt.malformed_retries > 0, "corruption must be detected: {corrupt:?}");
@@ -467,11 +468,14 @@ mod tests {
 
     #[test]
     fn truncation_forces_tcp_fallback_without_losing_answers() {
-        let points = byzantine_sweep(&ByzantineConfig {
-            adversaries: vec![Adversary::Truncate(1000)],
-            profiles: vec![HardeningProfile::Off],
-            ..small()
-        });
+        let points = byzantine_sweep(
+            &Executor::default(),
+            &ByzantineConfig {
+                adversaries: vec![Adversary::Truncate(1000)],
+                profiles: vec![HardeningProfile::Off],
+                ..small()
+            },
+        );
         let p = cell(&points, Adversary::Truncate(1000), HardeningProfile::Off);
         assert!(p.forced_truncations > 0, "truncation fault must fire: {p:?}");
         assert!(p.availability > 0.9, "TCP fallback keeps answers flowing: {p:?}");

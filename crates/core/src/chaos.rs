@@ -177,26 +177,17 @@ pub struct ChaosPoint {
     pub servfail_entries: (usize, usize),
 }
 
-/// Runs the full sweep on the session executor (`--jobs` /
-/// `LOOKASIDE_JOBS`): every fault level crossed with every timer profile,
-/// in profile-major order.
-pub fn chaos_outage(config: &ChaosConfig) -> Vec<ChaosPoint> {
-    chaos_outage_with(&crate::parallel::executor(), config)
-}
-
-/// [`chaos_outage`] on an explicit executor. Every grid cell already
-/// builds a fresh Internet replica, so cells are natural shards: the
-/// point list comes back in the same profile-major order the serial loop
-/// produced, identical for every worker count.
+/// Runs the full sweep on `exec`: every fault level crossed with every
+/// timer profile, in profile-major order. Every grid cell already builds
+/// a fresh Internet replica, so cells are natural shards: the point list
+/// comes back in the same profile-major order the serial loop produced,
+/// identical for every worker count.
 ///
-/// Cells run under the session supervisor: a failed cell is retried
-/// within the bounded budget, and with `--allow-partial` a still-failing
-/// cell is dropped from the grid (printed in the coverage table, never
-/// silently) instead of aborting the sweep.
-pub fn chaos_outage_with(
-    exec: &lookaside_engine::Executor,
-    config: &ChaosConfig,
-) -> Vec<ChaosPoint> {
+/// A failed cell is retried within the engine's bounded budget, and on an
+/// executor that accepts partial sweeps (`--allow-partial`) a
+/// still-failing cell is dropped from the grid (printed in the coverage
+/// table, never silently) instead of aborting the sweep.
+pub fn chaos_outage(exec: &lookaside_engine::Executor, config: &ChaosConfig) -> Vec<ChaosPoint> {
     let mut cells = Vec::with_capacity(config.outages.len() * config.profiles.len());
     for &profile in &config.profiles {
         for &outage in &config.outages {
@@ -286,6 +277,7 @@ fn percentile_ms(sorted_ns: &[u64], pct: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lookaside_engine::Executor;
 
     fn by(points: &[ChaosPoint], profile: TimerProfile) -> Vec<&ChaosPoint> {
         points.iter().filter(|p| p.profile == profile).collect()
@@ -298,8 +290,8 @@ mod tests {
             profiles: vec![TimerProfile::Retry],
             ..ChaosConfig::quick(12)
         };
-        let a = chaos_outage(&config);
-        let b = chaos_outage(&config);
+        let a = chaos_outage(&Executor::default(), &config);
+        let b = chaos_outage(&Executor::default(), &config);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.dlv_packets, y.dlv_packets);
             assert_eq!(x.retransmissions, y.retransmissions);
@@ -309,7 +301,7 @@ mod tests {
 
     #[test]
     fn retries_amplify_leakage_monotonically() {
-        let points = chaos_outage(&ChaosConfig::quick(25));
+        let points = chaos_outage(&Executor::default(), &ChaosConfig::quick(25));
         let retry = by(&points, TimerProfile::Retry);
         let baseline = retry[0].dlv_per_query;
         assert!(baseline > 0.0, "healthy run must still leak look-aside queries");
@@ -351,7 +343,7 @@ mod tests {
 
     #[test]
     fn servfail_cache_collapses_amplification() {
-        let points = chaos_outage(&ChaosConfig::quick(25));
+        let points = chaos_outage(&Executor::default(), &ChaosConfig::quick(25));
         let retry = by(&points, TimerProfile::Retry);
         let cached = by(&points, TimerProfile::RetryServfailCache);
         let baseline = retry[0].dlv_per_query;
@@ -371,11 +363,14 @@ mod tests {
 
     #[test]
     fn latency_degrades_under_outage() {
-        let points = chaos_outage(&ChaosConfig {
-            outages: vec![Outage::Loss(0), Outage::Blackhole],
-            profiles: vec![TimerProfile::Retry],
-            ..ChaosConfig::quick(15)
-        });
+        let points = chaos_outage(
+            &Executor::default(),
+            &ChaosConfig {
+                outages: vec![Outage::Loss(0), Outage::Blackhole],
+                profiles: vec![TimerProfile::Retry],
+                ..ChaosConfig::quick(15)
+            },
+        );
         assert!(points[1].p95_ms > points[0].p95_ms * 5.0, "{points:?}");
         assert!(points[1].timeouts > 0);
         // Registry outages must not take resolution down with them (§7.3.2):

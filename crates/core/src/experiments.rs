@@ -8,7 +8,9 @@ use std::cell::RefCell;
 use std::path::Path;
 use std::rc::Rc;
 
-use lookaside_engine::{Checkpoint, Executor, ShardPlan};
+use lookaside_engine::{
+    run_fingerprint, Checkpoint, Executor, JournalError, Shard, ShardPlan, Supervisor,
+};
 use lookaside_netsim::{CaptureFilter, TrafficStats};
 use lookaside_resolver::{BindConfig, Counters, InstallMethod, ResolverConfig};
 use lookaside_wire::ext::RemedyMode;
@@ -18,7 +20,7 @@ use serde::Serialize;
 
 use crate::internet::{Internet, InternetParams};
 use crate::leakage::{classify, LeakSink, LeakageReport};
-use crate::parallel::{collect, fold};
+use crate::parallel::{accept, collect, fold};
 
 /// Which names a run queries.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -392,19 +394,13 @@ pub struct LeakPoint {
     pub suppressed: u64,
 }
 
-/// Runs the Fig. 8 / Fig. 9 sweep on the session executor (`--jobs` /
-/// `LOOKASIDE_JOBS`).
-pub fn fig8_9(sizes: &[usize], seed: u64) -> Vec<LeakPoint> {
-    fig8_9_with(&crate::parallel::executor(), sizes, seed)
-}
-
-/// [`fig8_9`] on an explicit executor. Each dataset size is one shard — a
-/// full cold-cache run, exactly as the serial sweep performed them — so
-/// the point list is identical for every worker count. Failed sizes are
-/// retried within the session's bounded budget; with `--allow-partial` a
-/// still-failing size is dropped from the list (and named in the coverage
-/// table on stderr).
-pub fn fig8_9_with(exec: &Executor, sizes: &[usize], seed: u64) -> Vec<LeakPoint> {
+/// Runs the Fig. 8 / Fig. 9 sweep on `exec`. Each dataset size is one
+/// shard — a full cold-cache run, exactly as the serial sweep performed
+/// them — so the point list is identical for every worker count. Failed
+/// sizes are retried within the engine's bounded budget; on an executor
+/// that accepts partial sweeps (`--allow-partial`) a still-failing size is
+/// dropped from the list (and named in the coverage table on stderr).
+pub fn fig8_9(exec: &Executor, sizes: &[usize], seed: u64) -> Vec<LeakPoint> {
     let shards = ShardPlan::new(seed).over(sizes.iter().copied());
     collect(exec, &shards, |shard| {
         let n = shard.input;
@@ -583,14 +579,10 @@ pub struct VantageRow {
 /// found "results among different platforms remain the same". Runs the same
 /// workload from each vantage (only the latency profile differs) and
 /// returns the leakage per vantage — identical by construction of the
-/// mechanism, which is the point being verified.
-pub fn vantage_sweep(n: usize, seed: u64) -> Vec<VantageRow> {
-    vantage_sweep_with(&crate::parallel::executor(), n, seed)
-}
-
-/// [`vantage_sweep`] on an explicit executor: one shard per vantage, each
-/// building its own Internet replica with that vantage's latency profile.
-pub fn vantage_sweep_with(exec: &Executor, n: usize, seed: u64) -> Vec<VantageRow> {
+/// mechanism, which is the point being verified. Runs on `exec`, one shard
+/// per vantage, each building its own Internet replica with that
+/// vantage's latency profile.
+pub fn vantage_sweep(exec: &Executor, n: usize, seed: u64) -> Vec<VantageRow> {
     let shards = ShardPlan::new(seed).over(crate::internet::VantagePoint::ALL);
     collect(exec, &shards, |shard| {
         let vantage = shard.input;
@@ -738,13 +730,9 @@ pub struct DeploymentPoint {
 
 /// §7.1 "Impact of DLV Increased Deployment": the paper argues the findings
 /// become less significant as more domains are populated in the registry.
-/// Sweeps the deposit density and measures the leak fraction.
-pub fn deployment_sweep(n: usize, densities_milli: &[u16], seed: u64) -> Vec<DeploymentPoint> {
-    deployment_sweep_with(&crate::parallel::executor(), n, densities_milli, seed)
-}
-
-/// [`deployment_sweep`] on an explicit executor: one shard per density.
-pub fn deployment_sweep_with(
+/// Sweeps the deposit density and measures the leak fraction on `exec`,
+/// one shard per density.
+pub fn deployment_sweep(
     exec: &Executor,
     n: usize,
     densities_milli: &[u16],
@@ -844,25 +832,13 @@ pub struct Fig12Data {
     pub overhead_mbps: f64,
 }
 
-/// Builds Fig. 12 from a generated DITL trace on the session executor.
+/// Builds Fig. 12 from a generated DITL trace on `exec`.
 ///
 /// Per-query byte costs are *measured* from a calibration run of the full
 /// simulator; the trace is then aggregated analytically (92.7M queries are
 /// not resolved one by one — the paper's own Fig. 12 likewise replays
 /// aggregate volumes). `scale` divides the trace volume for cheap test
 /// runs; use 1 for the full figure.
-///
-/// With `LOOKASIDE_CHECKPOINT` set (the `repro --checkpoint` / `--resume`
-/// flags) the window sweep journals through [`fig12_checkpointed`].
-pub fn fig12(seed: u64, scale: u64) -> Fig12Data {
-    let exec = crate::parallel::executor();
-    match lookaside_engine::checkpoint_path() {
-        Some(path) => fig12_checkpointed(&exec, seed, scale, Path::new(&path)),
-        None => fig12_with(&exec, seed, scale),
-    }
-}
-
-/// [`fig12`] on an explicit executor, without a journal.
 ///
 /// Parallel decomposition: the cache model resets its TTL window every 60
 /// minutes, so the 420-minute trace is seven *independent* windows. Each
@@ -872,66 +848,97 @@ pub fn fig12(seed: u64, scale: u64) -> Fig12Data {
 /// in shard order — the same totals at any worker count, holding one
 /// window's triples at a time. The two calibration runs (baseline and
 /// TXT remedy) are likewise independent shards.
-pub fn fig12_with(exec: &Executor, seed: u64, scale: u64) -> Fig12Data {
-    fig12_sweep(exec, seed, scale, None)
+pub fn fig12(exec: &Executor, seed: u64, scale: u64) -> Fig12Data {
+    let model = Fig12Model::calibrate(exec, seed, scale);
+    let acc = fold(exec, &model.windows, |w| model.window(w), model.start(), Fig12Acc::push);
+    model.finish(acc)
 }
 
-/// [`fig12_with`] journalling every completed window shard to `journal`:
+/// [`fig12`] journalling every completed window shard to `journal`:
 /// an atomic, CRC-checked [`Checkpoint`] file keyed by a fingerprint of
 /// `(seed, scale, window count)`. A run killed mid-sweep resumes from the
 /// journal's valid prefix — already-journalled windows fold back without
-/// re-running — and produces byte-identical output; a journal written
-/// under different parameters is refused.
-pub fn fig12_checkpointed(exec: &Executor, seed: u64, scale: u64, journal: &Path) -> Fig12Data {
-    fig12_sweep(exec, seed, scale, Some(journal))
+/// re-running — and produces byte-identical output.
+///
+/// # Errors
+///
+/// The [`JournalError`] that refused `journal` — it is not a journal, or
+/// was written under different parameters — or that failed an append.
+/// A refused journal is left untouched.
+pub fn fig12_checkpointed(
+    exec: &Executor,
+    seed: u64,
+    scale: u64,
+    journal: &Path,
+) -> Result<Fig12Data, JournalError> {
+    let model = Fig12Model::calibrate(exec, seed, scale);
+    // The fingerprint binds the journal to everything that shapes a
+    // window's bytes; resuming under different parameters is a refusal,
+    // not a silent mix of two runs.
+    let run_id = run_fingerprint(&[0xf161_2a11, seed, scale, model.windows.len() as u64]);
+    let mut ckpt = Checkpoint::resume(journal, run_id)?;
+    let outcome = exec.sweep_checkpointed(
+        &model.windows,
+        |w| model.window(w),
+        model.start(),
+        |acc, _, minutes| acc.push(minutes),
+        &Supervisor::new(),
+        &mut ckpt,
+    )?;
+    Ok(model.finish(accept(exec, outcome)))
 }
 
-/// Prefix-sum accumulator for the Fig. 12 cumulative series — the fold
-/// state [`fig12_sweep`] threads through the window shards.
-struct Fig12Acc {
-    cum_q: u64,
-    cum_base: u64,
-    cum_overhead: u64,
-    queries: Vec<u64>,
-    baseline: Vec<u64>,
-    overhead: Vec<u64>,
+/// One minute of the Fig. 12 replay: queries, baseline bytes, and TXT
+/// overhead bytes.
+type Minute = (u64, u64, u64);
+
+/// The calibrated cache model Fig. 12 replays, one window shard at a time.
+struct Fig12Model {
+    trace: DitlTrace,
+    windows: Vec<Shard<Vec<u64>>>,
+    scale: u64,
+    cold_bytes_per_resolution: f64,
+    txt_bytes_per_probe: f64,
 }
 
-fn fig12_sweep(exec: &Executor, seed: u64, scale: u64, journal: Option<&Path>) -> Fig12Data {
-    assert!(scale >= 1);
-    let trace = DitlTrace::generate(seed);
+impl Fig12Model {
+    fn calibrate(exec: &Executor, seed: u64, scale: u64) -> Self {
+        assert!(scale >= 1);
+        let trace = DitlTrace::generate(seed);
 
-    // Calibration: measure average upstream bytes per cold resolution and
-    // per TXT probe from a small real run of each configuration.
-    let calib = ShardPlan::new(seed ^ 0xca11b).over([RemedyMode::None, RemedyMode::TxtSignal]);
-    let calibrated = collect(exec, &calib, |shard| {
-        let mut cfg = RunConfig::quick(60);
-        cfg.remedy = shard.input;
-        run(&cfg)
-    });
-    let [base, txt] = calibrated.as_slice() else {
-        // Every window cost derives from calibration; there is no
-        // partial figure without it, --allow-partial or not.
-        panic!("fig12 calibration shard failed; the figure cannot be produced");
-    };
-    let cold_bytes_per_resolution = base.stats.total_bytes() as f64 / base.queried as f64;
-    let txt_probes = txt.stats.queries_of(RrType::Txt).max(1);
-    let txt_bytes_per_probe = txt.stats.bytes_of(RrType::Txt) as f64 / txt_probes as f64;
-    // Stub-side cost of answering one query (query + typical answer).
-    let stub_bytes_per_query = 130.0;
+        // Calibration: measure average upstream bytes per cold resolution
+        // and per TXT probe from a small real run of each configuration.
+        let calib = ShardPlan::new(seed ^ 0xca11b).over([RemedyMode::None, RemedyMode::TxtSignal]);
+        let calibrated = collect(exec, &calib, |shard| {
+            let mut cfg = RunConfig::quick(60);
+            cfg.remedy = shard.input;
+            run(&cfg)
+        });
+        let [base, txt] = calibrated.as_slice() else {
+            // Every window cost derives from calibration; there is no
+            // partial figure without it, --allow-partial or not.
+            panic!("fig12 calibration shard failed; the figure cannot be produced");
+        };
+        let cold_bytes_per_resolution = base.stats.total_bytes() as f64 / base.queried as f64;
+        let txt_probes = txt.stats.queries_of(RrType::Txt).max(1);
+        let txt_bytes_per_probe = txt.stats.bytes_of(RrType::Txt) as f64 / txt_probes as f64;
 
-    // Cache model over the trace: domains drawn Zipf over 2M; a cache
-    // miss pays the cold upstream cost and (with the remedy) one TXT
-    // probe. The exponent is calibrated so the full-scale (scale = 1) run
-    // lands near the paper's ≈1.2 GB / 0.38 Mbps signaling overhead;
-    // sampled runs (scale > 1) overstate the miss rate and are for
-    // smoke-testing only.
-    let windows: Vec<Vec<u64>> =
-        trace.per_minute().chunks(60).map(|chunk| chunk.to_vec()).collect();
-    let window_count = windows.len() as u64;
-    let shards = ShardPlan::new(seed ^ 0xd17f).over(windows);
-    let minutes_total = trace.per_minute().len();
-    let task = |shard: &lookaside_engine::Shard<Vec<u64>>| {
+        let windows: Vec<Vec<u64>> =
+            trace.per_minute().chunks(60).map(|chunk| chunk.to_vec()).collect();
+        let windows = ShardPlan::new(seed ^ 0xd17f).over(windows);
+        Fig12Model { trace, windows, scale, cold_bytes_per_resolution, txt_bytes_per_probe }
+    }
+
+    /// Cache model over one window: domains drawn Zipf over 2M; a cache
+    /// miss pays the cold upstream cost and (with the remedy) one TXT
+    /// probe. The exponent is calibrated so the full-scale (scale = 1)
+    /// run lands near the paper's ≈1.2 GB / 0.38 Mbps signaling overhead;
+    /// sampled runs (scale > 1) overstate the miss rate and are for
+    /// smoke-testing only.
+    fn window(&self, shard: &Shard<Vec<u64>>) -> Vec<Minute> {
+        // Stub-side cost of answering one query (query + typical answer).
+        let stub_bytes_per_query = 130.0;
+        let scale = self.scale;
         let zipf = Zipf::new(2_000_000, 0.92);
         let mut seen = vec![false; zipf.n() + 1];
         let mut rng_state = shard.seed;
@@ -955,62 +962,61 @@ fn fig12_sweep(exec: &Executor, seed: u64, scale: u64, journal: Option<&Path>) -
             }
             let scaled_misses = misses * scale;
             let base_bytes = (volume as f64 * stub_bytes_per_query) as u64
-                + (scaled_misses as f64 * cold_bytes_per_resolution) as u64;
-            let overhead_bytes = (scaled_misses as f64 * txt_bytes_per_probe) as u64;
+                + (scaled_misses as f64 * self.cold_bytes_per_resolution) as u64;
+            let overhead_bytes = (scaled_misses as f64 * self.txt_bytes_per_probe) as u64;
             minutes.push((volume, base_bytes, overhead_bytes));
         }
         minutes
-    };
-    let init = Fig12Acc {
-        cum_q: 0,
-        cum_base: 0,
-        cum_overhead: 0,
-        queries: Vec::with_capacity(minutes_total),
-        baseline: Vec::with_capacity(minutes_total),
-        overhead: Vec::with_capacity(minutes_total),
-    };
-    let prefix_sum = |mut acc: Fig12Acc, minutes: Vec<(u64, u64, u64)>| {
+    }
+
+    /// The empty prefix-sum accumulator for the window fold.
+    fn start(&self) -> Fig12Acc {
+        let minutes_total = self.trace.per_minute().len();
+        Fig12Acc {
+            cum_q: 0,
+            cum_base: 0,
+            cum_overhead: 0,
+            queries: Vec::with_capacity(minutes_total),
+            baseline: Vec::with_capacity(minutes_total),
+            overhead: Vec::with_capacity(minutes_total),
+        }
+    }
+
+    fn finish(self, acc: Fig12Acc) -> Fig12Data {
+        let overhead_mbps = acc.cum_overhead as f64 * 8.0 / (420.0 * 60.0) / 1e6;
+        Fig12Data {
+            per_minute: self.trace.per_minute().to_vec(),
+            cumulative_queries: acc.queries,
+            cumulative_baseline_bytes: acc.baseline,
+            cumulative_overhead_bytes: acc.overhead,
+            overhead_mbps,
+        }
+    }
+}
+
+/// Prefix-sum accumulator for the Fig. 12 cumulative series — the fold
+/// state threaded through the window shards.
+struct Fig12Acc {
+    cum_q: u64,
+    cum_base: u64,
+    cum_overhead: u64,
+    queries: Vec<u64>,
+    baseline: Vec<u64>,
+    overhead: Vec<u64>,
+}
+
+impl Fig12Acc {
+    /// Folds one window's minutes onto the cumulative series.
+    fn push(mut self, minutes: Vec<Minute>) -> Self {
         for (volume, base_bytes, overhead_bytes) in minutes {
-            acc.cum_q += volume;
-            acc.cum_base += base_bytes;
-            acc.cum_overhead += overhead_bytes;
-            acc.queries.push(acc.cum_q);
-            acc.baseline.push(acc.cum_base);
-            acc.overhead.push(acc.cum_overhead);
+            self.cum_q += volume;
+            self.cum_base += base_bytes;
+            self.cum_overhead += overhead_bytes;
+            self.queries.push(self.cum_q);
+            self.baseline.push(self.cum_base);
+            self.overhead.push(self.cum_overhead);
         }
-        acc
-    };
-    let acc = match journal {
-        Some(path) => {
-            // The fingerprint binds the journal to everything that shapes
-            // a window's bytes; resuming under different parameters is a
-            // refusal, not a silent mix of two runs.
-            let run_id =
-                lookaside_engine::run_fingerprint(&[0xf161_2a11, seed, scale, window_count]);
-            let mut ckpt = Checkpoint::resume(path, run_id, 1)
-                .unwrap_or_else(|e| panic!("fig12 journal {}: {e}", path.display()));
-            let sup = crate::parallel::supervisor();
-            let outcome = exec
-                .sweep_checkpointed(
-                    &shards,
-                    task,
-                    init,
-                    |acc, _, m| prefix_sum(acc, m),
-                    &sup,
-                    &mut ckpt,
-                )
-                .unwrap_or_else(|e| panic!("fig12 journal {}: {e}", path.display()));
-            crate::parallel::accept(outcome)
-        }
-        None => fold(exec, &shards, task, init, prefix_sum),
-    };
-    let overhead_mbps = acc.cum_overhead as f64 * 8.0 / (420.0 * 60.0) / 1e6;
-    Fig12Data {
-        per_minute: trace.per_minute().to_vec(),
-        cumulative_queries: acc.queries,
-        cumulative_baseline_bytes: acc.baseline,
-        cumulative_overhead_bytes: acc.overhead,
-        overhead_mbps,
+        self
     }
 }
 
@@ -1077,7 +1083,7 @@ mod tests {
 
     #[test]
     fn fig8_9_proportion_decays() {
-        let points = fig8_9(&[50, 400], 11);
+        let points = fig8_9(&Executor::default(), &[50, 400], 11);
         assert!(points[0].proportion > points[1].proportion, "{points:?}");
         assert!(points[1].dlv_queries > points[0].dlv_queries);
     }
@@ -1106,7 +1112,7 @@ mod tests {
 
     #[test]
     fn fig12_shapes_hold() {
-        let data = fig12(23, 2000);
+        let data = fig12(&Executor::default(), 23, 2000);
         assert_eq!(data.per_minute.len(), lookaside_workload::DITL_MINUTES);
         assert_eq!(
             *data.cumulative_queries.last().unwrap(),
@@ -1139,7 +1145,7 @@ mod tests {
 
     #[test]
     fn deployment_sweep_improves_utility() {
-        let points = deployment_sweep(150, &[0, 300, 1000], 39);
+        let points = deployment_sweep(&Executor::default(), 150, &[0, 300, 1000], 39);
         assert_eq!(points[0].case1, 0, "no deposits, no utility");
         assert!(points[2].case1 > points[1].case1);
         assert!(
@@ -1186,7 +1192,7 @@ mod tests {
 
     #[test]
     fn leakage_is_vantage_independent() {
-        let rows = vantage_sweep(60, 43);
+        let rows = vantage_sweep(&Executor::default(), 60, 43);
         assert_eq!(rows.len(), 3);
         // §7.1: identical findings across vantage points…
         assert!(rows.windows(2).all(|w| w[0].leaks == w[1].leaks));

@@ -19,10 +19,11 @@
 //! * [`attacks`] — §6.2.3 signaling attacks and the §6.2.4 dictionary
 //!   attack on hashed DLV,
 //! * [`parallel`] — the deterministic sharded execution glue: every sweep
-//!   runs its shards (each owning a private Internet replica) on the
-//!   `lookaside-engine` thread pool (`--jobs` / `LOOKASIDE_JOBS`) under
-//!   the session supervisor, folding results in shard-id order so any
-//!   worker count is byte-identical,
+//!   takes the caller's `lookaside-engine` [`Executor`](engine::Executor)
+//!   (its worker count, `repro --jobs`) and runs its shards, each owning a
+//!   private Internet replica, under the engine's retry supervisor,
+//!   folding results in shard-id order so any worker count is
+//!   byte-identical,
 //! * [`farm`] — the million-stub client plane in front of a resolver
 //!   farm: topology-aware (per-resolver / shared-cache / ODoH /
 //!   Resolver-Less), cache-hit-aware, per-client case-2 leak accounting
@@ -58,7 +59,7 @@ pub use client::Client;
 pub use farm::{Farm, FarmConfig, FarmTopology, TopologyReport};
 pub use internet::{Internet, InternetParams, VantagePoint};
 pub use leakage::{classify, LeakSink, LeakageReport};
-pub use parallel::{accept, executor, supervisor};
+pub use parallel::accept;
 
 pub use lookaside_population as population;
 

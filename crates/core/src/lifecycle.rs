@@ -264,16 +264,11 @@ pub struct LifecyclePoint {
     pub events: Vec<LifecycleEventPoint>,
 }
 
-/// Runs the sweep on the session executor (`--jobs` / `LOOKASIDE_JOBS`).
-pub fn lifecycle_sweep(config: &LifecycleConfig) -> Vec<LifecyclePoint> {
-    lifecycle_sweep_with(&crate::parallel::executor(), config)
-}
-
-/// [`lifecycle_sweep`] on an explicit executor. Each scenario builds a
-/// fresh Internet replica, so scenarios are natural shards; results come
-/// back in serial order, identical for every worker count. Scenarios run
-/// under the session supervisor (retries, coverage accounting).
-pub fn lifecycle_sweep_with(
+/// Runs the sweep on `exec`. Each scenario builds a fresh Internet
+/// replica, so scenarios are natural shards; results come back in serial
+/// order, identical for every worker count. Scenarios run under the
+/// engine's retry supervisor (retries, coverage accounting).
+pub fn lifecycle_sweep(
     exec: &lookaside_engine::Executor,
     config: &LifecycleConfig,
 ) -> Vec<LifecyclePoint> {
@@ -397,9 +392,13 @@ fn run_cell(config: &LifecycleConfig, scenario: LifecycleScenario) -> LifecycleP
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lookaside_engine::Executor;
 
     fn sweep(scenarios: Vec<LifecycleScenario>) -> Vec<LifecyclePoint> {
-        lifecycle_sweep(&LifecycleConfig { scenarios, ..LifecycleConfig::quick(4) })
+        lifecycle_sweep(
+            &Executor::default(),
+            &LifecycleConfig { scenarios, ..LifecycleConfig::quick(4) },
+        )
     }
 
     fn point(points: &[LifecyclePoint], scenario: LifecycleScenario) -> &LifecyclePoint {
@@ -509,7 +508,7 @@ mod tests {
             target: LifecycleTarget::Tld("com".to_string()),
             ..LifecycleConfig::quick(6)
         };
-        let points = lifecycle_sweep(&config);
+        let points = lifecycle_sweep(&Executor::default(), &config);
         let events = &point(&points, LifecycleScenario::ExpiryStorm).events;
         // In the stale gap only the .com share of the anchored workload
         // fails closed — the fault's blast radius is one TLD, not the

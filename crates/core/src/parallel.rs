@@ -14,9 +14,9 @@
 //!   (the simulator's `Rc`-based oracle is not thread-shareable, and
 //!   per-run replicas are the honest model anyway) and returns a small
 //!   result — a table row, a tally, a window's minute triples;
-//! * [`Executor::sweep`] runs the plan under the session [`Supervisor`]
-//!   and folds the results in ascending shard id, and [`accept`] enforces
-//!   the coverage contract on the outcome.
+//! * [`Executor::sweep`] runs the plan under the production
+//!   [`Supervisor`] and folds the results in ascending shard id, and
+//!   [`accept`] enforces the coverage contract on the outcome.
 //!
 //! [`collect`] and [`fold`] are the two shapes experiments need: a row
 //! per shard in plan order, or one accumulator folded in plan order.
@@ -51,33 +51,18 @@ use lookaside_resolver::SecurityStatus;
 
 use crate::experiments::StatusTally;
 
-/// The executor experiments route through: honours `LOOKASIDE_JOBS`,
-/// defaulting to the machine's available parallelism.
-pub fn executor() -> Executor {
-    Executor::from_env()
-}
-
-/// The supervisor experiments route through: honours
-/// `LOOKASIDE_RETRIES`, `LOOKASIDE_WATCHDOG_MS` and `LOOKASIDE_FAULTS`,
-/// defaulting to three attempts per shard with the watchdog disarmed and
-/// no injected faults — a configuration under which every clean run
-/// completes every shard on its first attempt.
-pub fn supervisor() -> Supervisor {
-    Supervisor::from_env()
-}
-
 /// Unwraps a supervised sweep, enforcing the no-silent-caps contract.
 ///
-/// Complete sweeps pass straight through (with `--allow-partial` the
-/// coverage summary is still printed, so a "clean" resumed run shows its
-/// resumed-shard count). Degraded sweeps — shards that exhausted their
-/// retry budget — print the full per-shard coverage table to **stderr**
-/// (stdout stays byte-diffable) and then abort, unless the session opted
-/// into partial results via `repro --allow-partial` /
-/// `LOOKASIDE_ALLOW_PARTIAL`, in which case the partial accumulator is
-/// returned and the caller's tables simply omit the failed shards.
-pub fn accept<A>(outcome: SweepOutcome<A>) -> A {
-    let allow_partial = lookaside_engine::allow_partial_requested();
+/// Complete sweeps pass straight through (on an executor that accepts
+/// partial sweeps the coverage summary is still printed, so a "clean"
+/// resumed run shows its resumed-shard count). Degraded sweeps — shards
+/// that exhausted their retry budget — print the full per-shard coverage
+/// table to **stderr** (stdout stays byte-diffable) and then abort,
+/// unless `exec` accepts partial sweeps (`repro --allow-partial`), in
+/// which case the partial accumulator is returned and the caller's tables
+/// simply omit the failed shards.
+pub fn accept<A>(exec: &Executor, outcome: SweepOutcome<A>) -> A {
+    let allow_partial = exec.allows_partial();
     if !outcome.coverage.is_complete() {
         lookaside_engine::diag::note(&outcome.coverage.table());
         assert!(
@@ -91,11 +76,10 @@ pub fn accept<A>(outcome: SweepOutcome<A>) -> A {
     outcome.value
 }
 
-/// Runs every shard through `task` on `exec` under the session
-/// [`supervisor`] and returns the results in shard order, through
-/// [`accept`] — a degraded sweep aborts with its coverage table unless
-/// `--allow-partial` is set, in which case failed shards are missing
-/// from the list.
+/// Runs every shard through `task` on `exec` and returns the results in
+/// shard order, through [`accept`] — a degraded sweep aborts with its
+/// coverage table unless `exec` accepts partial sweeps, in which case
+/// failed shards are missing from the list.
 pub fn collect<I, T, F>(exec: &Executor, shards: &[Shard<I>], task: F) -> Vec<T>
 where
     I: Sync,
@@ -109,9 +93,9 @@ where
     })
 }
 
-/// Runs every shard through `task` on `exec` under the session
-/// [`supervisor`] and folds the results into `init` in ascending shard
-/// id as they complete, through [`accept`]. Only the accumulator and the
+/// Runs every shard through `task` on `exec` under [`Supervisor::new`]
+/// and folds the results into `init` in ascending shard id as they
+/// complete, through [`accept`]. Only the accumulator and the
 /// out-of-order completions waiting for their turn are live at a time.
 pub fn fold<I, T, A, F, G>(exec: &Executor, shards: &[Shard<I>], task: F, init: A, mut fold: G) -> A
 where
@@ -120,8 +104,9 @@ where
     F: Fn(&Shard<I>) -> T + Sync,
     G: FnMut(A, T) -> A,
 {
-    let sup = supervisor();
-    accept(exec.sweep(shards, task, init, |acc, _id, value| fold(acc, value), &sup))
+    let outcome =
+        exec.sweep(shards, task, init, |acc, _id, value| fold(acc, value), &Supervisor::new());
+    accept(exec, outcome)
 }
 
 /// Records one resolution's validation status into a tally.
@@ -176,6 +161,26 @@ mod tests {
                 },
             );
             assert_eq!(order, (0..64).collect::<Vec<_>>(), "jobs={jobs}");
+        }
+    }
+
+    /// A shard whose task always panics exhausts its retry budget: a
+    /// strict executor aborts the sweep, an accepting one drops just that
+    /// shard and keeps every other result in order.
+    #[test]
+    fn allow_partial_decides_whether_a_degraded_sweep_survives() {
+        let shards = ShardPlan::new(2).over(0..8usize);
+        let task = |s: &Shard<usize>| {
+            assert!(s.input != 5, "shard 5 always fails");
+            s.input
+        };
+        let strict = std::panic::catch_unwind(|| collect(&Executor::new(2), &shards, task));
+        let message = strict.expect_err("a strict executor aborts a degraded sweep");
+        let message = message.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(message.contains("sweep degraded"), "{message}");
+        for jobs in [1, 2, 4] {
+            let exec = Executor::new(jobs).allow_partial(true);
+            assert_eq!(collect(&exec, &shards, task), [0, 1, 2, 3, 4, 6, 7], "jobs={jobs}");
         }
     }
 }

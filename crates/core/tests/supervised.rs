@@ -2,19 +2,17 @@
 //! public `fig12_checkpointed` path, journal corruption fixtures,
 //! and property tests that retry/fault supervision never changes results.
 //!
-//! Everything here drives the explicit-path APIs (no `LOOKASIDE_*`
-//! environment mutation), so the tests are safe under the parallel test
-//! runner.
+//! Faults are injected in-process through an explicit [`Supervisor`], so
+//! the tests are safe under the parallel test runner.
 
 use std::fs;
 use std::path::PathBuf;
-use std::time::Duration;
 
 use lookaside::engine::{
     run_fingerprint, Checkpoint, EngineFaultPlan, Executor, RetryPolicy, Shard, ShardPlan,
     Supervisor,
 };
-use lookaside::experiments::{fig12_checkpointed, fig12_with, Fig12Data};
+use lookaside::experiments::{fig12, fig12_checkpointed, Fig12Data};
 use proptest::prelude::*;
 
 /// Fig. 12 at 1/500000 sampling: seconds-fast, several window shards.
@@ -39,15 +37,15 @@ fn assert_fig12_identical(a: &Fig12Data, b: &Fig12Data) {
 #[test]
 fn checkpointed_fig12_matches_plain_and_resumes_byte_identical() {
     let exec = Executor::new(2);
-    let plain = fig12_with(&exec, 7, SCALE);
+    let plain = fig12(&exec, 7, SCALE);
     // The window fold is worker-count invariant.
-    assert_fig12_identical(&fig12_with(&Executor::serial(), 7, SCALE), &plain);
+    assert_fig12_identical(&fig12(&Executor::serial(), 7, SCALE), &plain);
     let path = temp_journal("full");
-    let first = fig12_checkpointed(&exec, 7, SCALE, &path);
+    let first = fig12_checkpointed(&exec, 7, SCALE, &path).unwrap();
     assert_fig12_identical(&first, &plain);
     // Resuming a completed journal satisfies every shard from disk and
     // must still reproduce the figure byte for byte.
-    let resumed = fig12_checkpointed(&exec, 7, SCALE, &path);
+    let resumed = fig12_checkpointed(&exec, 7, SCALE, &path).unwrap();
     assert_fig12_identical(&resumed, &plain);
     let _ = fs::remove_file(&path);
 }
@@ -55,15 +53,15 @@ fn checkpointed_fig12_matches_plain_and_resumes_byte_identical() {
 #[test]
 fn torn_journal_tail_resumes_byte_identical() {
     let exec = Executor::serial();
-    let plain = fig12_with(&exec, 11, SCALE);
+    let plain = fig12(&exec, 11, SCALE);
     let path = temp_journal("torn");
-    let _ = fig12_checkpointed(&exec, 11, SCALE, &path);
+    fig12_checkpointed(&exec, 11, SCALE, &path).unwrap();
     let bytes = fs::read(&path).unwrap();
     assert!(bytes.len() > 32, "journal too small to tear meaningfully");
     // A SIGKILL mid-append leaves a partial trailing record; the resume
     // must drop it silently and re-run only the missing shards.
     fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-    let resumed = fig12_checkpointed(&exec, 11, SCALE, &path);
+    let resumed = fig12_checkpointed(&exec, 11, SCALE, &path).unwrap();
     assert_fig12_identical(&resumed, &plain);
     let _ = fs::remove_file(&path);
 }
@@ -71,9 +69,9 @@ fn torn_journal_tail_resumes_byte_identical() {
 #[test]
 fn corrupt_mid_journal_record_resumes_byte_identical() {
     let exec = Executor::serial();
-    let plain = fig12_with(&exec, 13, SCALE);
+    let plain = fig12(&exec, 13, SCALE);
     let path = temp_journal("corrupt");
-    let _ = fig12_checkpointed(&exec, 13, SCALE, &path);
+    fig12_checkpointed(&exec, 13, SCALE, &path).unwrap();
     let mut bytes = fs::read(&path).unwrap();
     // Flip one byte halfway through: that record's CRC fails, the journal
     // is truncated to the last valid record before it, and the suffix is
@@ -81,7 +79,7 @@ fn corrupt_mid_journal_record_resumes_byte_identical() {
     let at = bytes.len() / 2;
     bytes[at] ^= 0xff;
     fs::write(&path, &bytes).unwrap();
-    let resumed = fig12_checkpointed(&exec, 13, SCALE, &path);
+    let resumed = fig12_checkpointed(&exec, 13, SCALE, &path).unwrap();
     assert_fig12_identical(&resumed, &plain);
     let _ = fs::remove_file(&path);
 }
@@ -114,22 +112,14 @@ proptest! {
         // 4-attempt budget is guaranteed to complete every shard.
         let sup = Supervisor {
             retry: RetryPolicy::new(4),
-            watchdog: None,
-            faults: EngineFaultPlan {
-                seed,
-                panic_per_mille,
-                stall_per_mille: 0,
-                stall: Duration::from_millis(0),
-                faulty_attempts: 3,
-            },
+            faults: EngineFaultPlan { seed, panic_per_mille, faulty_attempts: 3 },
         };
         let faulted = Executor::new(jobs)
             .sweep(&shards, shard_value, Vec::new(), fold_pairs, &sup);
         prop_assert!(faulted.coverage.is_complete());
         prop_assert_eq!(&faulted.value, &clean.value);
         // The retry accounting is a pure function of the fault plan, so a
-        // serial run under the same supervisor reports the same coverage
-        // (speculation aside — there is no watchdog here).
+        // serial run under the same supervisor reports the same coverage.
         let serial = Executor::serial()
             .sweep(&shards, shard_value, Vec::new(), fold_pairs, &sup);
         prop_assert_eq!(serial.coverage.retried, faulted.coverage.retried);
@@ -148,7 +138,7 @@ proptest! {
         let shards = ShardPlan::new(seed).over(0..8u64);
         let run_id = run_fingerprint(&[0x7e57, seed, shards.len() as u64]);
         let path = temp_journal(&format!("cut-{seed}-{cut_percent}"));
-        let mut ckpt = Checkpoint::fresh(&path, run_id, 1).unwrap();
+        let mut ckpt = Checkpoint::fresh(&path, run_id).unwrap();
         let full = Executor::serial()
             .sweep_checkpointed(
                 &shards, shard_value, Vec::new(), fold_pairs, &Supervisor::new(), &mut ckpt)
@@ -158,13 +148,13 @@ proptest! {
         // Keep the 18-byte header plus an arbitrary fraction of records.
         let keep = 18 + (bytes.len() - 18) * cut_percent as usize / 100;
         fs::write(&path, &bytes[..keep]).unwrap();
-        let mut ckpt: Checkpoint<u64> = Checkpoint::resume(&path, run_id, 1).unwrap();
+        let mut ckpt: Checkpoint<u64> = Checkpoint::resume(&path, run_id).unwrap();
         let resumed_shards = ckpt.take_resumed();
         prop_assert!(resumed_shards.len() <= shards.len());
         // take_resumed consumed the journal's prefix; rebuild the handle
         // so the checkpointed run folds it.
         drop(ckpt);
-        let mut ckpt = Checkpoint::resume(&path, run_id, 1).unwrap();
+        let mut ckpt = Checkpoint::resume(&path, run_id).unwrap();
         let again = Executor::serial()
             .sweep_checkpointed(
                 &shards, shard_value, Vec::new(), fold_pairs, &Supervisor::new(), &mut ckpt)

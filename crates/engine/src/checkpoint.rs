@@ -211,34 +211,24 @@ fn encode_header(run_id: u64) -> [u8; HEADER_LEN] {
 }
 
 /// A typed checkpoint: records recovered from a previous run plus an
-/// open journal appending this run's completions.
-///
-/// `every` is the flush cadence: every N appended records the file is
-/// synced to disk, bounding how much work a SIGKILL can lose.
+/// open journal appending this run's completions. Every appended record
+/// is synced to disk before the next, so a SIGKILL loses at most the
+/// record being written.
 #[derive(Debug)]
 pub struct Checkpoint<T> {
     file: File,
     path: PathBuf,
-    every: usize,
-    unflushed: usize,
     buf: Vec<u8>,
     resumed: BTreeMap<usize, T>,
 }
 
 impl<T: JournalCodec> Checkpoint<T> {
     /// Starts a fresh journal at `path`, truncating any existing file.
-    pub fn fresh(path: &Path, run_id: u64, every: usize) -> Result<Self, JournalError> {
+    pub fn fresh(path: &Path, run_id: u64) -> Result<Self, JournalError> {
         let mut file = OpenOptions::new().create(true).write(true).truncate(true).open(path)?;
         file.write_all(&encode_header(run_id))?;
         file.sync_data()?;
-        Ok(Checkpoint {
-            file,
-            path: path.to_path_buf(),
-            every: every.max(1),
-            unflushed: 0,
-            buf: Vec::new(),
-            resumed: BTreeMap::new(),
-        })
+        Ok(Checkpoint { file, path: path.to_path_buf(), buf: Vec::new(), resumed: BTreeMap::new() })
     }
 
     /// Opens `path`, recovers every valid record, truncates any torn
@@ -251,20 +241,20 @@ impl<T: JournalCodec> Checkpoint<T> {
     /// [`JournalError::RunIdMismatch`] if it belongs to a different run,
     /// [`JournalError::Decode`] if a CRC-valid record does not decode as
     /// `T`, or [`JournalError::Io`] on filesystem failure.
-    pub fn resume(path: &Path, run_id: u64, every: usize) -> Result<Self, JournalError> {
+    pub fn resume(path: &Path, run_id: u64) -> Result<Self, JournalError> {
         let mut bytes = Vec::new();
         match File::open(path) {
             Ok(mut f) => {
                 f.read_to_end(&mut bytes)?;
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Checkpoint::fresh(path, run_id, every);
+                return Checkpoint::fresh(path, run_id);
             }
             Err(e) => return Err(e.into()),
         }
         if bytes.len() < HEADER_LEN {
             // Died before the header hit the disk: nothing recoverable.
-            return Checkpoint::fresh(path, run_id, every);
+            return Checkpoint::fresh(path, run_id);
         }
         let mut header = bytes.get(..HEADER_LEN).unwrap_or_default();
         let magic = take(&mut header, 4).unwrap_or_default();
@@ -316,14 +306,7 @@ impl<T: JournalCodec> Checkpoint<T> {
         let mut file = OpenOptions::new().write(true).open(path)?;
         file.set_len(valid_end as u64)?;
         file.seek(SeekFrom::End(0))?;
-        Ok(Checkpoint {
-            file,
-            path: path.to_path_buf(),
-            every: every.max(1),
-            unflushed: 0,
-            buf: Vec::new(),
-            resumed,
-        })
+        Ok(Checkpoint { file, path: path.to_path_buf(), buf: Vec::new(), resumed })
     }
 
     /// The journal's location on disk.
@@ -338,9 +321,8 @@ impl<T: JournalCodec> Checkpoint<T> {
         std::mem::take(&mut self.resumed)
     }
 
-    /// Appends one completed shard result; the record is built in memory
-    /// and written with a single `write_all`, then synced to disk every
-    /// `every` records.
+    /// Appends one completed shard result; the record is built in memory,
+    /// written with a single `write_all`, and synced to disk.
     ///
     /// # Errors
     ///
@@ -357,21 +339,7 @@ impl<T: JournalCodec> Checkpoint<T> {
         let crc = crc32(&self.buf);
         self.buf.extend_from_slice(&crc.to_le_bytes());
         self.file.write_all(&self.buf)?;
-        self.unflushed += 1;
-        if self.unflushed >= self.every {
-            self.sync()?;
-        }
-        Ok(())
-    }
-
-    /// Forces buffered records to disk.
-    ///
-    /// # Errors
-    ///
-    /// [`JournalError::Io`] on sync failure.
-    pub fn sync(&mut self) -> Result<(), JournalError> {
         self.file.sync_data()?;
-        self.unflushed = 0;
         Ok(())
     }
 }
@@ -421,13 +389,12 @@ mod tests {
         let path = tmp("roundtrip");
         let run = run_fingerprint(&[1, 2, 3]);
         {
-            let mut ck: Checkpoint<Vec<u64>> = Checkpoint::fresh(&path, run, 2).expect("fresh");
+            let mut ck: Checkpoint<Vec<u64>> = Checkpoint::fresh(&path, run).expect("fresh");
             ck.record(0, &vec![10, 11]).expect("record");
             ck.record(1, &vec![]).expect("record");
             ck.record(2, &vec![99]).expect("record");
-            ck.sync().expect("sync");
         }
-        let mut ck: Checkpoint<Vec<u64>> = Checkpoint::resume(&path, run, 2).expect("resume");
+        let mut ck: Checkpoint<Vec<u64>> = Checkpoint::resume(&path, run).expect("resume");
         let got = ck.take_resumed();
         assert_eq!(got.len(), 3);
         assert_eq!(got.get(&0), Some(&vec![10, 11]));
@@ -441,7 +408,7 @@ mod tests {
         let path = tmp("torn");
         let run = run_fingerprint(&[9]);
         {
-            let mut ck: Checkpoint<u64> = Checkpoint::fresh(&path, run, 1).expect("fresh");
+            let mut ck: Checkpoint<u64> = Checkpoint::fresh(&path, run).expect("fresh");
             ck.record(0, &111).expect("record");
             ck.record(1, &222).expect("record");
         }
@@ -451,7 +418,7 @@ mod tests {
         bytes.extend_from_slice(&[0x5a; 9]);
         std::fs::write(&path, &bytes).expect("write");
 
-        let mut ck: Checkpoint<u64> = Checkpoint::resume(&path, run, 1).expect("resume");
+        let mut ck: Checkpoint<u64> = Checkpoint::resume(&path, run).expect("resume");
         let got = ck.take_resumed();
         assert_eq!(got.len(), 2);
         assert_eq!(got.get(&1), Some(&222));
@@ -459,7 +426,7 @@ mod tests {
         assert_eq!(std::fs::metadata(&path).expect("meta").len() as usize, full);
         ck.record(2, &333).expect("record");
         drop(ck);
-        let mut again: Checkpoint<u64> = Checkpoint::resume(&path, run, 1).expect("resume2");
+        let mut again: Checkpoint<u64> = Checkpoint::resume(&path, run).expect("resume2");
         assert_eq!(again.take_resumed().len(), 3);
         let _ = std::fs::remove_file(&path);
     }
@@ -469,7 +436,7 @@ mod tests {
         let path = tmp("corrupt");
         let run = run_fingerprint(&[4]);
         {
-            let mut ck: Checkpoint<u64> = Checkpoint::fresh(&path, run, 1).expect("fresh");
+            let mut ck: Checkpoint<u64> = Checkpoint::fresh(&path, run).expect("fresh");
             ck.record(0, &5).expect("record");
             ck.record(1, &6).expect("record");
         }
@@ -478,7 +445,7 @@ mod tests {
         let idx = HEADER_LEN + RECORD_PREFIX;
         bytes[idx] ^= 0xff;
         std::fs::write(&path, &bytes).expect("write");
-        let mut ck: Checkpoint<u64> = Checkpoint::resume(&path, run, 1).expect("resume");
+        let mut ck: Checkpoint<u64> = Checkpoint::resume(&path, run).expect("resume");
         assert!(ck.take_resumed().is_empty(), "corrupt first record drops the tail too");
         let _ = std::fs::remove_file(&path);
     }
@@ -487,9 +454,9 @@ mod tests {
     fn run_id_mismatch_is_refused() {
         let path = tmp("runid");
         {
-            let _ck: Checkpoint<u64> = Checkpoint::fresh(&path, 7, 1).expect("fresh");
+            let _ck: Checkpoint<u64> = Checkpoint::fresh(&path, 7).expect("fresh");
         }
-        let err = Checkpoint::<u64>::resume(&path, 8, 1).expect_err("mismatch");
+        let err = Checkpoint::<u64>::resume(&path, 8).expect_err("mismatch");
         assert!(matches!(err, JournalError::RunIdMismatch { expected: 8, found: 7 }), "{err}");
         let _ = std::fs::remove_file(&path);
     }
@@ -498,7 +465,7 @@ mod tests {
     fn non_journal_file_is_refused() {
         let path = tmp("notajournal");
         std::fs::write(&path, b"totally not a journal, but long enough to parse").expect("write");
-        let err = Checkpoint::<u64>::resume(&path, 1, 1).expect_err("bad header");
+        let err = Checkpoint::<u64>::resume(&path, 1).expect_err("bad header");
         assert!(matches!(err, JournalError::BadHeader(_)), "{err}");
         let _ = std::fs::remove_file(&path);
     }
@@ -507,7 +474,7 @@ mod tests {
     fn missing_file_resumes_as_fresh() {
         let path = tmp("missing");
         let _ = std::fs::remove_file(&path);
-        let mut ck: Checkpoint<u64> = Checkpoint::resume(&path, 3, 4).expect("fresh resume");
+        let mut ck: Checkpoint<u64> = Checkpoint::resume(&path, 3).expect("fresh resume");
         assert!(ck.take_resumed().is_empty());
         let _ = std::fs::remove_file(&path);
     }

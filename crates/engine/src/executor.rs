@@ -1,20 +1,11 @@
 //! The parallel executor: the worker-pool size plus per-shard panic
 //! isolation. The supervised sweep over it lives in `supervisor.rs`.
 
-use std::env;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread;
 
 use crate::plan::Shard;
-
-/// Environment variable overriding the default worker count.
-pub const JOBS_ENV: &str = "LOOKASIDE_JOBS";
-
-pub(crate) fn env_flag(name: &str) -> bool {
-    // lint:allow(determinism::env-read) -- only LOOKASIDE_ALLOW_PARTIAL is read here: it decides whether a degraded sweep aborts or returns its partial fold, and the coverage table always names the missing shards
-    matches!(env::var(name).ok().as_deref().map(str::trim), Some("1" | "true" | "on"))
-}
 
 /// Runs shard plans across a worker pool.
 ///
@@ -23,15 +14,20 @@ pub(crate) fn env_flag(name: &str) -> bool {
 /// is identical for every `jobs` value, including 1. Thread scheduling
 /// can only change *when* a shard runs, never what it computes or where
 /// its result lands.
+///
+/// The executor also carries the caller's answer to a degraded sweep
+/// (one whose shards exhausted their retry budget): a strict executor,
+/// the default, aborts on one; [`Executor::allow_partial`] accepts it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Executor {
     jobs: usize,
+    allow_partial: bool,
 }
 
 impl Executor {
-    /// An executor with exactly `jobs` workers (minimum 1).
+    /// A strict executor with exactly `jobs` workers (minimum 1).
     pub fn new(jobs: usize) -> Self {
-        Executor { jobs: jobs.max(1) }
+        Executor { jobs: jobs.max(1), allow_partial: false }
     }
 
     /// A single-worker executor — the reference for byte-identity checks.
@@ -39,26 +35,27 @@ impl Executor {
         Executor::new(1)
     }
 
-    /// Worker count from `LOOKASIDE_JOBS` when set to a positive integer,
-    /// else [`std::thread::available_parallelism`].
-    pub fn from_env() -> Self {
-        // lint:allow(determinism::env-read) -- LOOKASIDE_JOBS selects the worker count only; the reduction is ordered by shard id, so jobs never reaches results
-        let from_var = env::var(JOBS_ENV).ok().and_then(|v| v.trim().parse::<usize>().ok());
-        match from_var {
-            Some(n) if n >= 1 => Executor::new(n),
-            _ => Executor::new(thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1)),
-        }
+    /// This executor, accepting degraded sweeps when `allow` is set.
+    pub fn allow_partial(self, allow: bool) -> Self {
+        Executor { allow_partial: allow, ..self }
     }
 
     /// The configured worker count.
     pub fn jobs(&self) -> usize {
         self.jobs
     }
+
+    /// Whether a degraded sweep is accepted rather than aborting.
+    pub fn allows_partial(&self) -> bool {
+        self.allow_partial
+    }
 }
 
 impl Default for Executor {
+    /// A strict executor as wide as the machine
+    /// ([`std::thread::available_parallelism`]).
     fn default() -> Self {
-        Executor::from_env()
+        Executor::new(thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1))
     }
 }
 
@@ -166,8 +163,9 @@ mod tests {
     }
 
     #[test]
-    fn from_env_floor_is_one_worker() {
-        assert!(Executor::from_env().jobs() >= 1);
+    fn worker_count_floor_is_one() {
+        assert!(Executor::default().jobs() >= 1);
         assert_eq!(Executor::new(0).jobs(), 1);
+        assert!(!Executor::default().allows_partial());
     }
 }

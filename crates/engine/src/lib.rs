@@ -12,10 +12,11 @@
 //!   [`splitmix64`]`(root_seed, shard_id)`,
 //! * [`BoundedQueue`] — the bounded work queue workers drain,
 //! * [`Executor`] — a scoped `std::thread` pool with a `--jobs N` knob
-//!   (default [`std::thread::available_parallelism`], overridable via the
-//!   `LOOKASIDE_JOBS` environment variable) and per-shard panic isolation,
+//!   (default [`std::thread::available_parallelism`]), per-shard panic
+//!   isolation, and the caller's choice of whether a degraded sweep is
+//!   accepted,
 //! * [`Executor::sweep`] — the one way to run a plan: every shard under a
-//!   [`Supervisor`] (bounded retries, watchdog, seeded fault injection),
+//!   [`Supervisor`] (bounded retries, seeded fault injection),
 //!   results folded into one accumulator in shard-id order, failures
 //!   listed in the returned [`SweepOutcome`]'s [`Coverage`] instead of
 //!   aborting the run. [`Executor::sweep_checkpointed`] is the same sweep
@@ -57,12 +58,10 @@ mod supervisor;
 pub use checkpoint::{
     crc32, run_fingerprint, Checkpoint, JournalCodec, JournalError, JOURNAL_MAGIC, JOURNAL_VERSION,
 };
-pub use executor::{Executor, JOBS_ENV};
+pub use executor::Executor;
 pub use plan::{Shard, ShardPlan};
 pub use queue::BoundedQueue;
 pub use seed::splitmix64;
 pub use supervisor::{
-    allow_partial_requested, checkpoint_path, Coverage, EngineFault, EngineFaultPlan, RetryPolicy,
-    ShardFailure, Supervisor, SweepOutcome, Watchdog, ALLOW_PARTIAL_ENV, CHECKPOINT_ENV,
-    FAULTS_ENV, RETRIES_ENV, WATCHDOG_ENV,
+    Coverage, EngineFault, EngineFaultPlan, RetryPolicy, ShardFailure, Supervisor, SweepOutcome,
 };

@@ -1,6 +1,5 @@
-//! The supervision layer: bounded retries, a straggler watchdog with
-//! speculative re-dispatch, seeded fault injection, and graceful
-//! degradation over [`Executor`] sweeps (DESIGN.md §14).
+//! The supervision layer: bounded retries, seeded fault injection, and
+//! graceful degradation over [`Executor`] sweeps (DESIGN.md §14).
 //!
 //! [`Executor::sweep`] is the engine's one way to run a shard plan: a
 //! worker pool whose results fold into one accumulator in ascending
@@ -8,77 +7,27 @@
 //!
 //! * failed shards are requeued under a bounded, seeded [`RetryPolicy`]
 //!   with a per-shard attempt budget;
-//! * an optional [`Watchdog`] re-dispatches shards that outlive their
-//!   deadline — first completion wins, and because every task is a pure
-//!   function of its shard, duplicates are byte-identical, so the
-//!   tie-break (keyed by shard id, later arrivals dropped) cannot change
-//!   results;
 //! * shards that exhaust their budget degrade into explicit [`Coverage`]
 //!   accounting instead of aborting the sweep — no silent caps;
-//! * a seeded [`EngineFaultPlan`] injects worker panics and stalls so
-//!   every path above is testable without real crashes.
+//! * a seeded [`EngineFaultPlan`] injects worker panics so every path
+//!   above is testable without real crashes.
 //!
-//! Determinism contract: the folded value and the failure set are pure
-//! functions of (shards, task, retry budget, fault plan). The wall
-//! clock steers only *scheduling* — whether the watchdog fires, which
-//! duplicate finishes first — never what any shard computes nor the
-//! order the fold observes results. The only scheduling-dependent field
-//! is [`Coverage::speculated`], which is reported for observability and
-//! deliberately kept out of result tables.
+//! Determinism contract: the folded value and the coverage are pure
+//! functions of (shards, task, retry budget, fault plan). Thread
+//! scheduling decides only *when* an attempt runs, never what any shard
+//! computes nor the order the fold observes results.
 
 // lint:allow-file(panic::slice-index) -- every per-shard vector below is constructed with exactly shards.len() elements and indexed only by slot ids yielded by enumerate()/channel echoes of those ids; bounds are structural, and a miss would be an engine bug worth a loud panic
 
 use std::collections::{BTreeMap, VecDeque};
-use std::env;
 use std::sync::mpsc;
 use std::thread;
-use std::time::{Duration, Instant};
 
 use crate::checkpoint::{Checkpoint, JournalCodec, JournalError};
 use crate::executor::{run_one, Executor};
 use crate::plan::Shard;
 use crate::queue::BoundedQueue;
 use crate::seed::splitmix64;
-
-/// Environment variable bounding per-shard attempts (a positive integer;
-/// the first attempt counts).
-pub const RETRIES_ENV: &str = "LOOKASIDE_RETRIES";
-
-/// Environment variable arming the straggler watchdog with a deadline in
-/// milliseconds (`0` or unset leaves it disarmed).
-pub const WATCHDOG_ENV: &str = "LOOKASIDE_WATCHDOG_MS";
-
-/// Environment variable carrying a fault-injection spec, e.g.
-/// `panic=40,stall=20,stall_ms=30,seed=7,cap=1` (rates are per-mille;
-/// `cap` bounds how many attempts per shard are fault-eligible).
-pub const FAULTS_ENV: &str = "LOOKASIDE_FAULTS";
-
-/// Environment variable accepting degraded sweeps (`1`/`true`/`on`):
-/// instead of aborting when shards exhaust their retry budget, callers
-/// print the coverage table and keep the partial result — the
-/// `repro --allow-partial` flag sets it.
-pub const ALLOW_PARTIAL_ENV: &str = "LOOKASIDE_ALLOW_PARTIAL";
-
-/// Environment variable naming the shard journal for checkpointed sweeps
-/// — the `repro --checkpoint <path>` / `--resume <path>` flags set it.
-pub const CHECKPOINT_ENV: &str = "LOOKASIDE_CHECKPOINT";
-
-/// Whether degraded sweeps should be accepted ([`ALLOW_PARTIAL_ENV`]).
-pub fn allow_partial_requested() -> bool {
-    crate::executor::env_flag(ALLOW_PARTIAL_ENV)
-}
-
-/// The journal path for checkpointed sweeps, when [`CHECKPOINT_ENV`] is
-/// set and non-empty.
-pub fn checkpoint_path() -> Option<String> {
-    // lint:allow(determinism::env-read) -- LOOKASIDE_CHECKPOINT names where completed shard bytes are journalled; resume folds those exact bytes back, so the path never reaches results
-    env::var(CHECKPOINT_ENV).ok().map(|p| p.trim().to_string()).filter(|p| !p.is_empty())
-}
-
-/// Speculative dispatches draw fault/backoff randomness from attempt
-/// numbers in a disjoint band so they can never perturb the budgeted
-/// attempt sequence (which is what makes the failure set deterministic).
-const SPECULATIVE_BASE: u32 = 1 << 20;
 
 /// Bounded, seeded retry budget for failed shards.
 ///
@@ -109,22 +58,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Deadline-based straggler detection with speculative re-dispatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Watchdog {
-    /// How long a dispatched shard may run before a duplicate is issued.
-    pub deadline: Duration,
-    /// Maximum speculative duplicates per shard.
-    pub max_speculative: u32,
-}
-
-impl Watchdog {
-    /// A watchdog issuing at most one duplicate per shard past `deadline`.
-    pub fn new(deadline: Duration) -> Self {
-        Watchdog { deadline, max_speculative: 1 }
-    }
-}
-
 /// A fault injected into one `(shard, attempt)` execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineFault {
@@ -132,12 +65,10 @@ pub enum EngineFault {
     None,
     /// Fail the attempt as if the worker panicked inside the task.
     Panic,
-    /// Sleep before running the task, simulating a straggler.
-    Stall(Duration),
 }
 
-/// Seeded worker panic/stall injection — the engine's chaos plane,
-/// mirroring the resolver's link-fault plane from PR 1.
+/// Seeded worker panic injection — the engine's chaos plane, mirroring
+/// the resolver's link-fault plane from PR 1.
 ///
 /// Faults are a pure function of `(seed, shard_id, attempt)`, so a
 /// faulty run is exactly reproducible and the failure set in a coverage
@@ -148,10 +79,6 @@ pub struct EngineFaultPlan {
     pub seed: u64,
     /// Per-mille probability that an attempt dies as a worker panic.
     pub panic_per_mille: u16,
-    /// Per-mille probability that an attempt stalls before running.
-    pub stall_per_mille: u16,
-    /// How long an injected stall sleeps.
-    pub stall: Duration,
     /// Attempts at index `>= faulty_attempts` always run clean, so tests
     /// can guarantee a bounded retry budget wins.
     pub faulty_attempts: u32,
@@ -159,17 +86,12 @@ pub struct EngineFaultPlan {
 
 impl EngineFaultPlan {
     /// No injected faults — the production setting.
-    pub const NONE: EngineFaultPlan = EngineFaultPlan {
-        seed: 0,
-        panic_per_mille: 0,
-        stall_per_mille: 0,
-        stall: Duration::from_millis(0),
-        faulty_attempts: 0,
-    };
+    pub const NONE: EngineFaultPlan =
+        EngineFaultPlan { seed: 0, panic_per_mille: 0, faulty_attempts: 0 };
 
     /// Whether the plan can ever inject anything.
     pub fn is_none(&self) -> bool {
-        self.panic_per_mille == 0 && self.stall_per_mille == 0
+        self.panic_per_mille == 0
     }
 
     /// Draws the fault for one `(shard_id, attempt)` execution.
@@ -181,8 +103,6 @@ impl EngineFaultPlan {
             (splitmix64(splitmix64(self.seed, u64::from(attempt)), shard_id as u64) % 1000) as u16;
         if roll < self.panic_per_mille {
             EngineFault::Panic
-        } else if roll < self.panic_per_mille.saturating_add(self.stall_per_mille) {
-            EngineFault::Stall(self.stall)
         } else {
             EngineFault::None
         }
@@ -194,43 +114,16 @@ impl EngineFaultPlan {
 pub struct Supervisor {
     /// Per-shard retry budget.
     pub retry: RetryPolicy,
-    /// Optional straggler watchdog (effective on parallel runs; a serial
-    /// run has no second worker to speculate on).
-    pub watchdog: Option<Watchdog>,
     /// Injected faults; [`EngineFaultPlan::NONE`] in production.
     pub faults: EngineFaultPlan,
 }
 
 impl Supervisor {
-    /// Three attempts per shard, no watchdog, no injected faults.
+    /// Three attempts per shard, no injected faults — the production
+    /// setting, under which every clean run completes every shard on its
+    /// first attempt.
     pub fn new() -> Self {
-        Supervisor { retry: RetryPolicy::default(), watchdog: None, faults: EngineFaultPlan::NONE }
-    }
-
-    /// Builds the session supervisor from `LOOKASIDE_RETRIES`,
-    /// `LOOKASIDE_WATCHDOG_MS`, and `LOOKASIDE_FAULTS`.
-    ///
-    /// All three knobs steer scheduling and failure budgets only: a
-    /// completed shard's bytes are a pure function of its shard, so none
-    /// of them can reach results — failures are always surfaced through
-    /// the explicit coverage accounting.
-    pub fn from_env() -> Self {
-        let mut sup = Supervisor::new();
-        // lint:allow(determinism::env-read) -- LOOKASIDE_RETRIES bounds the retry budget; completed shard bytes are untouched and failures surface in the explicit coverage table
-        if let Some(n) = env::var(RETRIES_ENV).ok().and_then(|v| v.trim().parse::<u32>().ok()) {
-            sup.retry = RetryPolicy::new(n);
-        }
-        // lint:allow(determinism::env-read) -- LOOKASIDE_WATCHDOG_MS arms speculative re-dispatch; first-completion-wins dedup keeps results byte-identical
-        if let Some(ms) = env::var(WATCHDOG_ENV).ok().and_then(|v| v.trim().parse::<u64>().ok()) {
-            if ms > 0 {
-                sup.watchdog = Some(Watchdog::new(Duration::from_millis(ms)));
-            }
-        }
-        // lint:allow(determinism::env-read) -- LOOKASIDE_FAULTS injects the seeded engine chaos plane for testing; the injected failure set is a pure function of the spec
-        if let Ok(spec) = env::var(FAULTS_ENV) {
-            sup.faults = parse_fault_spec(&spec);
-        }
-        sup
+        Supervisor { retry: RetryPolicy::default(), faults: EngineFaultPlan::NONE }
     }
 }
 
@@ -238,52 +131,6 @@ impl Default for Supervisor {
     fn default() -> Self {
         Supervisor::new()
     }
-}
-
-/// Parses a `panic=40,stall=20,stall_ms=30,seed=7,cap=1` spec; malformed
-/// entries are ignored so a typo degrades to "no fault" rather than a
-/// crash.
-fn parse_fault_spec(spec: &str) -> EngineFaultPlan {
-    let mut plan = EngineFaultPlan {
-        seed: 0xfa_0175,
-        panic_per_mille: 0,
-        stall_per_mille: 0,
-        stall: Duration::from_millis(25),
-        faulty_attempts: u32::MAX,
-    };
-    for part in spec.split(',') {
-        let Some((key, value)) = part.split_once('=') else { continue };
-        let (key, value) = (key.trim(), value.trim());
-        match key {
-            "panic" => {
-                if let Ok(v) = value.parse::<u16>() {
-                    plan.panic_per_mille = v.min(1000);
-                }
-            }
-            "stall" => {
-                if let Ok(v) = value.parse::<u16>() {
-                    plan.stall_per_mille = v.min(1000);
-                }
-            }
-            "stall_ms" => {
-                if let Ok(v) = value.parse::<u64>() {
-                    plan.stall = Duration::from_millis(v);
-                }
-            }
-            "seed" => {
-                if let Ok(v) = value.parse::<u64>() {
-                    plan.seed = v;
-                }
-            }
-            "cap" => {
-                if let Ok(v) = value.parse::<u32>() {
-                    plan.faulty_attempts = v;
-                }
-            }
-            _ => {}
-        }
-    }
-    plan
 }
 
 /// One shard that exhausted its retry budget.
@@ -308,10 +155,6 @@ pub struct Coverage {
     pub resumed: usize,
     /// Shards that completed only after at least one failed attempt.
     pub retried: usize,
-    /// Speculative duplicates issued by the watchdog. This is the one
-    /// scheduling-dependent counter — reported for observability, never
-    /// printed in result tables.
-    pub speculated: usize,
     /// Shards that exhausted their budget, ascending by shard id.
     pub failed: Vec<ShardFailure>,
 }
@@ -429,11 +272,10 @@ impl Executor {
             let mut sink = |shard_id: usize, value: &T| ckpt.record(shard_id, value);
             supervise(self, shards, task, init, fold, sup, resumed, Some(&mut sink))
         };
-        if let Some(err) = journal_err {
-            return Err(err);
+        match journal_err {
+            Some(err) => Err(err),
+            None => Ok(outcome),
         }
-        ckpt.sync()?;
-        Ok(outcome)
     }
 }
 
@@ -457,10 +299,6 @@ where
 {
     match faults.draw(shard.id, attempt) {
         EngineFault::Panic => Err(format!("injected worker panic (attempt {attempt})")),
-        EngineFault::Stall(d) => {
-            thread::sleep(d);
-            run_one(task, shard)
-        }
         EngineFault::None => run_one(task, shard),
     }
 }
@@ -553,10 +391,7 @@ where
 
     let workers = exec.jobs().min(n);
     if workers <= 1 {
-        // Serial supervision: retries and fault injection inline; the
-        // watchdog needs a second worker to speculate on, so it is
-        // disarmed here (deadlines would change nothing anyway — the
-        // stalled attempt is the only possible source of the result).
+        // Serial supervision: retries and fault injection inline.
         for (slot, shard) in shards.iter().enumerate() {
             if states[slot] != SlotState::Open {
                 continue;
@@ -670,155 +505,64 @@ fn supervise_parallel<I, T, A, F, G>(
         }
         drop(tx);
 
-        let mut backlog: VecDeque<usize> = states
+        // Open slots, each with the attempt it is due; a failed attempt
+        // with budget left requeues its slot with the next one.
+        let mut backlog: VecDeque<(usize, u32)> = states
             .iter()
             .enumerate()
             .filter(|(_, s)| **s == SlotState::Open)
-            .map(|(i, _)| i)
+            .map(|(i, _)| (i, 0))
             .collect();
         let mut unresolved = backlog.len();
         let mut outstanding = 0usize;
-        let mut budget_dispatched = vec![0u32; n];
-        let mut inflight = vec![0u32; n];
-        let mut had_failure = vec![false; n];
-        let mut spec_issued = vec![0u32; n];
-        let mut last_error: Vec<Option<String>> = vec![None; n];
-        let mut last_dispatch: Vec<Option<Instant>> = vec![None; n];
 
-        loop {
+        while unresolved > 0 {
             // Dispatch from the backlog while there is room in flight;
             // outstanding < capacity guarantees push never blocks.
             while outstanding < capacity {
-                let Some(slot) = backlog.pop_front() else { break };
-                if states[slot] != SlotState::Open {
-                    continue;
-                }
-                let attempt = budget_dispatched[slot];
-                budget_dispatched[slot] += 1;
-                if !queue.push((slot, attempt)) {
+                let Some(job) = backlog.pop_front() else { break };
+                if !queue.push(job) {
                     break;
                 }
                 outstanding += 1;
-                inflight[slot] += 1;
-                // lint:allow(determinism::wall-clock) -- dispatch timestamps feed only the watchdog's speculation deadline; results and the failure set are pure functions of the shard plan
-                last_dispatch[slot] = Some(Instant::now());
             }
-            if unresolved == 0 {
-                break;
-            }
-
-            let message = match sup.watchdog {
-                Some(w) => match rx.recv_timeout(w.deadline) {
-                    Ok(m) => Some(m),
-                    Err(mpsc::RecvTimeoutError::Timeout) => None,
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                },
-                None => match rx.recv() {
-                    Ok(m) => Some(m),
-                    Err(_) => break,
-                },
-            };
-
-            let Some((slot, attempt, result)) = message else {
-                // Watchdog tick: speculate on every overdue open shard.
-                let Some(w) = sup.watchdog else { continue };
-                for slot in 0..n {
-                    if outstanding >= capacity {
-                        break;
-                    }
-                    let overdue = states[slot] == SlotState::Open
-                        && inflight[slot] > 0
-                        && spec_issued[slot] < w.max_speculative
-                        && last_dispatch[slot].is_some_and(|t| t.elapsed() >= w.deadline);
-                    if !overdue {
-                        continue;
-                    }
-                    let attempt = SPECULATIVE_BASE + spec_issued[slot];
-                    spec_issued[slot] += 1;
-                    cov.speculated += 1;
-                    if !queue.push((slot, attempt)) {
-                        break;
-                    }
-                    outstanding += 1;
-                    inflight[slot] += 1;
-                    // lint:allow(determinism::wall-clock) -- same scheduling-only timestamp as above, for the speculative copy
-                    last_dispatch[slot] = Some(Instant::now());
-                }
-                continue;
-            };
-
+            let Ok((slot, attempt, result)) = rx.recv() else { break };
             outstanding -= 1;
-            inflight[slot] -= 1;
-            if states[slot] != SlotState::Open {
-                // First completion already won; drop the duplicate.
-                continue;
-            }
             match result {
                 Ok(value) => {
                     states[slot] = SlotState::Done;
-                    unresolved -= 1;
                     cov.completed += 1;
-                    if had_failure[slot] {
+                    if attempt > 0 {
                         cov.retried += 1;
                     }
                     pending.insert(slot, value);
-                    advance_fold(
-                        next_fold,
-                        states,
-                        pending,
-                        acc,
-                        fold,
-                        resumed_flags,
-                        sink,
-                        journal_err,
-                    );
                 }
-                Err(err) => {
-                    let budgeted = attempt < SPECULATIVE_BASE;
-                    if budgeted {
-                        had_failure[slot] = true;
-                        last_error[slot] = Some(err);
-                        if budget_dispatched[slot] < sup.retry.max_attempts {
-                            // Seeded requeue position: spread retries so
-                            // they do not redispatch in lockstep.
-                            let draw = splitmix64(sup.retry.seed ^ u64::from(attempt), slot as u64);
-                            if draw & 1 == 0 {
-                                backlog.push_back(slot);
-                            } else {
-                                backlog.push_front(slot);
-                            }
-                            continue;
-                        }
+                Err(_) if attempt + 1 < sup.retry.max_attempts => {
+                    // Seeded requeue position: spread retries so they do
+                    // not redispatch in lockstep.
+                    let retry = (slot, attempt + 1);
+                    if splitmix64(sup.retry.seed ^ u64::from(attempt), slot as u64) & 1 == 0 {
+                        backlog.push_back(retry);
+                    } else {
+                        backlog.push_front(retry);
                     }
-                    // Budget exhausted (or a speculative copy died): the
-                    // shard fails once nothing else is in flight for it.
-                    if budget_dispatched[slot] >= sup.retry.max_attempts && inflight[slot] == 0 {
-                        states[slot] = SlotState::Failed;
-                        unresolved -= 1;
-                        cov.failed.push(ShardFailure {
-                            shard_id: shards.get(slot).map_or(slot, |s| s.id),
-                            attempts: budget_dispatched[slot],
-                            message: last_error[slot]
-                                .take()
-                                .unwrap_or_else(|| "shard failed".to_string()),
-                        });
-                        advance_fold(
-                            next_fold,
-                            states,
-                            pending,
-                            acc,
-                            fold,
-                            resumed_flags,
-                            sink,
-                            journal_err,
-                        );
-                    }
+                    continue;
+                }
+                Err(message) => {
+                    states[slot] = SlotState::Failed;
+                    cov.failed.push(ShardFailure {
+                        shard_id: shards.get(slot).map_or(slot, |s| s.id),
+                        attempts: attempt + 1,
+                        message,
+                    });
                 }
             }
+            unresolved -= 1;
+            advance_fold(next_fold, states, pending, acc, fold, resumed_flags, sink, journal_err);
         }
         queue.close();
-        // Workers drain whatever is still queued (results for already-
-        // resolved slots are dropped above) and exit; the scope joins.
+        // Every dispatched attempt has reported back, so the queue is
+        // empty: the workers see it closed and exit, and the scope joins.
     });
 }
 
@@ -861,14 +605,7 @@ mod tests {
         // Every first attempt panics; the retry (attempt 1) runs clean.
         let sup = Supervisor {
             retry: RetryPolicy::new(2),
-            watchdog: None,
-            faults: EngineFaultPlan {
-                seed: 5,
-                panic_per_mille: 1000,
-                stall_per_mille: 0,
-                stall: Duration::from_millis(0),
-                faulty_attempts: 1,
-            },
+            faults: EngineFaultPlan { seed: 5, panic_per_mille: 1000, faulty_attempts: 1 },
         };
         for jobs in [1, 3, 8] {
             let out = sum_supervised(jobs, &shards, &sup);
@@ -885,14 +622,7 @@ mod tests {
         // the whole budget, and exactly which ones is seed-determined.
         let sup = Supervisor {
             retry: RetryPolicy::new(2),
-            watchdog: None,
-            faults: EngineFaultPlan {
-                seed: 42,
-                panic_per_mille: 300,
-                stall_per_mille: 0,
-                stall: Duration::from_millis(0),
-                faulty_attempts: u32::MAX,
-            },
+            faults: EngineFaultPlan { seed: 42, panic_per_mille: 300, faulty_attempts: u32::MAX },
         };
         let serial = sum_supervised(1, &shards, &sup);
         assert!(!serial.coverage.is_complete(), "seed 42 must fail some shard");
@@ -918,30 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_speculation_beats_stalled_shards() {
-        let shards = ShardPlan::new(9).over(0..8usize);
-        let want = clean_sum(&shards);
-        // Every first attempt stalls half a second; the watchdog fires
-        // after 20ms and the speculative copy runs clean immediately.
-        let sup = Supervisor {
-            retry: RetryPolicy::new(2),
-            watchdog: Some(Watchdog::new(Duration::from_millis(20))),
-            faults: EngineFaultPlan {
-                seed: 8,
-                panic_per_mille: 0,
-                stall_per_mille: 1000,
-                stall: Duration::from_millis(500),
-                faulty_attempts: 1,
-            },
-        };
-        let out = sum_supervised(4, &shards, &sup);
-        assert_eq!(out.value, want);
-        assert!(out.coverage.is_complete(), "{}", out.coverage.table());
-        assert!(out.coverage.speculated >= 1, "watchdog must have speculated");
-        assert_eq!(out.coverage.retried, 0, "stalls are not failures");
-    }
-
-    #[test]
     fn coverage_table_is_explicit_about_failures() {
         let mut cov = Coverage { total: 4, completed: 3, ..Coverage::default() };
         cov.failed.push(ShardFailure { shard_id: 2, attempts: 3, message: "boom".to_string() });
@@ -953,13 +659,7 @@ mod tests {
 
     #[test]
     fn fault_plan_draws_are_pure_and_capped() {
-        let plan = EngineFaultPlan {
-            seed: 17,
-            panic_per_mille: 500,
-            stall_per_mille: 100,
-            stall: Duration::from_millis(5),
-            faulty_attempts: 2,
-        };
+        let plan = EngineFaultPlan { seed: 17, panic_per_mille: 500, faulty_attempts: 2 };
         for shard in 0..32usize {
             for attempt in 0..4u32 {
                 assert_eq!(plan.draw(shard, attempt), plan.draw(shard, attempt));
@@ -970,29 +670,11 @@ mod tests {
     }
 
     #[test]
-    fn fault_spec_parses_and_ignores_garbage() {
-        let plan = parse_fault_spec("panic=40,stall=20,stall_ms=30,seed=7,cap=1,wat=9,junk");
-        assert_eq!(plan.panic_per_mille, 40);
-        assert_eq!(plan.stall_per_mille, 20);
-        assert_eq!(plan.stall, Duration::from_millis(30));
-        assert_eq!(plan.seed, 7);
-        assert_eq!(plan.faulty_attempts, 1);
-        assert!(parse_fault_spec("").is_none());
-    }
-
-    #[test]
     fn degraded_sweep_folds_surviving_shard_ids_in_order() {
         let shards = ShardPlan::new(1).over(0..10usize);
         let sup = Supervisor {
             retry: RetryPolicy::NONE,
-            watchdog: None,
-            faults: EngineFaultPlan {
-                seed: 42,
-                panic_per_mille: 300,
-                stall_per_mille: 0,
-                stall: Duration::from_millis(0),
-                faulty_attempts: u32::MAX,
-            },
+            faults: EngineFaultPlan { seed: 42, panic_per_mille: 300, faulty_attempts: u32::MAX },
         };
         let out = Executor::new(4).sweep(
             &shards,
@@ -1025,7 +707,7 @@ mod tests {
         let task = |s: &Shard<usize>| s.seed ^ s.input as u64;
 
         // First run: journal everything, remember the clean fold.
-        let mut ck: Checkpoint<u64> = Checkpoint::fresh(&path, run_id, 1).expect("fresh");
+        let mut ck: Checkpoint<u64> = Checkpoint::fresh(&path, run_id).expect("fresh");
         let first = Executor::new(2)
             .sweep_checkpointed(
                 &shards,
@@ -1045,7 +727,7 @@ mod tests {
         // Second run resumes: every shard must come from the journal and
         // the fold must be byte-identical; re-running any shard panics.
         let reran = AtomicUsize::new(0);
-        let mut ck: Checkpoint<u64> = Checkpoint::resume(&path, run_id, 1).expect("resume");
+        let mut ck: Checkpoint<u64> = Checkpoint::resume(&path, run_id).expect("resume");
         let second = Executor::new(4)
             .sweep_checkpointed(
                 &shards,
@@ -1082,13 +764,13 @@ mod tests {
 
         // Journal only the first 6 shards, as a killed run would have.
         {
-            let mut ck: Checkpoint<u64> = Checkpoint::fresh(&path, run_id, 1).expect("fresh");
+            let mut ck: Checkpoint<u64> = Checkpoint::fresh(&path, run_id).expect("fresh");
             for s in shards.iter().take(6) {
                 ck.record(s.id, &(s.seed ^ s.input as u64)).expect("record");
             }
         }
         let reran = AtomicUsize::new(0);
-        let mut ck: Checkpoint<u64> = Checkpoint::resume(&path, run_id, 1).expect("resume");
+        let mut ck: Checkpoint<u64> = Checkpoint::resume(&path, run_id).expect("resume");
         let out = Executor::new(3)
             .sweep_checkpointed(
                 &shards,
@@ -1110,10 +792,9 @@ mod tests {
     }
 
     #[test]
-    fn env_supervisor_has_safe_defaults() {
+    fn new_supervisor_has_safe_defaults() {
         let sup = Supervisor::new();
         assert_eq!(sup.retry.max_attempts, 3);
-        assert!(sup.watchdog.is_none());
         assert!(sup.faults.is_none());
     }
 }

@@ -3,10 +3,9 @@
 //! Three rule families (see DESIGN.md §10):
 //!
 //! * **determinism** — result-bearing crates must not use hash-ordered
-//!   collections, wall clocks, ambient entropy, or environment reads
-//!   outside the sanctioned seed plumbing. These protect the workspace's
-//!   core contract: every experiment is byte-identical at every `--jobs`
-//!   value.
+//!   collections, wall clocks, ambient entropy, or environment reads.
+//!   These protect the workspace's core contract: every experiment is
+//!   byte-identical at every `--jobs` value.
 //! * **panic** — hot-path crates must not contain `unwrap`/`expect`/
 //!   `panic!`-family macros or slice indexing; a panicking shard turns
 //!   into a [`ShardError`](../engine) but a panicking reduction corrupts
@@ -47,9 +46,6 @@ pub const RESULT_BEARING: &[&str] =
 
 /// Crates on the per-query hot path: panic-surface rules.
 pub const HOT_PATH: &[&str] = &["wire", "engine", "resolver"];
-
-/// Files allowed to read the environment (the seed/jobs plumbing).
-pub(crate) const ENV_SANCTIONED_FILES: &[&str] = &["crates/engine/src/seed.rs"];
 
 /// All rule identifiers, in report order.
 pub const ALL_RULES: &[&str] = &[
@@ -398,8 +394,6 @@ fn detect(
     }
 
     let crate_name = class.crate_dir.as_deref().unwrap_or("<workspace>");
-    let env_sanctioned =
-        class.is_bench_crate() || ENV_SANCTIONED_FILES.contains(&class.rel_path.as_str());
 
     for (i, t) in tokens.iter().enumerate() {
         let Tok::Ident(ident) = &t.tok else { continue };
@@ -451,8 +445,7 @@ fn detect(
                     ),
                 ));
             }
-            if !env_sanctioned
-                && ident == "env"
+            if ident == "env"
                 && (path_call(tokens, i, "var")
                     || path_call(tokens, i, "var_os")
                     || path_call(tokens, i, "vars"))
@@ -461,8 +454,8 @@ fn detect(
                     "determinism::env-read",
                     t.line,
                     format!(
-                        "environment read in `{crate_name}` outside the sanctioned seed \
-                             plumbing (engine::seed, bench)"
+                        "environment read in result-bearing crate `{crate_name}` — \
+                             configuration arrives as a value from the command line"
                     ),
                 ));
             }
@@ -715,9 +708,13 @@ mod tests {
         let src = "let t = Instant::now(); let v = std::env::var(\"X\");";
         let fired = rules_fired(&class, src);
         assert_eq!(fired, vec!["determinism::env-read", "determinism::wall-clock"]);
-        // Sanctioned seed plumbing is exempt.
+        // No file of a result-bearing crate is exempt, the seed plumbing
+        // included.
         let seed = src_class("crates/engine/src/seed.rs");
-        assert_eq!(rules_fired(&seed, "let v = std::env::var(\"X\");"), Vec::<&str>::new());
+        assert_eq!(
+            rules_fired(&seed, "let v = std::env::var(\"X\");"),
+            vec!["determinism::env-read"]
+        );
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //!    `lint:sink(determinism)` root (merges, folds, report/checkpoint
 //!    serialization) may read a nondeterminism source: wall clocks,
 //!    ambient entropy, environment, hash-ordered iteration, thread
-//!    identity. The engine's seed plumbing
-//!    ([`crate::rules::ENV_SANCTIONED_FILES`]) is the one blessed source.
+//!    identity. Only the bench crate, the command-line boundary, is
+//!    exempt.
 //! 3. **purity wall** — `std::{fs,io,net}` effects are confined to
 //!    [`DIRECT_EFFECT_ALLOWED`] files and [`EFFECT_CRATES`]; only
 //!    [`EFFECT_REACH_CRATES`] may *call into* functions that reach those
@@ -47,8 +47,7 @@ use crate::lexer::Tok;
 use crate::parse::FnTag;
 use crate::report::{ChainStep, Finding, Suppressed};
 use crate::rules::{
-    method_call, path_call, Allow, ENTROPY_IDENTS, ENV_SANCTIONED_FILES, HASH_IDENTS,
-    NON_INDEX_KEYWORDS,
+    method_call, path_call, Allow, ENTROPY_IDENTS, HASH_IDENTS, NON_INDEX_KEYWORDS,
 };
 
 /// Files where direct `std::{fs,io,net}` effects are sanctioned: journal
@@ -129,11 +128,8 @@ fn extract_facts(files: &[GraphFile], graph: &CallGraph) -> Vec<Facts> {
         if gf.class.role != crate::rules::Role::Src {
             continue;
         }
-        let rel = gf.class.rel_path.as_str();
-        // The seed plumbing is the blessed nondeterminism source; the
-        // bench crate is the CLI boundary (reads env/args by design).
-        let sources_blessed =
-            ENV_SANCTIONED_FILES.contains(&rel) || gf.class.crate_dir.as_deref() == Some("bench");
+        // The bench crate is the CLI boundary (reads argv by design).
+        let sources_blessed = gf.class.crate_dir.as_deref() == Some("bench");
         let toks = &gf.lexed.tokens;
         for (i, t) in toks.iter().enumerate() {
             if t.in_test {

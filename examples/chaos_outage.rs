@@ -7,6 +7,7 @@
 //! ```
 
 use lookaside::chaos::{chaos_outage, ChaosConfig, TimerProfile};
+use lookaside::engine::Executor;
 use lookaside::report::render_table;
 
 fn main() {
@@ -17,7 +18,7 @@ fn main() {
         config.profiles.len(),
         config.queries
     );
-    let points = chaos_outage(&config);
+    let points = chaos_outage(&Executor::default(), &config);
 
     for profile in TimerProfile::ALL {
         println!("-- profile: {} --", profile.label());

@@ -9,6 +9,7 @@
 //! With `--full` the cache model runs on the entire trace volume
 //! (~15 s); without it, a 1/200 sample smoke-tests the pipeline.
 
+use lookaside::engine::Executor;
 use lookaside::experiments::fig12;
 use lookaside_workload::{DitlTrace, DITL_TOTAL_QUERIES};
 
@@ -32,7 +33,7 @@ fn main() {
     }
 
     println!("\ncomputing the TXT-signaling overhead (Fig. 12c, sampling 1/{scale}) ...");
-    let data = fig12(23, scale);
+    let data = fig12(&Executor::default(), 23, scale);
     let last = data.per_minute.len() - 1;
     println!("  cumulative queries  : {:>12}", data.cumulative_queries[last]);
     println!(

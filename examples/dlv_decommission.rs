@@ -16,6 +16,7 @@
 //! ```
 
 use lookaside::byzantine::{byzantine_sweep, Adversary, ByzantineConfig, HardeningProfile};
+use lookaside::engine::Executor;
 use lookaside::report::render_table;
 use lookaside::server::DecommissionStage;
 
@@ -48,7 +49,7 @@ fn main() {
         config.profiles.len(),
         config.queries
     );
-    let points = byzantine_sweep(&config);
+    let points = byzantine_sweep(&Executor::default(), &config);
 
     for profile in HardeningProfile::ALL {
         println!("-- resolver hardening: {} --", profile.label());

@@ -15,6 +15,7 @@
 //! cargo run --release -p lookaside --example key_rollover
 //! ```
 
+use lookaside::engine::Executor;
 use lookaside::lifecycle::{lifecycle_sweep, LifecycleConfig, LifecycleScenario};
 use lookaside::report::render_table;
 
@@ -29,7 +30,7 @@ fn main() {
          names per event ...\n",
         config.queries_per_event
     );
-    let points = lifecycle_sweep(&config);
+    let points = lifecycle_sweep(&Executor::default(), &config);
 
     for point in &points {
         let note = match point.scenario {

@@ -3,6 +3,7 @@
 //! full simulated Internet and the real resolver.
 
 use lookaside::chaos::{chaos_outage, ChaosConfig, Outage, TimerProfile};
+use lookaside::engine::Executor;
 use lookaside::internet::{Internet, InternetParams, DLV_ADDR};
 use lookaside_netsim::{FaultPlane, LinkFaults};
 use lookaside_resolver::{BindConfig, FeatureModel, ResolverConfig, RetryPolicy};
@@ -33,7 +34,7 @@ fn sweep_config(queries: usize) -> ChaosConfig {
 /// amplification disappear.
 #[test]
 fn retries_amplify_leakage_and_the_servfail_cache_collapses_it() {
-    let points = chaos_outage(&sweep_config(30));
+    let points = chaos_outage(&Executor::default(), &sweep_config(30));
     let retry: Vec<_> = points.iter().filter(|p| p.profile == TimerProfile::Retry).collect();
     let cached: Vec<_> =
         points.iter().filter(|p| p.profile == TimerProfile::RetryServfailCache).collect();
@@ -85,8 +86,8 @@ fn chaos_reports_replay_identically() {
         profiles: vec![TimerProfile::Retry],
         ..sweep_config(10)
     };
-    let a = chaos_outage(&config);
-    let b = chaos_outage(&config);
+    let a = chaos_outage(&Executor::default(), &config);
+    let b = chaos_outage(&Executor::default(), &config);
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.outage, y.outage);

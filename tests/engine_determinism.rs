@@ -13,10 +13,10 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use lookaside::byzantine::{byzantine_sweep_with, ByzantineConfig};
-use lookaside::chaos::{chaos_outage_with, ChaosConfig};
+use lookaside::byzantine::{byzantine_sweep, ByzantineConfig};
+use lookaside::chaos::{chaos_outage, ChaosConfig};
 use lookaside::engine::Executor;
-use lookaside::experiments::fig8_9_with;
+use lookaside::experiments::{deployment_sweep, fig8_9, vantage_sweep};
 use lookaside::report::fig8_9_table;
 
 /// Memoised serial references so each proptest case pays for one parallel
@@ -48,9 +48,9 @@ proptest! {
     ) {
         let sizes: Vec<usize> = (1..=widths).map(|i| 20 * i).collect();
         let reference = cached(&FIG9_REFS, widths, || {
-            fig8_9_table(&fig8_9_with(&Executor::serial(), &sizes, 11))
+            fig8_9_table(&fig8_9(&Executor::serial(), &sizes, 11))
         });
-        let parallel = fig8_9_table(&fig8_9_with(&Executor::new(jobs), &sizes, 11));
+        let parallel = fig8_9_table(&fig8_9(&Executor::new(jobs), &sizes, 11));
         prop_assert_eq!(parallel, reference);
     }
 }
@@ -60,9 +60,9 @@ proptest! {
 #[test]
 fn chaos_grid_is_worker_count_invariant() {
     let config = ChaosConfig::quick(10);
-    let reference = format!("{:?}", chaos_outage_with(&Executor::serial(), &config));
+    let reference = format!("{:?}", chaos_outage(&Executor::serial(), &config));
     for jobs in [2, 4] {
-        let parallel = format!("{:?}", chaos_outage_with(&Executor::new(jobs), &config));
+        let parallel = format!("{:?}", chaos_outage(&Executor::new(jobs), &config));
         assert_eq!(parallel, reference, "jobs={jobs}");
     }
 }
@@ -74,9 +74,32 @@ fn chaos_grid_is_worker_count_invariant() {
 #[test]
 fn byzantine_sweep_is_worker_count_invariant() {
     let config = ByzantineConfig::quick(6);
-    let reference = format!("{:?}", byzantine_sweep_with(&Executor::serial(), &config));
+    let reference = format!("{:?}", byzantine_sweep(&Executor::serial(), &config));
     for jobs in [2, 4] {
-        let parallel = format!("{:?}", byzantine_sweep_with(&Executor::new(jobs), &config));
+        let parallel = format!("{:?}", byzantine_sweep(&Executor::new(jobs), &config));
+        assert_eq!(parallel, reference, "jobs={jobs}");
+    }
+}
+
+/// The §7.1 vantage sweep (one shard per vantage point) returns the same
+/// rows, in vantage order, for every worker count.
+#[test]
+fn vantage_sweep_is_worker_count_invariant() {
+    let reference = format!("{:?}", vantage_sweep(&Executor::serial(), 40, 43));
+    for jobs in [2, 4] {
+        let parallel = format!("{:?}", vantage_sweep(&Executor::new(jobs), 40, 43));
+        assert_eq!(parallel, reference, "jobs={jobs}");
+    }
+}
+
+/// The §7.1 deployment sweep (one shard per deposit density) returns the
+/// same points, in density order, for every worker count.
+#[test]
+fn deployment_sweep_is_worker_count_invariant() {
+    let densities = [0, 300, 1000];
+    let reference = format!("{:?}", deployment_sweep(&Executor::serial(), 100, &densities, 39));
+    for jobs in [2, 4] {
+        let parallel = format!("{:?}", deployment_sweep(&Executor::new(jobs), 100, &densities, 39));
         assert_eq!(parallel, reference, "jobs={jobs}");
     }
 }

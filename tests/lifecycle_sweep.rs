@@ -6,16 +6,16 @@
 //! point list, in the configured scenario order.
 
 use lookaside::engine::Executor;
-use lookaside::lifecycle::{lifecycle_sweep_with, LifecycleConfig, LifecycleScenario, EVENT_TIMES};
+use lookaside::lifecycle::{lifecycle_sweep, LifecycleConfig, LifecycleScenario, EVENT_TIMES};
 
 /// Every worker count yields the identical point list — this backs the
 /// `repro lifecycle --jobs 1` vs `--jobs 4` byte-diff gate in CI.
 #[test]
 fn lifecycle_sweep_is_worker_count_invariant() {
     let config = LifecycleConfig::quick(3);
-    let reference = format!("{:?}", lifecycle_sweep_with(&Executor::serial(), &config));
+    let reference = format!("{:?}", lifecycle_sweep(&Executor::serial(), &config));
     for jobs in [2, 4] {
-        let parallel = format!("{:?}", lifecycle_sweep_with(&Executor::new(jobs), &config));
+        let parallel = format!("{:?}", lifecycle_sweep(&Executor::new(jobs), &config));
         assert_eq!(parallel, reference, "jobs={jobs}");
     }
 }
@@ -30,7 +30,7 @@ fn points_follow_the_configured_scenario_order() {
         LifecycleScenario::ExpiryStorm,
     ];
     let config = LifecycleConfig { scenarios: scenarios.clone(), ..LifecycleConfig::quick(2) };
-    let points = lifecycle_sweep_with(&Executor::new(3), &config);
+    let points = lifecycle_sweep(&Executor::new(3), &config);
     let got: Vec<LifecycleScenario> = points.iter().map(|p| p.scenario).collect();
     assert_eq!(got, scenarios);
     for point in &points {

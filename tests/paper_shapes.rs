@@ -9,11 +9,12 @@
 //! * §5.3: the overwhelming majority of DLV queries provide no validation
 //!   utility.
 
+use lookaside::engine::Executor;
 use lookaside::experiments::{fig11, fig8_9, table4, table5, utility};
 
 #[test]
 fn fig8_counts_grow_sublinearly() {
-    let points = fig8_9(&[100, 1_000], 11);
+    let points = fig8_9(&Executor::default(), &[100, 1_000], 11);
     let (small, large) = (&points[0], &points[1]);
     assert!(large.dlv_queries > small.dlv_queries);
     // Sublinear: 10× domains must give < 10× DLV queries.
@@ -28,7 +29,7 @@ fn fig8_counts_grow_sublinearly() {
 
 #[test]
 fn fig9_proportion_decays_linearly_in_log_n() {
-    let points = fig8_9(&[40, 400, 4_000], 11);
+    let points = fig8_9(&Executor::default(), &[40, 400, 4_000], 11);
     let p: Vec<f64> = points.iter().map(|x| x.proportion).collect();
     assert!(p[0] > p[1] && p[1] > p[2], "decay: {p:?}");
     // Near-constant decrement per decade (the Fig. 9 "linear decay" in
