@@ -18,9 +18,16 @@ mkdir -p target/ci
 # requires classify(capture) == sink.report.
 cargo test -q
 
+# Clippy is the one checker of the hot-path panic surface: wire, engine
+# and resolver deny unwrap/expect/panic-family macros in live code (their
+# `lib.rs`), and a waived contract panic is an
+# `#[expect(clippy::expect_used, reason = ...)]` that fails this run once
+# it is stale. The root `clippy.toml` disallows `{to,from}_ne_bytes` on
+# every multi-byte number type, so no encoding depends on host byte order.
 # `redundant_clone` is denied on top of the default set: the PR-3 memory
 # model makes clones cheap but the hot path is supposed to not need them
-# at all.
+# at all. Zero unsafe code needs no step of its own: the root manifest's
+# `[workspace.lints]` makes rustc forbid it in every build above.
 cargo clippy --workspace -- -D warnings -D clippy::redundant_clone
 cargo fmt --check
 
@@ -151,25 +158,24 @@ if ! diff -u target/ci/farm.jobs1.txt target/ci/farm.jobs4.txt; then
 fi
 
 # Corruption robustness gate: 10k fixed-seed mutated packets through the
-# wire decoder — typed WireError or success, never a panic. Backed by a
-# panic/unwrap lint wall on the wire crate, extended in PR-5 to the
-# engine and resolver hot paths (typed errors replaced the old expects).
+# wire decoder — typed WireError or success, never a panic. Its static
+# half is the clippy run above, which holds wire, engine and resolver to
+# typed errors.
 cargo test -q -p lookaside-wire --release --test properties corruption_fuzz_fixed_seed_10k
-cargo clippy -p lookaside-wire -- -D warnings -D clippy::panic -D clippy::unwrap_used
-cargo clippy -p lookaside-engine -- -D warnings -D clippy::panic -D clippy::unwrap_used
-cargo clippy -p lookaside-resolver -- -D warnings -D clippy::panic -D clippy::unwrap_used
 
-# Static-invariant gate: the workspace lint (crates/lint) walks every .rs
-# file, runs the lexical rules (hash-ordered collections, wall-clock
-# reads, ambient entropy, env reads in result-bearing crates, panics on
-# hot paths, unsafe code), then builds the workspace call graph
-# and runs the three semantic dataflow passes: panic-reachability from
-# tagged hot-path entries, determinism taint into tagged sinks, and the
-# std::{fs,io,net} purity wall. Zero unsuppressed findings and zero stale
-# allows required; the byte-stable JSON report and the call-graph DOT are
-# archived with the other CI artifacts. The run is also held to a
-# wall-time budget so the semantic passes can't quietly turn into the
-# slowest stage of CI.
+# Static-invariant gate: the workspace lint (crates/lint) checks what
+# rustc and clippy cannot. It walks every .rs file and runs the lexical
+# rules: hash-ordered collections, wall-clock reads, ambient entropy and
+# env reads in every library crate but bench and lint; indexing in the
+# hot-path crates (clippy's `indexing_slicing` misses map and `str`
+# indexing); per-call allocation in `lint:stream-hot-path` modules. Then
+# it builds the workspace call graph and runs the two semantic passes:
+# panic-reachability from tagged hot-path entries into the crates clippy
+# does not hold to typed errors, and the std::{fs,io,net} purity wall.
+# Zero unsuppressed findings and zero stale allows required; the
+# byte-stable JSON report and the call-graph DOT are archived with the
+# other CI artifacts. The run is also held to a wall-time budget so the
+# semantic passes can't quietly turn into the slowest stage of CI.
 LINT_BUDGET_SECS=30
 LINT_START=$(date +%s)
 ./target/release/lookaside-lint \
@@ -188,7 +194,6 @@ fi
 # if an expectation itself fails.
 CANARIES="crates/core/src/__lint_canary.rs \
     crates/workload/src/__lint_canary_panic.rs \
-    crates/wire/src/__lint_canary_taint.rs \
     crates/netsim/src/__lint_canary_purity.rs"
 # shellcheck disable=SC2064
 trap "rm -f ${CANARIES}" EXIT
@@ -211,7 +216,6 @@ lint_canary() {
 }
 lint_canary bad_hashmap.rs crates/core/src/__lint_canary.rs determinism::hash-collection
 lint_canary sem_panic_bad.rs crates/workload/src/__lint_canary_panic.rs semantic::panic-reachable
-lint_canary sem_taint_bad.rs crates/wire/src/__lint_canary_taint.rs semantic::taint-flow
 lint_canary sem_purity_bad.rs crates/netsim/src/__lint_canary_purity.rs semantic::purity-wall
 trap - EXIT
 

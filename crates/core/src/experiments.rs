@@ -896,6 +896,10 @@ type Minute = (u64, u64, u64);
 struct Fig12Model {
     trace: DitlTrace,
     windows: Vec<Shard<Vec<u64>>>,
+    /// The domain popularity every window draws from, built once. Its
+    /// table is 16 MB at 2M ranks; one per window put a table on every
+    /// busy worker and made peak memory swing with thread scheduling.
+    zipf: Zipf,
     scale: u64,
     cold_bytes_per_resolution: f64,
     txt_bytes_per_probe: f64,
@@ -926,7 +930,8 @@ impl Fig12Model {
         let windows: Vec<Vec<u64>> =
             trace.per_minute().chunks(60).map(|chunk| chunk.to_vec()).collect();
         let windows = ShardPlan::new(seed ^ 0xd17f).over(windows);
-        Fig12Model { trace, windows, scale, cold_bytes_per_resolution, txt_bytes_per_probe }
+        let zipf = Zipf::new(2_000_000, 0.92);
+        Fig12Model { trace, windows, zipf, scale, cold_bytes_per_resolution, txt_bytes_per_probe }
     }
 
     /// Cache model over one window: domains drawn Zipf over 2M; a cache
@@ -939,7 +944,7 @@ impl Fig12Model {
         // Stub-side cost of answering one query (query + typical answer).
         let stub_bytes_per_query = 130.0;
         let scale = self.scale;
-        let zipf = Zipf::new(2_000_000, 0.92);
+        let zipf = &self.zipf;
         let mut seen = vec![false; zipf.n() + 1];
         let mut rng_state = shard.seed;
         let mut next = || {

@@ -438,7 +438,6 @@ impl Farm {
     }
 
     /// Classifies the registry's view of the merged cohort tally.
-    // lint:sink(determinism)
     fn reduce(
         &self,
         topology: FarmTopology,

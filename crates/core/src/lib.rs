@@ -40,7 +40,6 @@
 //! assert!(outcome.leakage.case2 > 0, "most popular domains leak to DLV");
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod attacks;

@@ -27,7 +27,6 @@
 //! assert!(!key.public().verify(b"tampered", &sig));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod digest;

@@ -20,8 +20,6 @@
 //! [`run_fingerprint`]); resuming with a mismatched fingerprint is
 //! refused rather than silently blending two different runs.
 
-// lint:checkpoint-codec
-
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};

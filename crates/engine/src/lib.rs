@@ -44,7 +44,19 @@
 //! assert_eq!(wide, sum(Executor::serial()));
 //! ```
 
-#![forbid(unsafe_code)]
+// A hot-path crate: typed errors, not panics. Clippy holds live code to
+// that; `panic::slice-index` in crates/lint covers indexing.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
 #![warn(missing_docs)]
 
 mod checkpoint;

@@ -453,11 +453,12 @@ where
     }
 
     cov.failed.sort_by_key(|f| f.shard_id);
-    let outcome = SweepOutcome {
-        // lint:allow(panic::expect) -- the accumulator is only taken while folding and always put back; a hole here is an engine bug worth failing loudly
-        value: acc.expect("accumulator survives the fold"),
-        coverage: cov,
-    };
+    #[expect(
+        clippy::expect_used,
+        reason = "the accumulator is only taken while folding and always put back; a hole here is an engine bug worth failing loudly"
+    )]
+    let value = acc.expect("accumulator survives the fold");
+    let outcome = SweepOutcome { value, coverage: cov };
     (outcome, journal_err)
 }
 

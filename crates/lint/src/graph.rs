@@ -18,7 +18,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lexer::{Lexed, Tok};
-use crate::parse::{FnTag, ParsedFile, KEYWORDS};
+use crate::parse::{ParsedFile, KEYWORDS};
 use crate::rules::FileClass;
 
 /// One analyzed source file, bundled for graph construction.
@@ -38,7 +38,7 @@ pub struct Symbol {
     pub file_idx: usize,
     /// Index of the function in that file's `ParsedFile::fns`.
     pub fn_idx: usize,
-    /// The `crates/<dir>` crate, or `<root>` for top-level tests.
+    /// The `crates/<dir>` crate.
     pub crate_dir: String,
     /// Workspace-relative path of the defining file.
     pub file: String,
@@ -50,8 +50,8 @@ pub struct Symbol {
     pub self_ty: Option<String>,
     /// 1-indexed line of the `fn` keyword.
     pub line: u32,
-    /// Tags from `lint:entry(..)` / `lint:sink(..)` comments.
-    pub tags: Vec<FnTag>,
+    /// True when tagged `lint:entry(hot-path)`.
+    pub hot_path_entry: bool,
 }
 
 /// A resolved call edge.
@@ -96,15 +96,12 @@ impl CallGraph {
         // Pass 1: symbols.
         let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         for (file_idx, gf) in files.iter().enumerate() {
-            if gf.class.role != crate::rules::Role::Src {
-                continue;
-            }
-            let crate_dir = gf.class.crate_dir.clone().unwrap_or_else(|| "<root>".to_string());
+            let Some(crate_dir) = gf.class.src_crate() else { continue };
             for (fn_idx, f) in gf.parsed.fns.iter().enumerate() {
                 if f.in_test {
                     continue;
                 }
-                let mut qual = crate_dir.clone();
+                let mut qual = crate_dir.to_string();
                 for m in &f.module {
                     qual.push_str("::");
                     qual.push_str(m);
@@ -118,13 +115,13 @@ impl CallGraph {
                 g.symbols.push(Symbol {
                     file_idx,
                     fn_idx,
-                    crate_dir: crate_dir.clone(),
+                    crate_dir: crate_dir.to_string(),
                     file: gf.class.rel_path.clone(),
                     qual,
                     name: f.name.clone(),
                     self_ty: f.self_ty.clone(),
                     line: f.line,
-                    tags: f.tags.clone(),
+                    hot_path_entry: f.hot_path_entry,
                 });
             }
         }
@@ -135,7 +132,7 @@ impl CallGraph {
         // Pass 2: edges.
         let mut edge_set: BTreeMap<(usize, usize), u32> = BTreeMap::new();
         for (file_idx, gf) in files.iter().enumerate() {
-            if gf.class.role != crate::rules::Role::Src {
+            if gf.class.src_crate().is_none() {
                 continue;
             }
             let sym_of_fn: BTreeMap<usize, usize> = g
@@ -295,9 +292,8 @@ impl CallGraph {
     }
 
     /// Renders the graph as deterministic DOT: nodes are `qual` names
-    /// (entries doubled-circled, sinks boxed), edges in caller/callee
-    /// order. Isolated untagged symbols are omitted to keep the dump
-    /// readable.
+    /// (entries doubled-circled), edges in caller/callee order. Isolated
+    /// untagged symbols are omitted to keep the dump readable.
     pub fn render_dot(&self) -> String {
         let mut used: BTreeSet<usize> = BTreeSet::new();
         for e in &self.edges {
@@ -305,7 +301,7 @@ impl CallGraph {
             used.insert(e.callee);
         }
         for (i, s) in self.symbols.iter().enumerate() {
-            if !s.tags.is_empty() {
+            if s.hot_path_entry {
                 used.insert(i);
             }
         }
@@ -313,13 +309,7 @@ impl CallGraph {
             String::from("digraph lookaside_calls {\n  rankdir=LR;\n  node [fontsize=10];\n");
         for &i in &used {
             let s = &self.symbols[i];
-            let shape = if s.tags.contains(&FnTag::HotPathEntry) {
-                "doublecircle"
-            } else if s.tags.contains(&FnTag::DeterminismSink) {
-                "box"
-            } else {
-                "ellipse"
-            };
+            let shape = if s.hot_path_entry { "doublecircle" } else { "ellipse" };
             out.push_str(&format!(
                 "  \"{}\" [shape={shape}, tooltip=\"{}:{}\"];\n",
                 s.qual, s.file, s.line
@@ -336,11 +326,6 @@ impl CallGraph {
         }
         out.push_str("}\n");
         out
-    }
-
-    /// Finds a symbol by `qual` suffix (test/tooling convenience).
-    pub fn find(&self, qual_suffix: &str) -> Option<usize> {
-        self.symbols.iter().position(|s| s.qual.ends_with(qual_suffix))
     }
 }
 

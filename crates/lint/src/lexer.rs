@@ -3,7 +3,7 @@
 //!
 //! The rule engine never needs full Rust syntax — every invariant it
 //! checks is visible in the token stream (`HashMap`, `::`, `unwrap`
-//! followed by `(`, an `unsafe` keyword, …) as long as tokens inside
+//! followed by `(`, a `[` after an expression, …) as long as tokens inside
 //! comments and literals are *not* mistaken for code. That is the one
 //! job this lexer does carefully: nested block comments, raw strings
 //! with arbitrary `#` fences, byte/C strings, char literals vs.

@@ -14,14 +14,18 @@
 //! recovers functions/impls/`use` graphs from the token stream, a
 //! workspace symbol table and call graph ([`graph`]) resolves call sites
 //! across crates, a rule engine ([`rules`]) checks per-file lexical
-//! invariants, three transitive dataflow passes ([`semantic`]) check
-//! panic-reachability, determinism taint, and the I/O purity wall over
-//! the whole graph, and [`report`] renders findings (with call-chain
-//! evidence) as human text plus a byte-stable JSON document archived by
-//! CI. [`workspace::analyze`] ties all of it together.
+//! invariants, two transitive passes ([`semantic`]) check
+//! panic-reachability and the I/O purity wall over the whole graph, and
+//! [`report`] renders findings (with call-chain evidence) as human text
+//! plus a byte-stable JSON document archived by CI.
+//! [`workspace::analyze`] ties all of it together.
 //!
-//! The rule families, their scope, and the suppression grammar are
-//! documented in DESIGN.md §10 and §15 and on [`rules`] / [`semantic`].
+//! It checks only what rustc and clippy cannot: zero unsafe code is
+//! rustc's (`[workspace.lints]`), and the hot-path crates' unwrap, expect
+//! and panic-family macros are clippy's. DESIGN.md §10 maps every
+//! invariant to its one checker; the rule families, their scope, and the
+//! suppression grammar are documented there, in §15, and on [`rules`] /
+//! [`semantic`].
 //!
 //! # Example
 //!
@@ -34,7 +38,6 @@
 //! assert_eq!(out.findings[0].rule, "determinism::hash-collection");
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod graph;

@@ -5,12 +5,10 @@
 //! finding remains.
 //!
 //! ```text
-//! lookaside-lint [--root DIR] [--json PATH] [--dot PATH] [--quiet]
+//! lookaside-lint [--root DIR] [--json PATH | --no-json] [--dot PATH | --no-dot]
 //! ```
 //!
 //! Exit codes: 0 clean, 1 findings, 2 usage/IO error.
-
-#![forbid(unsafe_code)]
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -28,7 +26,6 @@ struct Args {
     root: PathBuf,
     json: Option<PathBuf>,
     dot: Option<PathBuf>,
-    quiet: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -36,7 +33,6 @@ fn parse_args() -> Result<Args, String> {
         root: PathBuf::from("."),
         json: Some(PathBuf::from("target/ci/lint_report.json")),
         dot: Some(PathBuf::from("target/ci/call_graph.dot")),
-        quiet: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -46,7 +42,6 @@ fn parse_args() -> Result<Args, String> {
             "--no-json" => args.json = None,
             "--dot" => args.dot = Some(PathBuf::from(it.next().ok_or("--dot needs a value")?)),
             "--no-dot" => args.dot = None,
-            "--quiet" => args.quiet = true,
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
@@ -58,7 +53,10 @@ fn main() -> ExitCode {
         Ok(a) => a,
         Err(e) => {
             eprintln!("lookaside-lint: {e}");
-            eprintln!("usage: lookaside-lint [--root DIR] [--json PATH | --no-json] [--quiet]");
+            eprintln!(
+                "usage: lookaside-lint [--root DIR] [--json PATH | --no-json] \
+                 [--dot PATH | --no-dot]"
+            );
             return ExitCode::from(2);
         }
     };
@@ -110,13 +108,7 @@ fn main() -> ExitCode {
         }
     }
 
-    if args.quiet {
-        for f in &report.findings {
-            println!("{}:{}: [{}] {}", f.file, f.line, f.rule, f.message);
-        }
-    } else {
-        print!("{}", report.render_text());
-    }
+    print!("{}", report.render_text());
 
     if report.findings.is_empty() {
         ExitCode::SUCCESS

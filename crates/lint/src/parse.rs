@@ -13,10 +13,13 @@
 //! can attribute a panic site or an I/O call to exactly one symbol even
 //! through closures and nested items.
 //!
-//! Function tags (`// lint:entry(hot-path)`, `// lint:sink(determinism)`)
-//! are comments that attach to the next `fn` item that starts at or
-//! after the comment's line; they mark the roots and sinks of the
-//! transitive passes (see DESIGN.md §15).
+//! The lint knows two tags. `// lint:entry(hot-path)` attaches to the
+//! next `fn` item that starts at or after the comment's line and roots
+//! the panic-reachability pass (see DESIGN.md §15);
+//! `// lint:stream-hot-path` opts a whole module into the
+//! `stream::hot-path` rule. Any other `lint:` comment that is not an
+//! allow is a [`TagProblem`], so a misspelt or retired tag cannot
+//! silently do nothing.
 
 use crate::lexer::{Comment, Lexed, Tok};
 
@@ -29,14 +32,11 @@ pub struct UseDecl {
     pub path: Vec<String>,
 }
 
-/// A function tag parsed from a `lint:entry(..)` / `lint:sink(..)` comment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FnTag {
-    /// `lint:entry(hot-path)` — a root of the panic-reachability pass.
-    HotPathEntry,
-    /// `lint:sink(determinism)` — a sink of the determinism-taint pass.
-    DeterminismSink,
-}
+/// The function tag rooting the panic-reachability pass.
+pub(crate) const ENTRY_TAG: &str = "lint:entry(hot-path)";
+
+/// The module tag opting a file into the `stream::hot-path` rule.
+pub(crate) const STREAM_TAG: &str = "lint:stream-hot-path";
 
 /// A parsed function (or trait-method declaration).
 #[derive(Debug, Clone)]
@@ -53,16 +53,16 @@ pub struct FnItem {
     pub in_test: bool,
     /// Token-index range of the body, `None` for bodyless trait methods.
     pub body: Option<(usize, usize)>,
-    /// Tags attached by `lint:entry(..)` / `lint:sink(..)` comments.
-    pub tags: Vec<FnTag>,
+    /// True when a `lint:entry(hot-path)` comment tags the function.
+    pub hot_path_entry: bool,
 }
 
-/// A malformed `lint:entry`/`lint:sink` comment (unknown kind).
+/// A `lint:` comment that is neither a known tag nor an allow.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TagProblem {
     /// 1-indexed comment line.
     pub line: u32,
-    /// The unrecognized tag text.
+    /// The unrecognized directive text.
     pub text: String,
 }
 
@@ -76,7 +76,7 @@ pub struct ParsedFile {
     /// For each token index, the innermost enclosing function (index into
     /// `fns`), or `None` at item level.
     pub owner: Vec<Option<usize>>,
-    /// Malformed tag comments.
+    /// Unknown `lint:` directives.
     pub tag_problems: Vec<TagProblem>,
 }
 
@@ -94,9 +94,9 @@ pub fn parse(lexed: &Lexed) -> ParsedFile {
     let toks = &lexed.tokens;
     let mut out = ParsedFile { owner: vec![None; toks.len()], ..ParsedFile::default() };
 
-    // Pending tags attach to the next `fn` whose line is >= the tag's.
-    let mut tags = parse_tags(&lexed.comments, &mut out.tag_problems);
-    tags.reverse(); // pop from the back in ascending line order
+    // Pending entry tags attach to the next `fn` whose line is >= the tag's.
+    let mut entries = parse_tags(&lexed.comments, &mut out.tag_problems);
+    entries.reverse(); // pop from the back in ascending line order
 
     #[derive(Debug)]
     enum Scope {
@@ -182,10 +182,10 @@ pub fn parse(lexed: &Lexed) -> ParsedFile {
                     _ => None,
                 });
                 let line = toks[i].line;
-                let mut fn_tags = Vec::new();
-                while tags.last().is_some_and(|(l, _)| *l <= line) {
-                    let (_, tag) = tags.pop().unwrap_or((0, FnTag::HotPathEntry));
-                    fn_tags.push(tag);
+                let mut hot_path_entry = false;
+                while entries.last().is_some_and(|l| *l <= line) {
+                    entries.pop();
+                    hot_path_entry = true;
                 }
                 // The body opens at the first `{` after the signature (or
                 // the item ends at `;` for trait declarations). Signatures
@@ -216,7 +216,7 @@ pub fn parse(lexed: &Lexed) -> ParsedFile {
                     line,
                     in_test: toks[i].in_test,
                     body,
-                    tags: fn_tags,
+                    hot_path_entry,
                 });
                 i += 1;
             }
@@ -391,29 +391,24 @@ fn balanced_end(toks: &[crate::lexer::Token], open: usize) -> usize {
     toks.len().saturating_sub(1)
 }
 
-/// Parses `lint:entry(..)` / `lint:sink(..)` comments into (line, tag)
-/// pairs, recording malformed kinds.
-fn parse_tags(comments: &[Comment], problems: &mut Vec<TagProblem>) -> Vec<(u32, FnTag)> {
-    let mut tags = Vec::new();
-    for c in comments {
-        if c.doc {
-            continue;
-        }
+/// Returns the lines of the `lint:entry(hot-path)` tags, recording every
+/// other non-doc `lint:` comment that is neither [`STREAM_TAG`] nor an
+/// allow (`lint:allow(`, `lint:allow-file(`) as a problem.
+fn parse_tags(comments: &[Comment], problems: &mut Vec<TagProblem>) -> Vec<u32> {
+    let mut entries = Vec::new();
+    for c in comments.iter().filter(|c| !c.doc) {
         let text = c.text.trim();
-        let parsed = if let Some(rest) = text.strip_prefix("lint:entry(") {
-            rest.strip_suffix(')').map(|kind| (kind, true))
-        } else if let Some(rest) = text.strip_prefix("lint:sink(") {
-            rest.strip_suffix(')').map(|kind| (kind, false))
-        } else {
-            continue;
-        };
-        match parsed {
-            Some(("hot-path", true)) => tags.push((c.line, FnTag::HotPathEntry)),
-            Some(("determinism", false)) => tags.push((c.line, FnTag::DeterminismSink)),
-            _ => problems.push(TagProblem { line: c.line, text: text.to_string() }),
+        if text == ENTRY_TAG {
+            entries.push(c.line);
+        } else if text.starts_with("lint:")
+            && text != STREAM_TAG
+            && !text.starts_with("lint:allow(")
+            && !text.starts_with("lint:allow-file(")
+        {
+            problems.push(TagProblem { line: c.line, text: text.to_string() });
         }
     }
-    tags
+    entries
 }
 
 #[cfg(test)]
@@ -522,11 +517,13 @@ mod tests {
 
     #[test]
     fn tags_attach_to_the_next_fn() {
-        let src = "\n// lint:entry(hot-path)\n#[inline]\nfn hot() {}\n// lint:sink(determinism)\nfn merge() {}\nfn plain() {}";
+        // Allows, the module tag and doc comments are not problems.
+        let src = "// lint:stream-hot-path\n// lint:allow-file(x) -- y\n/// lint:doc\n\
+                   // lint:entry(hot-path)\n#[inline]\nfn hot() {}\n// lint:allow(x) -- y\n\
+                   fn plain() {}\n// lint:entry(hot-path)\nfn also_hot() {}";
         let p = parsed(src);
-        assert_eq!(p.fns[0].tags, vec![FnTag::HotPathEntry]);
-        assert_eq!(p.fns[1].tags, vec![FnTag::DeterminismSink]);
-        assert!(p.fns[2].tags.is_empty());
+        let entries: Vec<bool> = p.fns.iter().map(|f| f.hot_path_entry).collect();
+        assert_eq!(entries, vec![true, false, true]);
         assert!(p.tag_problems.is_empty());
     }
 
@@ -534,7 +531,7 @@ mod tests {
     fn unknown_tag_kind_is_a_problem() {
         let p = parsed("// lint:entry(warm-path)\nfn f() {}");
         assert_eq!(p.tag_problems.len(), 1);
-        assert!(p.fns[0].tags.is_empty());
+        assert!(!p.fns[0].hot_path_entry);
     }
 
     #[test]

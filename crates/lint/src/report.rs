@@ -228,7 +228,7 @@ mod tests {
         let mut r = Report {
             findings: vec![
                 Finding {
-                    rule: "panic::unwrap",
+                    rule: "semantic::panic-reachable",
                     file: "crates/b/src/x.rs".into(),
                     line: 9,
                     message: "b".into(),

@@ -1,28 +1,23 @@
 //! The rule engine: repo invariants checked against the token stream.
 //!
-//! Three rule families (see DESIGN.md §10):
+//! Three rule families (see DESIGN.md §10), each checking what rustc and
+//! clippy cannot:
 //!
-//! * **determinism** — result-bearing crates must not use hash-ordered
-//!   collections, wall clocks, ambient entropy, or environment reads.
-//!   These protect the workspace's core contract: every experiment is
-//!   byte-identical at every `--jobs` value.
-//! * **panic** — hot-path crates must not contain `unwrap`/`expect`/
-//!   `panic!`-family macros or slice indexing; a panicking shard turns
-//!   into a [`ShardError`](../engine) but a panicking reduction corrupts
-//!   a whole table.
-//! * **unsafe** — every non-bench crate root carries
-//!   `#![forbid(unsafe_code)]` and no `unsafe` token appears anywhere.
+//! * **determinism** — every `src` crate outside [`DETERMINISM_EXEMPT`]
+//!   must not use hash-ordered collections, wall clocks, ambient entropy
+//!   (thread identity included), or environment reads. These protect the
+//!   workspace's core contract: every experiment is byte-identical at
+//!   every `--jobs` value.
+//! * **panic** — the [`HOT_PATH`] crates return typed errors instead of
+//!   panicking. Clippy denies their unwrap/expect and panic-family macros
+//!   (see each crate's `lib.rs`); `panic::slice-index` flags indexing,
+//!   which clippy's `indexing_slicing` misses on maps and `str`.
 //! * **stream** — modules opting in with a `// lint:stream-hot-path`
 //!   comment (the streaming steady state: per-packet observers, the
 //!   render arena, flat zone lookup, timer rings) must not allocate per
 //!   call: `format!`, `.to_string()`, and `Vec::new()` are banned in
-//!   live (non-test) code. These keep the <50 allocs/query budget of
-//!   BENCH_pr8.json honest.
-//! * **checkpoint** — modules opting in with a `// lint:checkpoint-codec`
-//!   comment (journal serialization) must keep encode/decode a pure,
-//!   byte-stable function of the value: hash-ordered collections, wall
-//!   clocks, and native-endian `{to,from}_ne_bytes` are banned, so a
-//!   journal written on one machine resumes identically on any other.
+//!   live (non-test) code. These back the stream gate in `ci.sh`, which
+//!   holds the steady state under 2 allocs/query.
 //!
 //! Suppression grammar (justification mandatory, both forms):
 //!
@@ -37,12 +32,14 @@
 //! violation forces its waiver to be deleted. The `allow::*` meta rules
 //! cannot be suppressed.
 
-use crate::lexer::{lex, Comment, Tok, Token};
+use crate::lexer::{lex, Comment, Lexed, Tok, Token};
+use crate::parse::STREAM_TAG;
 use crate::report::{Finding, Suppressed};
 
-/// Crates whose outputs feed experiment tables: full determinism rules.
-pub const RESULT_BEARING: &[&str] =
-    &["core", "engine", "netsim", "population", "resolver", "server", "zone", "workload"];
+/// The `src` crates outside the determinism rules: bench is the
+/// command-line boundary and lint is this analyzer. Every other crate,
+/// a new one included, is result-bearing.
+pub const DETERMINISM_EXEMPT: &[&str] = &["bench", "lint"];
 
 /// Crates on the per-query hot path: panic-surface rules.
 pub const HOT_PATH: &[&str] = &["wire", "engine", "resolver"];
@@ -53,16 +50,9 @@ pub const ALL_RULES: &[&str] = &[
     "determinism::wall-clock",
     "determinism::ambient-entropy",
     "determinism::env-read",
-    "panic::unwrap",
-    "panic::expect",
-    "panic::panic-macro",
     "panic::slice-index",
-    "unsafe::token",
-    "unsafe::missing-forbid",
     "stream::hot-path",
-    "checkpoint::codec",
     "semantic::panic-reachable",
-    "semantic::taint-flow",
     "semantic::purity-wall",
     "tag::unknown",
     "allow::missing-justification",
@@ -72,8 +62,7 @@ pub const ALL_RULES: &[&str] = &[
 
 /// The transitive call-graph rules (see [`crate::semantic`]); their
 /// suppressions are resolved at workspace scope, per edge or per site.
-pub const SEMANTIC_RULES: &[&str] =
-    &["semantic::panic-reachable", "semantic::taint-flow", "semantic::purity-wall"];
+pub const SEMANTIC_RULES: &[&str] = &["semantic::panic-reachable", "semantic::purity-wall"];
 
 /// How a file participates in the rule set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,16 +107,12 @@ impl FileClass {
         Some(FileClass { rel_path: rel_path.to_string(), crate_dir, role })
     }
 
-    fn in_crate(&self, set: &[&str]) -> bool {
-        self.role == Role::Src && self.crate_dir.as_deref().is_some_and(|c| set.contains(&c))
-    }
-
-    fn is_bench_crate(&self) -> bool {
-        self.crate_dir.as_deref() == Some("bench")
-    }
-
-    fn is_crate_root(&self) -> bool {
-        self.crate_dir.is_some() && self.role == Role::Src && self.rel_path.ends_with("/src/lib.rs")
+    /// The crate of a `crates/<c>/src` file; `None` for test-like files.
+    pub(crate) fn src_crate(&self) -> Option<&str> {
+        match self.role {
+            Role::Src => self.crate_dir.as_deref(),
+            Role::TestLike => None,
+        }
     }
 }
 
@@ -161,23 +146,12 @@ pub fn scan_source(class: &FileClass, src: &str) -> ScanOutcome {
 
 /// Lexical detection plus suppression parsing for one file: returns the
 /// raw (pre-suppression) findings and the parsed allow list.
-pub(crate) fn scan_file(
-    class: &FileClass,
-    lexed: &crate::lexer::Lexed,
-) -> (Vec<Finding>, Vec<Allow>) {
+pub(crate) fn scan_file(class: &FileClass, lexed: &Lexed) -> (Vec<Finding>, Vec<Allow>) {
     let allows = parse_allows(&lexed.comments);
     // A module opts into the streaming allocation rules with a bare
     // `// lint:stream-hot-path` comment (conventionally line 1).
-    let stream_tagged = class.role == Role::Src
-        && lexed.comments.iter().any(|c| !c.doc && c.text.trim() == "lint:stream-hot-path");
-    // Checkpoint serialization modules opt into the journal-determinism
-    // wall with a bare `// lint:checkpoint-codec` comment: encode/decode
-    // must be a pure, byte-stable function of the value, so hash-ordered
-    // collections, wall clocks, and native-endian conversions are banned.
-    let ckpt_tagged = class.role == Role::Src
-        && lexed.comments.iter().any(|c| !c.doc && c.text.trim() == "lint:checkpoint-codec");
-    let raw = detect(class, &lexed.tokens, stream_tagged, ckpt_tagged);
-    (raw, allows)
+    let stream_tagged = lexed.comments.iter().any(|c| !c.doc && c.text.trim() == STREAM_TAG);
+    (detect(class, &lexed.tokens, stream_tagged), allows)
 }
 
 /// The never-suppressible grammar findings for a file's allow list.
@@ -348,10 +322,10 @@ pub(crate) fn parse_allows(comments: &[Comment]) -> Vec<Allow> {
 /// Identifiers naming hash-ordered collections (iteration order is
 /// seeded per process via `RandomState` — the canonical way a `--jobs`
 /// diff gate passes on one run and fails on the next).
-pub(crate) const HASH_IDENTS: &[&str] = &["HashMap", "HashSet", "hash_map", "hash_set"];
+const HASH_IDENTS: &[&str] = &["HashMap", "HashSet", "hash_map", "hash_set"];
 
 /// Identifiers reaching for ambient entropy or unspecified hashing.
-pub(crate) const ENTROPY_IDENTS: &[&str] = &[
+const ENTROPY_IDENTS: &[&str] = &[
     "thread_rng",
     "from_entropy",
     "OsRng",
@@ -363,53 +337,38 @@ pub(crate) const ENTROPY_IDENTS: &[&str] = &[
 ];
 
 /// Keywords that may precede `[` without forming an index expression.
-pub(crate) const NON_INDEX_KEYWORDS: &[&str] = &[
+const NON_INDEX_KEYWORDS: &[&str] = &[
     "as", "async", "await", "box", "break", "const", "continue", "crate", "dyn", "else", "enum",
     "extern", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub",
     "ref", "return", "static", "struct", "trait", "type", "unsafe", "use", "where", "while",
     "yield",
 ];
 
-fn detect(
-    class: &FileClass,
-    tokens: &[Token],
-    stream_tagged: bool,
-    ckpt_tagged: bool,
-) -> Vec<Finding> {
+fn detect(class: &FileClass, tokens: &[Token], stream_tagged: bool) -> Vec<Finding> {
     let mut f = Vec::new();
-    let determinism = class.in_crate(RESULT_BEARING);
-    let panic_rules = class.in_crate(HOT_PATH);
-    let unsafe_rules = !class.is_bench_crate();
+    let Some(crate_name) = class.src_crate() else { return f };
+    let determinism = !DETERMINISM_EXEMPT.contains(&crate_name);
+    let panic_rules = HOT_PATH.contains(&crate_name);
 
     let finding = |rule: &'static str, line: u32, message: String| {
         Finding::new(rule, class.rel_path.clone(), line, message)
     };
 
-    if unsafe_rules && class.is_crate_root() && !has_forbid_unsafe(tokens) {
-        f.push(finding(
-            "unsafe::missing-forbid",
-            1,
-            "crate root lacks `#![forbid(unsafe_code)]`".into(),
-        ));
-    }
-
-    let crate_name = class.crate_dir.as_deref().unwrap_or("<workspace>");
-
     for (i, t) in tokens.iter().enumerate() {
-        let Tok::Ident(ident) = &t.tok else { continue };
-        let live = !t.in_test;
-
-        if unsafe_rules && ident == "unsafe" {
+        if t.in_test {
+            continue;
+        }
+        if panic_rules && indexes(tokens, i) {
             f.push(finding(
-                "unsafe::token",
+                "panic::slice-index",
                 t.line,
-                format!("`unsafe` token in zero-unsafe crate `{crate_name}`"),
+                format!(
+                    "slice/array indexing on the hot path of `{crate_name}` — use `get` or \
+                     prove bounds and add a justified allow"
+                ),
             ));
-            continue;
         }
-        if !live {
-            continue;
-        }
+        let Tok::Ident(ident) = &t.tok else { continue };
 
         if determinism {
             if HASH_IDENTS.contains(&ident.as_str()) {
@@ -432,15 +391,22 @@ fn detect(
                     ),
                 ));
             }
-            if ENTROPY_IDENTS.contains(&ident.as_str())
+            let entropy = if ident == "thread" && path_call(tokens, i, "current") {
+                Some("thread::current")
+            } else if ENTROPY_IDENTS.contains(&ident.as_str())
                 || (ident == "rand"
                     && matches!(tokens.get(i + 1).map(|t| &t.tok), Some(Tok::ColonColon)))
             {
+                Some(ident.as_str())
+            } else {
+                None
+            };
+            if let Some(source) = entropy {
                 f.push(finding(
                     "determinism::ambient-entropy",
                     t.line,
                     format!(
-                        "`{ident}` draws ambient entropy in result-bearing crate \
+                        "`{source}` draws ambient entropy in result-bearing crate \
                              `{crate_name}` — derive randomness from the shard seed"
                     ),
                 ));
@@ -489,76 +455,7 @@ fn detect(
                 _ => {}
             }
         }
-
-        if ckpt_tagged {
-            if HASH_IDENTS.contains(&ident.as_str()) {
-                f.push(finding(
-                    "checkpoint::codec",
-                    t.line,
-                    format!(
-                        "`{ident}` in a checkpoint-codec module — journal contents must \
-                         not depend on per-process hash order"
-                    ),
-                ));
-            }
-            if ident == "Instant" || ident == "SystemTime" {
-                f.push(finding(
-                    "checkpoint::codec",
-                    t.line,
-                    format!(
-                        "`{ident}` in a checkpoint-codec module — journal encode/decode \
-                         must not touch the wall clock"
-                    ),
-                ));
-            }
-            if ident == "to_ne_bytes" || ident == "from_ne_bytes" {
-                f.push(finding(
-                    "checkpoint::codec",
-                    t.line,
-                    format!(
-                        "`{ident}` in a checkpoint-codec module — journals are \
-                         little-endian on every platform; use the `_le_` forms"
-                    ),
-                ));
-            }
-        }
-
-        if panic_rules {
-            match ident.as_str() {
-                "unwrap" if method_call(tokens, i) => f.push(finding(
-                    "panic::unwrap",
-                    t.line,
-                    format!(
-                        "`.unwrap()` on the hot path of `{crate_name}` — return a typed \
-                             error instead"
-                    ),
-                )),
-                "expect" if method_call(tokens, i) => f.push(finding(
-                    "panic::expect",
-                    t.line,
-                    format!(
-                        "`.expect()` on the hot path of `{crate_name}` — return a typed \
-                             error instead"
-                    ),
-                )),
-                "panic" | "todo" | "unimplemented"
-                    if matches!(tokens.get(i + 1).map(|t| &t.tok), Some(Tok::Punct(b'!'))) =>
-                {
-                    f.push(finding(
-                        "panic::panic-macro",
-                        t.line,
-                        format!("`{ident}!` on the hot path of `{crate_name}`"),
-                    ))
-                }
-                _ => {}
-            }
-        }
     }
-
-    if panic_rules {
-        detect_slice_index(class, tokens, &mut f, crate_name);
-    }
-
     f
 }
 
@@ -570,53 +467,27 @@ pub(crate) fn path_call(tokens: &[Token], i: usize, seg: &str) -> bool {
         && matches!(tokens.get(i + 3).map(|t| &t.tok), Some(Tok::Punct(b'(')))
 }
 
-/// `.ident(` — a method call on something (excludes `unwrap_or`-style
-/// idents by exact match at the call site, and excludes paths like
-/// `Option::unwrap` used as fn items, which cannot panic by themselves
-/// until called — those appear as `:: unwrap` and are still caught when
-/// followed by `(`).
+/// `.ident(` or `::ident(` — a method call, or a path call such as
+/// `Option::unwrap(x)`; a fn item (`Option::unwrap`) is not a call.
 pub(crate) fn method_call(tokens: &[Token], i: usize) -> bool {
     let prev_dot = i > 0 && matches!(tokens[i - 1].tok, Tok::Punct(b'.') | Tok::ColonColon);
     prev_dot && matches!(tokens.get(i + 1).map(|t| &t.tok), Some(Tok::Punct(b'(')))
 }
 
-/// Indexing (`expr[...]`): a `[` whose previous token closes an
-/// expression — an identifier (excluding keywords), `)`, or `]`. Type
-/// positions (`&[u8]`, `Vec<[u8; 4]>`), attributes (`#[...]`), and
-/// macro brackets (`vec![...]`) never match because their previous token
-/// is punctuation or a keyword.
-fn detect_slice_index(class: &FileClass, tokens: &[Token], f: &mut Vec<Finding>, crate_name: &str) {
-    for i in 1..tokens.len() {
-        if tokens[i].in_test || tokens[i].tok != Tok::Punct(b'[') {
-            continue;
-        }
-        let indexes = match &tokens[i - 1].tok {
+/// Indexing (`expr[...]`): `tokens[i]` is a `[` whose previous token
+/// ends an expression — an identifier (excluding keywords), a literal
+/// (`t.0[i]`, `"s"[1..]`), `)`, `]`, or `?` (`f()?[i]`). Type positions
+/// (`&[u8]`, `Vec<[u8; 4]>`), attributes (`#[...]`), and macro brackets
+/// (`vec![...]`) never match because their previous token is other
+/// punctuation or a keyword.
+pub(crate) fn indexes(tokens: &[Token], i: usize) -> bool {
+    i > 0
+        && tokens[i].tok == Tok::Punct(b'[')
+        && match &tokens[i - 1].tok {
             Tok::Ident(s) => !NON_INDEX_KEYWORDS.contains(&s.as_str()),
-            Tok::Punct(b')') | Tok::Punct(b']') => true,
+            Tok::Literal | Tok::Punct(b')' | b']' | b'?') => true,
             _ => false,
-        };
-        if indexes {
-            f.push(Finding::new(
-                "panic::slice-index",
-                class.rel_path.clone(),
-                tokens[i].line,
-                format!(
-                    "slice/array indexing on the hot path of `{crate_name}` — use `get` or \
-                     prove bounds and add a justified allow"
-                ),
-            ));
         }
-    }
-}
-
-/// Looks for `forbid ( unsafe_code` in the token stream (the inner
-/// attribute shape `#![forbid(unsafe_code)]`).
-fn has_forbid_unsafe(tokens: &[Token]) -> bool {
-    tokens.windows(3).any(|w| {
-        matches!(&w[0].tok, Tok::Ident(s) if s == "forbid")
-            && w[1].tok == Tok::Punct(b'(')
-            && matches!(&w[2].tok, Tok::Ident(s) if s == "unsafe_code")
-    })
 }
 
 #[cfg(test)]
@@ -642,13 +513,14 @@ mod tests {
 
     #[test]
     fn hashmap_fires_only_in_result_bearing_src() {
-        let src = "#![forbid(unsafe_code)] use std::collections::HashMap;";
-        assert_eq!(
-            rules_fired(&src_class("crates/core/src/lib.rs"), src),
-            vec!["determinism::hash-collection"]
-        );
-        assert!(rules_fired(&src_class("crates/wire/src/lib.rs"), src).is_empty());
-        assert!(rules_fired(&src_class("crates/core/tests/t.rs"), src).is_empty());
+        let src = "use std::collections::HashMap;";
+        for path in ["crates/core/src/lib.rs", "crates/wire/src/lib.rs"] {
+            assert_eq!(rules_fired(&src_class(path), src), vec!["determinism::hash-collection"]);
+        }
+        for path in ["crates/bench/src/lib.rs", "crates/lint/src/lib.rs", "crates/core/tests/t.rs"]
+        {
+            assert!(rules_fired(&src_class(path), src).is_empty(), "{path}");
+        }
     }
 
     #[test]
@@ -691,15 +563,18 @@ mod tests {
 
     #[test]
     fn panic_rules_fire_in_hot_path_only() {
-        let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() }";
-        assert_eq!(rules_fired(&src_class("crates/wire/src/x.rs"), src), vec!["panic::unwrap"]);
-        assert!(rules_fired(&src_class("crates/workload/src/x.rs"), src).is_empty());
-    }
-
-    #[test]
-    fn unwrap_or_is_not_unwrap() {
-        let src = "fn f(x: Option<u8>) -> u8 { x.unwrap_or(0) }";
-        assert!(rules_fired(&src_class("crates/wire/src/x.rs"), src).is_empty());
+        // A literal or `?` ends an expression too: `t.0[i]`, `g()?[1]`.
+        for src in [
+            "fn f(b: &[u8]) -> u8 { b[0] }",
+            "fn f(t: ([u8; 2], u8), i: usize) -> u8 { t.0[i] }",
+            "fn f() -> R { g()?[1] }",
+        ] {
+            for krate in HOT_PATH {
+                let class = src_class(&format!("crates/{krate}/src/x.rs"));
+                assert_eq!(rules_fired(&class, src), vec!["panic::slice-index"], "{krate}: {src}");
+            }
+            assert!(rules_fired(&src_class("crates/workload/src/x.rs"), src).is_empty());
+        }
     }
 
     #[test]
@@ -718,12 +593,10 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_token_and_missing_forbid() {
-        let class = src_class("crates/crypto/src/lib.rs");
-        let fired = rules_fired(&class, "fn f() { let p = 1; unsafe { } }");
-        assert_eq!(fired, vec!["unsafe::missing-forbid", "unsafe::token"]);
-        let ok = rules_fired(&class, "#![forbid(unsafe_code)] fn f() {}");
-        assert!(ok.is_empty());
+    fn thread_identity_is_ambient_entropy() {
+        let class = src_class("crates/engine/src/x.rs");
+        let fired = rules_fired(&class, "let who = std::thread::current().id();");
+        assert_eq!(fired, vec!["determinism::ambient-entropy"]);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use crate::graph::{CallGraph, GraphFile};
 use crate::lexer::lex;
-use crate::parse;
+use crate::parse::{self, ENTRY_TAG, STREAM_TAG};
 use crate::report::{Finding, Report};
 use crate::rules::{self, FileClass};
 use crate::semantic;
@@ -28,7 +28,7 @@ pub struct Analysis {
 }
 
 /// Analyzes the whole workspace: lexical rules per file, the call graph
-/// over all Src files, the three semantic passes, tag validation, and
+/// over all Src files, the two semantic passes, tag validation, and
 /// stale-allow detection across *both* layers. Input order is
 /// irrelevant — files are sorted by path first, and every output list is
 /// canonicalized, so the report and graph are byte-stable.
@@ -55,8 +55,8 @@ pub fn analyze(mut files: Vec<SourceFile>) -> Analysis {
                 f.class.rel_path.clone(),
                 tp.line,
                 format!(
-                    "unknown lint tag `{}` — expected `lint:entry(hot-path)` or \
-                     `lint:sink(determinism)`",
+                    "unknown lint directive `{}` — expected `lint:allow(..)`, \
+                     `lint:allow-file(..)`, `{ENTRY_TAG}` or `{STREAM_TAG}`",
                     tp.text
                 ),
             ));
@@ -164,14 +164,29 @@ mod tests {
     }
 
     #[test]
-    fn taint_flows_from_sink_to_source() {
-        let fired = rules_fired(vec![sf(
+    fn wall_clock_below_a_merge_is_a_lexical_finding() {
+        // A merge can only call into its own crate and that crate's
+        // dependencies, all of which the determinism rules scan: the
+        // clock read is reported at its site, with no call chain.
+        let analysis = analyze(vec![sf(
             "crates/wire/src/m.rs",
-            "// lint:sink(determinism)\npub fn merge() { stamp(); }\n\
-             fn stamp() { let _ = Instant::now(); }",
+            "pub fn merge() { stamp(); }\nfn stamp() { let _ = Instant::now(); }",
         )]);
-        // `wire` is not RESULT_BEARING, so only the semantic pass fires.
-        assert_eq!(fired, vec!["semantic::taint-flow"]);
+        let findings = &analysis.report.findings;
+        assert_eq!(findings.len(), 1, "{findings:#?}");
+        assert_eq!((findings[0].rule, findings[0].line), ("determinism::wall-clock", 2));
+        assert!(findings[0].chain.is_empty());
+    }
+
+    #[test]
+    fn index_after_a_tuple_field_is_a_panic_site() {
+        let fired = rules_fired(vec![sf(
+            "crates/workload/src/b.rs",
+            "// lint:entry(hot-path)\npub fn entry(t: ([u8; 2], u8)) -> u8 { mid(t) }\n\
+             fn mid(t: ([u8; 2], u8)) -> u8 { deep(t) }\n\
+             fn deep(t: ([u8; 2], u8)) -> u8 { t.0[0] }",
+        )]);
+        assert_eq!(fired, vec!["semantic::panic-reachable"]);
     }
 
     #[test]
@@ -206,23 +221,41 @@ mod tests {
 
     #[test]
     fn unknown_tag_is_a_finding() {
-        let fired = rules_fired(vec![sf(
-            "crates/wire/src/t.rs",
-            "// lint:entry(warm-path)\npub fn f() {}",
-        )]);
-        assert_eq!(fired, vec!["tag::unknown"]);
+        // A malformed entry, a retired tag, or a typo would otherwise do
+        // nothing at all.
+        for directive in [
+            "lint:entry(warm-path)",
+            "lint:sink(determinism)",
+            "lint:checkpoint-codec",
+            "lint:stream-hotpath",
+            "lint:alow(x)",
+        ] {
+            let src = format!("// {directive}\npub fn f() {{}}");
+            let fired = rules_fired(vec![sf("crates/wire/src/t.rs", &src)]);
+            assert_eq!(fired, vec!["tag::unknown"], "{directive}");
+        }
     }
 
     #[test]
-    fn lexical_allow_also_waives_the_semantic_site() {
-        let analysis = analyze(vec![sf(
-            "crates/resolver/src/a.rs",
-            "// lint:entry(hot-path)\npub fn entry(x: Option<u8>) {\n    \
-             x.expect(\"invariant\"); // lint:allow(panic::expect) -- upheld by caller\n}",
-        )]);
-        assert!(analysis.report.findings.is_empty(), "{:#?}", analysis.report.findings);
-        // One suppression record (the lexical one), not two.
-        assert_eq!(analysis.report.suppressed.len(), 1);
-        assert_eq!(analysis.report.suppressed[0].rule, "panic::expect");
+    fn panic_sites_in_hot_path_crates_are_left_to_clippy() {
+        // The entry's own `.expect()` sits in resolver, where clippy denies
+        // it; the traversal still crosses resolver into netsim, where the
+        // same site is the pass's to report.
+        let findings = analyze(vec![
+            sf(
+                "crates/resolver/src/a.rs",
+                "// lint:entry(hot-path)\npub fn entry(x: Option<u8>) {\n    \
+                 x.expect(\"invariant\");\n    lookaside_netsim::deep(x);\n}",
+            ),
+            sf(
+                "crates/netsim/src/b.rs",
+                "pub fn deep(x: Option<u8>) {\n    x.expect(\"invariant\");\n}",
+            ),
+        ])
+        .report
+        .findings;
+        assert_eq!(findings.len(), 1, "{findings:#?}");
+        assert_eq!(findings[0].rule, "semantic::panic-reachable");
+        assert_eq!((findings[0].file.as_str(), findings[0].line), ("crates/netsim/src/b.rs", 2));
     }
 }

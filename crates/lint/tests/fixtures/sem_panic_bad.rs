@@ -1,8 +1,7 @@
 //! Semantic-pass fixture: a panic two calls below a hot-path entry.
-//! The `.unwrap()` sits in a helper the lexical `panic::*` rules never
-//! see when this file is classified outside the HOT_PATH crates — only
-//! the transitive panic-reachability pass can connect entry → mid →
-//! deep and flag it.
+//! Classified outside the HOT_PATH crates, where clippy does not deny
+//! `.unwrap()`, only the transitive panic-reachability pass can connect
+//! entry → mid → deep and flag it.
 
 // lint:entry(hot-path)
 pub fn canary_entry(q: &[u8]) -> u8 {

@@ -620,7 +620,7 @@ fn forge_response(query: &Message, qname: &lookaside_wire::Name, salt: u64) -> S
         .rcode(Rcode::NoError)
         .authoritative(true)
         .answer(Record::new(qname.clone(), 60, RData::A(forged_addr)))
-        // lint:allow(semantic::panic-reachable) -- name-only resolution links this `.build()` to every workspace `build` (zone builders, the lint call graph); the real callee is wire's MessageBuilder::build, which the lexical hot-path rules already police
+        // lint:allow(semantic::panic-reachable) -- name-only resolution links this `.build()` to every workspace `build` (zone builders, the lint call graph); the real callee is wire's MessageBuilder::build, whose panic sites clippy's unwrap/expect/panic deny in crates/wire/src/lib.rs already polices
         .build();
     if wrong_qid {
         response.header.id = response.header.id.wrapping_add(((salt >> 8) as u16) | 1);

@@ -23,7 +23,6 @@
 //! `(seed, client, salt)`; two planes with equal parameters are
 //! indistinguishable, which the proptests pin down.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod plane;

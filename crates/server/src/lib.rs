@@ -20,7 +20,6 @@
 //!
 //! [`PublishedZone`]: lookaside_zone::PublishedZone
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod authority;

@@ -14,6 +14,7 @@
 
 // lint:allow-file(panic::slice-index) -- every Reader slice is preceded by an explicit bounds check (take/seek/read_bytes validate offsets before slicing); the 10k fixed-seed corruption fuzz gate in ci.sh proves panic-freedom on arbitrary input bytes
 
+// lint:allow(determinism::hash-collection) -- Writer.names is only probed, inserted into and cleared, never iterated, so its order cannot reach the encoded bytes
 use std::collections::HashMap;
 
 use crate::name::{label_offsets, NameBuilder, MAX_LABELS, MAX_NAME_LEN};
@@ -28,6 +29,7 @@ pub struct Writer {
     /// Offsets beyond 0x3fff are not recorded because pointers cannot reach
     /// them. Probed with borrowed slices; keys are only allocated on first
     /// sight of a suffix.
+    // lint:allow(determinism::hash-collection) -- looked up and cleared, never iterated
     names: HashMap<Vec<u8>, u16>,
 }
 

@@ -14,6 +14,7 @@
 // lint:allow-file(panic::slice-index) -- all indices derive from label offsets validated when the Name was constructed (Repr invariants), and the corruption fuzz gate exercises the decode paths with arbitrary bytes
 
 use std::cmp::Ordering;
+// lint:allow(determinism::hash-collection) -- NameTable.set is only probed, inserted into, counted and cleared, never iterated: interning order cannot reach a result
 use std::collections::HashSet;
 use std::fmt;
 use std::str::FromStr;
@@ -280,8 +281,11 @@ impl Name {
     /// # Panics
     ///
     /// Panics if `i >= self.label_count()`.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract panic (see \"# Panics\" above); callers index within label_count()"
+    )]
     pub fn label(&self, i: usize) -> LabelRef<'_> {
-        // lint:allow(panic::expect) -- documented contract panic (see "# Panics" above); callers index within label_count()
         self.labels().nth(i).expect("label index out of range")
     }
 
@@ -707,6 +711,7 @@ impl Default for NameBuilder {
 /// never change a name's value, only where its bytes live).
 #[derive(Debug, Clone, Default)]
 pub struct NameTable {
+    // lint:allow(determinism::hash-collection) -- looked up and cleared, never iterated
     set: HashSet<Name>,
 }
 

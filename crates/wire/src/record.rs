@@ -29,9 +29,12 @@ impl Record {
     /// Panics if `rdata` is [`RData::Unknown`]; use the struct literal and
     /// supply the type code explicitly for unknown data.
     pub fn new(name: Name, ttl: u32, rdata: RData) -> Self {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented contract panic (see \"# Panics\" above): RData::Unknown must use the struct literal"
+        )]
         let rrtype = rdata
             .rrtype()
-            // lint:allow(panic::expect) -- documented contract panic (see "# Panics" above): RData::Unknown must use the struct literal
             .expect("Record::new requires typed rdata; construct unknown records explicitly");
         Record { name, rrtype, class: RrClass::In, ttl, rdata }
     }
@@ -107,7 +110,10 @@ pub struct RrSet {
 impl RrSet {
     /// Creates an RRset with a single member.
     pub fn single(name: Name, ttl: u32, rdata: RData) -> Self {
-        // lint:allow(panic::expect) -- contract panic mirroring Record::new: untyped rdata must construct the set explicitly
+        #[expect(
+            clippy::expect_used,
+            reason = "contract panic mirroring Record::new: untyped rdata must construct the set explicitly"
+        )]
         let rrtype = rdata.rrtype().expect("RrSet::single requires typed rdata");
         RrSet { name, rrtype, ttl, rdatas: vec![rdata] }
     }

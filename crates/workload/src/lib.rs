@@ -17,7 +17,6 @@
 //!   the per-minute rate envelope of Fig. 12,
 //! * [`survey`] — the DNS-OARC 2015 operator survey responses of §5.2.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod ditl;

@@ -27,7 +27,6 @@
 //! # Ok::<(), lookaside_wire::WireError>(())
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod error;
