@@ -6,11 +6,11 @@
 //! what lets `ci.sh` gate on them: a regression in allocations/query is a
 //! real representation change, not measurement noise.
 //!
-//! Output: human-readable `bench alloc_sweep/...` lines plus
-//! `BENCH_pr3.json` at the repository root, the first entry of the perf
-//! trajectory. `PRE_REFACTOR_*` pins the same workload's cost on the
-//! pre-compact-`Name` representation (commit `aa9665d`), measured with
-//! this same harness.
+//! Output: human-readable `bench alloc_sweep/...` lines on stdout, which
+//! `ci.sh` keeps under `target/ci/` (`BENCH_pr3.json` at the repository
+//! root records the first run). `PRE_REFACTOR_*` pins the same workload's
+//! cost on the pre-compact-`Name` representation (commit `aa9665d`),
+//! measured with this same harness.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -80,17 +80,8 @@ fn main() {
         let ratio = PRE_REFACTOR_ALLOCS_PER_QUERY as f64 / allocs_per_query as f64;
         println!(
             "bench alloc_sweep/fig8_9: {ratio:.2}x fewer allocations/query than pre-refactor \
-             ({PRE_REFACTOR_ALLOCS_PER_QUERY} -> {allocs_per_query})"
+             ({PRE_REFACTOR_ALLOCS_PER_QUERY} -> {allocs_per_query}; \
+             {PRE_REFACTOR_BYTES_PER_QUERY} -> {bytes_per_query} bytes/query)"
         );
-    }
-
-    let json = format!(
-        "{{\n  \"bench\": \"alloc_sweep/fig8_9\",\n  \"workload\": {{\"sizes\": [50, 100, 150, 200], \"seed\": {SEED}, \"queries\": {queries}}},\n  \"post\": {{\"allocations\": {allocs}, \"bytes\": {bytes}, \"allocations_per_query\": {allocs_per_query}, \"bytes_per_query\": {bytes_per_query}}},\n  \"pre\": {{\"allocations_per_query\": {PRE_REFACTOR_ALLOCS_PER_QUERY}, \"bytes_per_query\": {PRE_REFACTOR_BYTES_PER_QUERY}, \"commit\": \"aa9665d\"}}\n}}\n"
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr3.json");
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("alloc_sweep: could not write {path}: {e}");
-    } else {
-        println!("alloc_sweep: wrote {path}");
     }
 }

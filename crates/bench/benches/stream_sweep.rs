@@ -18,8 +18,9 @@
 //!   measured rate is what makes `repro fig12 --full` a minutes-scale
 //!   run.
 //!
-//! Output: human-readable `bench stream_sweep/...` lines plus
-//! `BENCH_pr8.json` at the repository root.
+//! Output: human-readable `bench stream_sweep/...` lines on stdout, which
+//! `ci.sh` keeps under `target/ci/` (`BENCH_pr8.json` at the repository
+//! root records the first run).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::RefCell;
@@ -142,14 +143,4 @@ fn main() {
         "bench stream_sweep/fig12: {sampled_qps:.0} sampled queries/sec \
          ({modeled_qps:.0} modeled queries/sec)"
     );
-
-    let json = format!(
-        "{{\n  \"bench\": \"stream_sweep\",\n  \"steady_state\": {{\"warm_domains\": {WARM_DOMAINS}, \"rounds\": {STEADY_ROUNDS}, \"queries\": {steady_queries}, \"allocations\": {steady_allocs}, \"bytes\": {steady_bytes}, \"allocations_per_query\": {allocs_per_query}, \"bytes_per_query\": {bytes_per_query}, \"ceiling_allocs_per_query\": {ALLOC_CEILING}}},\n  \"fig12_stream\": {{\"seed\": {SEED}, \"scale\": {FIG12_SCALE}, \"workers\": 4, \"modeled_queries\": {modeled_queries}, \"sampled_queries\": {sampled_queries}, \"seconds\": {seconds:.3}, \"sampled_queries_per_sec\": {sampled_qps:.0}, \"modeled_queries_per_sec\": {modeled_qps:.0}}}\n}}\n"
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr8.json");
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("stream_sweep: could not write {path}: {e}");
-    } else {
-        println!("stream_sweep: wrote {path}");
-    }
 }

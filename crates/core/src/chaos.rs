@@ -267,11 +267,8 @@ fn run_cell(config: &ChaosConfig, outage: Outage, profile: TimerProfile) -> Chao
 }
 
 fn percentile_ms(sorted_ns: &[u64], pct: usize) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = (sorted_ns.len() * pct).div_ceil(100).clamp(1, sorted_ns.len()) - 1;
-    sorted_ns[idx] as f64 / 1e6
+    let rank = (sorted_ns.len() * pct).div_ceil(100).max(1);
+    sorted_ns.get(rank - 1).or(sorted_ns.last()).map_or(0.0, |&ns| ns as f64 / 1e6)
 }
 
 #[cfg(test)]

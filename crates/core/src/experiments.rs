@@ -918,6 +918,10 @@ impl Fig12Model {
             cfg.remedy = shard.input;
             run(&cfg)
         });
+        #[expect(
+            clippy::panic,
+            reason = "no figure exists without calibration; ROADMAP item 2's RunError will carry this"
+        )]
         let [base, txt] = calibrated.as_slice() else {
             // Every window cost derives from calibration; there is no
             // partial figure without it, --allow-partial or not.
@@ -960,6 +964,10 @@ impl Fig12Model {
             let mut misses = 0u64;
             for _ in 0..sampled {
                 let domain = zipf.sample_hash(next());
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "sample_hash returns a rank in 1..=n and `seen` has n + 1 slots"
+                )]
                 if !seen[domain] {
                     seen[domain] = true;
                     misses += 1;

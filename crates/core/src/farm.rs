@@ -335,6 +335,10 @@ impl Farm {
         }
         let answer_bucket = time_secs / self.config.answer_ttl_secs.max(1);
         tally.misses.insert((cache, rank, answer_bucket));
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "ranks are Zipf samples in 1..=domain_support, the span `classes` covers"
+        )]
         if self.classes[rank as usize] == LeakClass::Secure || !self.dlv_configured(cache) {
             return;
         }
@@ -417,6 +421,10 @@ impl Farm {
                     let hi = (shard.input + 1) * DITL_MINUTES / cohorts;
                     let mut tally = CohortTally::default();
                     for minute in lo..hi {
+                        #[expect(
+                            clippy::indexing_slicing,
+                            reason = "cohort windows split 0..DITL_MINUTES, the trace's length"
+                        )]
                         let volume = trace.per_minute()[minute] / scale.max(1);
                         for q in 0..volume {
                             let key = ((minute as u64) << 32) | q;
@@ -449,6 +457,11 @@ impl Farm {
         let mut case2 = 0u64;
         let mut per_client: BTreeMap<u64, u64> = BTreeMap::new();
         for ((_cache, rank, _bucket), (_time, client)) in &merged.dlv {
+            #[expect(
+                clippy::indexing_slicing,
+                clippy::unreachable,
+                reason = "`feed` tallies only ranks it looked up in `classes` and found not Secure"
+            )]
             match self.classes[*rank as usize] {
                 LeakClass::Secure => unreachable!("secure ranks never enter the DLV tally"),
                 LeakClass::Case1 => case1 += 1,

@@ -14,6 +14,11 @@
 //!   synthetic authority)
 //! ```
 
+// The world is assembled from literal names, the TLD table and names the
+// population generates in fixed formats, so each `expect` below is a
+// broken build of the world, not an input error.
+#![expect(clippy::expect_used, clippy::unwrap_used, reason = "names built by construction")]
+
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
@@ -60,6 +65,16 @@ fn tld_addr(index: usize) -> Ipv4Addr {
 
 fn tld_key_seed(index: usize) -> u64 {
     0x7464_0000 + index as u64
+}
+
+/// The index and entry of TLD `label` in the TLD table.
+#[expect(clippy::panic, reason = "an unknown label is a caller bug; both callers document it")]
+fn tld_entry(label: &str) -> (usize, lookaside_workload::TldInfo) {
+    lookaside_workload::TLDS
+        .into_iter()
+        .enumerate()
+        .find(|(_, t)| t.label == label)
+        .unwrap_or_else(|| panic!("unknown TLD {label:?}"))
 }
 
 /// Measurement vantage point (§7.1 "Experiment Generality"): the paper ran
@@ -440,13 +455,7 @@ impl Internet {
     pub fn timeline_base_seed(target: &LifecycleTarget) -> u64 {
         match target {
             LifecycleTarget::Root => ROOT_KEY_SEED,
-            LifecycleTarget::Tld(label) => {
-                let index = lookaside_workload::TLDS
-                    .iter()
-                    .position(|t| t.label == label.as_str())
-                    .unwrap_or_else(|| panic!("unknown TLD {label:?}"));
-                tld_key_seed(index)
-            }
+            LifecycleTarget::Tld(label) => tld_key_seed(tld_entry(label).0),
         }
     }
 
@@ -468,11 +477,7 @@ impl Internet {
     ///
     /// Panics on an unknown TLD label.
     pub fn install_tld_timeline(&mut self, label: &str, timeline: &KeyTimeline, horizon_secs: u32) {
-        let index = lookaside_workload::TLDS
-            .iter()
-            .position(|t| t.label == label)
-            .unwrap_or_else(|| panic!("unknown TLD {label:?}"));
-        let tld = &lookaside_workload::TLDS[index];
+        let (index, tld) = tld_entry(label);
         let apex = Name::parse(tld.label).expect("valid tld");
         let oracle = self.oracle.clone();
         let router = EpochRouter::new(

@@ -305,7 +305,8 @@ fn run_cell(config: &LifecycleConfig, scenario: LifecycleScenario) -> LifecycleP
     params.capture = CaptureFilter::DlvOnly;
     params.dlv_schedule = scenario.registry_schedule();
     let mut internet = Internet::build(params);
-    let ranks = anchored_ranks(&internet, needed);
+    // Consumed in order: the warm-up, then each event's slice.
+    let mut ranks = anchored_ranks(&internet, needed).into_iter();
     let mut timeline = scenario.timeline();
     timeline.base_seed = Internet::timeline_base_seed(&config.target);
     internet.install_timeline(&config.target, &timeline, HORIZON_SECS);
@@ -324,7 +325,7 @@ fn run_cell(config: &LifecycleConfig, scenario: LifecycleScenario) -> LifecycleP
     }
 
     // Warm-up at t=0: epoch 0 serves exactly what the static root would.
-    for &rank in &ranks[..config.warmup] {
+    for rank in ranks.by_ref().take(config.warmup) {
         let qname = internet.population.domain(rank);
         let _ = resolver.resolve(&mut internet.net, &qname, RrType::A);
     }
@@ -332,7 +333,7 @@ fn run_cell(config: &LifecycleConfig, scenario: LifecycleScenario) -> LifecycleP
     let mut installed = false;
     let mut prev_leaks = leakage::classify(internet.net.capture(), &internet.dlv_apex);
     let mut events = Vec::with_capacity(EVENT_TIMES.len());
-    for (event_idx, &at_secs) in EVENT_TIMES.iter().enumerate() {
+    for at_secs in EVENT_TIMES {
         let target_ns = at_secs * NS_PER_SEC;
         let now_ns = internet.net.now_ns();
         internet.net.advance(target_ns.saturating_sub(now_ns));
@@ -362,8 +363,7 @@ fn run_cell(config: &LifecycleConfig, scenario: LifecycleScenario) -> LifecycleP
             dlv_queries: 0,
             case2_leaks: 0,
         };
-        for slot in 0..config.queries_per_event {
-            let rank = ranks[config.warmup + event_idx * config.queries_per_event + slot];
+        for rank in ranks.by_ref().take(config.queries_per_event) {
             let qname = internet.population.domain(rank);
             match resolver.resolve(&mut internet.net, &qname, RrType::A) {
                 Ok(res) => match res.status {

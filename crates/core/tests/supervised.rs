@@ -5,6 +5,8 @@
 //! Faults are injected in-process through an explicit [`Supervisor`], so
 //! the tests are safe under the parallel test runner.
 
+#![expect(clippy::disallowed_methods, reason = "the tests write and corrupt journal files")]
+
 use std::fs;
 use std::path::PathBuf;
 

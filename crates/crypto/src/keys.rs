@@ -255,7 +255,7 @@ mod tests {
 
     #[test]
     fn key_tags_differ_between_keys() {
-        let tags: std::collections::HashSet<u16> =
+        let tags: std::collections::BTreeSet<u16> =
             (0..50).map(|s| KeyPair::generate_zsk(s).key_tag()).collect();
         // A few collisions are possible in principle; most must be distinct.
         assert!(tags.len() > 45);

@@ -27,6 +27,23 @@
 //! assert!(!key.public().verify(b"tampered", &sig));
 //! ```
 
+// Typed errors, not panics: clippy holds live code to that, indexing
+// included, and every waiver is an `#[expect]` with a reason.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::string_slice,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod digest;

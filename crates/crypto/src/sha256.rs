@@ -213,7 +213,7 @@ mod tests {
     #[test]
     fn boundary_lengths() {
         // Lengths around the padding boundary must all be distinct and stable.
-        let mut digests = std::collections::HashSet::new();
+        let mut digests = std::collections::BTreeSet::new();
         for len in 50..70 {
             let data = vec![0x5au8; len];
             assert!(digests.insert(sha256(&data)), "collision at len {len}");

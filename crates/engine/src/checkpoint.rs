@@ -20,6 +20,10 @@
 //! [`run_fingerprint`]); resuming with a mismatched fingerprint is
 //! refused rather than silently blending two different runs.
 
+// The journal is the engine's one file: only the types are waived, so the
+// `{to,from}_ne_bytes` ban (a disallowed method) still holds here.
+#![expect(clippy::disallowed_types, reason = "the Fig. 12 journal is the sanctioned file I/O")]
+
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -357,6 +361,8 @@ fn framed_record_len(rest: &[u8]) -> Option<usize> {
 
 #[cfg(test)]
 mod tests {
+    #![expect(clippy::disallowed_methods, reason = "the tests write and corrupt journal files")]
+
     use super::*;
 
     fn tmp(name: &str) -> PathBuf {

@@ -1,14 +1,14 @@
 //! The sanctioned stderr diagnostics sink.
 //!
-//! The workspace purity wall (`lookaside-lint`, DESIGN.md §15) confines
-//! `std::{fs,io,net}` effects — including the `eprint!` family — to
-//! `engine::checkpoint`, this module, and the bench/lint/daemon crates,
-//! so the sim crates stay transitively effect-free ahead of the
+//! The root `clippy.toml` refuses `std::{fs,io,net}` effects — the
+//! `print!` family included — everywhere but `engine::checkpoint`, this
+//! function and the bench crate (DESIGN.md §10), and the sim crates
+//! cannot depend on engine, so they stay effect-free ahead of the
 //! daemon-ize split. Anything in the orchestration layer that needs to
 //! talk to a human (degraded-coverage tables, partial-result banners)
 //! routes through here instead of calling `eprintln!` directly: one
 //! module to redirect when diagnostics move onto the daemon's control
-//! socket, and one place the analyzer has to trust.
+//! socket, and one waiver in the workspace.
 //!
 //! stderr only — stdout is reserved for byte-diffable experiment tables
 //! and never written from here.
@@ -19,6 +19,7 @@
 /// call sites this sink exists for (coverage tables, degradation
 /// summaries) already build their text, and a `&str` boundary keeps the
 /// future daemon IPC framing trivial.
+#[expect(clippy::disallowed_macros, reason = "the one sanctioned stderr sink")]
 pub fn note(msg: &str) {
     eprintln!("{msg}");
 }

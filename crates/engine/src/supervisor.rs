@@ -17,7 +17,10 @@
 //! scheduling decides only *when* an attempt runs, never what any shard
 //! computes nor the order the fold observes results.
 
-// lint:allow-file(panic::slice-index) -- every per-shard vector below is constructed with exactly shards.len() elements and indexed only by slot ids yielded by enumerate()/channel echoes of those ids; bounds are structural, and a miss would be an engine bug worth a loud panic
+#![expect(
+    clippy::indexing_slicing,
+    reason = "every per-shard vector below is constructed with exactly shards.len() elements and indexed only by slot ids yielded by enumerate()/channel echoes of those ids; bounds are structural, and a miss would be an engine bug worth a loud panic"
+)]
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc;
@@ -223,7 +226,6 @@ impl Executor {
     /// been folded or has failed. Never panics on shard failure: shards
     /// that exhaust their retry budget are skipped by the fold and listed
     /// in the coverage.
-    // lint:entry(hot-path)
     pub fn sweep<I, T, A, F, G>(
         &self,
         shards: &[Shard<I>],
@@ -305,7 +307,7 @@ where
 
 /// Advances the fold front over resolved slots: `Done` slots are
 /// journaled (unless resumed) and folded, `Failed` slots are skipped.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "the sweep state travels as arguments, not a struct")]
 fn advance_fold<T, A, G>(
     next: &mut usize,
     states: &[SlotState],
@@ -341,7 +343,7 @@ fn advance_fold<T, A, G>(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "the sweep state travels as arguments, not a struct")]
 fn supervise<I, T, A, F, G>(
     exec: &Executor,
     shards: &[Shard<I>],
@@ -462,7 +464,7 @@ where
     (outcome, journal_err)
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "the sweep state travels as arguments, not a struct")]
 fn supervise_parallel<I, T, A, F, G>(
     exec: &Executor,
     shards: &[Shard<I>],
@@ -569,6 +571,8 @@ fn supervise_parallel<I, T, A, F, G>(
 
 #[cfg(test)]
 mod tests {
+    #![expect(clippy::disallowed_methods, reason = "the tests remove their journal files")]
+
     use super::*;
     use crate::plan::ShardPlan;
 

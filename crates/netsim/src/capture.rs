@@ -188,23 +188,23 @@ impl Capture {
                 continue;
             }
             let fields: Vec<&str> = line.split('\t').collect();
-            if fields.len() != 8 {
+            let [time_ns, dst, direction, qname, qtype, rcode, answers, size] = fields[..] else {
                 return Err(format!("line {}: expected 8 fields, got {}", idx + 1, fields.len()));
-            }
+            };
             let err = |what: &str| format!("line {}: bad {what}", idx + 1);
             let packet = Packet {
-                time_ns: fields[0].parse().map_err(|_| err("time"))?,
-                dst: fields[1].parse().map_err(|_| err("address"))?,
-                direction: match fields[2] {
+                time_ns: time_ns.parse().map_err(|_| err("time"))?,
+                dst: dst.parse().map_err(|_| err("address"))?,
+                direction: match direction {
                     "Q" => Direction::Query,
                     "R" => Direction::Response,
                     _ => return Err(err("direction")),
                 },
-                qname: Name::parse(fields[3]).map_err(|_| err("name"))?,
-                qtype: RrType::from_code(fields[4].parse().map_err(|_| err("type"))?),
-                rcode: Rcode::from_code(fields[5].parse().map_err(|_| err("rcode"))?),
-                answers: fields[6].parse().map_err(|_| err("answer count"))?,
-                size: fields[7].parse().map_err(|_| err("size"))?,
+                qname: Name::parse(qname).map_err(|_| err("name"))?,
+                qtype: RrType::from_code(qtype.parse().map_err(|_| err("type"))?),
+                rcode: Rcode::from_code(rcode.parse().map_err(|_| err("rcode"))?),
+                answers: answers.parse().map_err(|_| err("answer count"))?,
+                size: size.parse().map_err(|_| err("size"))?,
             };
             capture.record(packet);
         }

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 
-use lookaside_wire::{Message, MessageBuilder, RData, Rcode, Record, RenderArena, RrClass, RrType};
+use lookaside_wire::{Message, MessageBuilder, RData, Rcode, Record, RenderArena, RrType};
 
 use crate::capture::{Capture, CaptureFilter, Direction, Packet};
 use crate::fault::{splitmix64, FaultPlane, GOLDEN};
@@ -414,7 +414,6 @@ impl Network {
             Some(node) => node,
             None => self.default_route.as_mut().ok_or(NetError::NoRoute(dst))?,
         };
-        // lint:allow(semantic::panic-reachable) -- this dispatch hands the query to the simulated authoritative plane (servers, zone builders, spec oracles); a panic past it means the experiment setup violated its own invariants and must abort the run loudly rather than mis-answer
         let action = node.handle_transport(&query, self.clock_ns, transport);
         if plan.duplicate {
             // The spare copy reaches the server too; its response loses the
@@ -525,9 +524,8 @@ impl Network {
         qtype: RrType,
     ) -> Result<Exchange, NetError> {
         let id = self.allocate_id();
-        let mut q = Message::dnssec_query(id, qname, qtype);
-        q.questions[0].class = RrClass::In;
-        self.exchange(dst, &q)
+        // `Message::query` already asks in class IN.
+        self.exchange(dst, &Message::dnssec_query(id, qname, qtype))
     }
 
     /// Simulated time, nanoseconds since the run started.
@@ -620,7 +618,6 @@ fn forge_response(query: &Message, qname: &lookaside_wire::Name, salt: u64) -> S
         .rcode(Rcode::NoError)
         .authoritative(true)
         .answer(Record::new(qname.clone(), 60, RData::A(forged_addr)))
-        // lint:allow(semantic::panic-reachable) -- name-only resolution links this `.build()` to every workspace `build` (zone builders, the lint call graph); the real callee is wire's MessageBuilder::build, whose panic sites clippy's unwrap/expect/panic deny in crates/wire/src/lib.rs already polices
         .build();
     if wrong_qid {
         response.header.id = response.header.id.wrapping_add(((salt >> 8) as u16) | 1);

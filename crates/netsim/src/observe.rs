@@ -1,4 +1,3 @@
-// lint:stream-hot-path
 //! Streaming packet observers — the fold-style alternative to [`Capture`].
 //!
 //! A capture keeps every retained packet for analysis afterwards; that is
@@ -14,8 +13,9 @@
 //! the run's [`CaptureFilter`] via [`CaptureFilter::keeps`] itself,
 //! mirroring what `Capture::record` does.
 //!
-//! This module is tagged as streaming steady-state: `observe` runs once
-//! per packet for tens of millions of packets, so it must not allocate.
+//! `observe` runs once per packet for tens of millions of packets, so it
+//! must not allocate; `crates/bench/tests/alloc_free.rs` holds
+//! [`DlvQueryCounter::observe`] to that.
 
 use std::cell::RefCell;
 use std::rc::Rc;

@@ -210,7 +210,7 @@ mod tests {
         assert_eq!(s.queries_of(RrType::Mx), 0);
         assert_eq!(s.total_bytes(), 30 + 100 + 30 + 80 + 50 + 120);
         assert_eq!(s.total_time_ns(), 6_000_000);
-        assert_eq!(s.responses_by_rcode[&Rcode::NxDomain], 2);
+        assert_eq!(s.responses_by_rcode.get(&Rcode::NxDomain), Some(&2));
     }
 
     #[test]

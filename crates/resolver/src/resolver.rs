@@ -57,8 +57,8 @@ pub enum ResolveError {
         subject: Name,
     },
     /// A zone cut offered no usable server addresses (an empty referral,
-    /// or every hint filtered away). Typed instead of a panic: the lint
-    /// wall forbids `expect` on the resolver hot path.
+    /// or every hint filtered away). Typed instead of a panic: clippy's
+    /// `expect_used` deny holds the resolver to typed errors.
     NoServers {
         /// The zone whose server list was empty.
         zone: Name,
@@ -460,7 +460,6 @@ impl RecursiveResolver {
     ///
     /// Exactly as [`RecursiveResolver::resolve`]; on error `out` holds no
     /// meaningful result (its answers are cleared).
-    // lint:entry(hot-path)
     pub fn resolve_into(
         &mut self,
         net: &mut Network,

@@ -104,7 +104,6 @@ impl DlvRegistry {
     /// Like [`DlvRegistry::new`] with an explicit negative-caching TTL for
     /// the registry's NSEC spans (the §5.1 "order matters" experiment uses
     /// short TTLs).
-    #[allow(clippy::too_many_arguments)]
     pub fn with_span_ttl(
         apex: Name,
         deposits: &[DlvDeposit],
@@ -130,7 +129,8 @@ impl DlvRegistry {
     /// An NSEC3 registry resists zone enumeration but, per RFC 5074 §5,
     /// resolvers cannot aggressively cache its denials — the §7.3
     /// trade-off the `nsec3` experiment measures.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one parameter per registry property")]
+    #[expect(clippy::expect_used, reason = "a deposit is a registrable domain, so its owner fits")]
     pub fn with_denial(
         apex: Name,
         deposits: &[DlvDeposit],
@@ -179,6 +179,7 @@ impl DlvRegistry {
     /// NXDOMAINs it now receives.
     pub fn set_stage(&mut self, stage: DecommissionStage) {
         if stage == DecommissionStage::Emptied && self.empty_server.is_none() {
+            #[expect(clippy::expect_used, reason = "with_denial built the same name")]
             let primary_ns = self.apex.prepend("ns").expect("registry ns name");
             let mut zone = Zone::new(self.apex.clone(), primary_ns);
             zone.set_negative_ttl(self.span_ttl);
@@ -287,6 +288,7 @@ impl DnsHandler for DlvRegistry {
         self.apply_due(now_ns);
         match self.stage {
             DecommissionStage::Populated => self.server.handle(query, now_ns),
+            #[expect(clippy::expect_used, reason = "set_stage builds it on entering Emptied")]
             DecommissionStage::Emptied => self
                 .empty_server
                 .as_mut()

@@ -11,6 +11,10 @@
 //!
 //! [`KeyTimeline`]: lookaside_zone::KeyTimeline
 
+// Both routers refuse an empty version list in `new`, and `active_index`
+// clamps into the list, so every index below is in bounds.
+#![expect(clippy::indexing_slicing, reason = "the version list is never empty")]
+
 use lookaside_netsim::{DnsHandler, ServerAction, Transport};
 use lookaside_wire::{Message, Name};
 use lookaside_zone::{DenialMode, PublishedZone, Zone, ZoneEpoch};
@@ -68,6 +72,7 @@ impl EpochAuthority {
     /// the first version for times before the window).
     pub fn active_zone(&self, now_ns: u64) -> &PublishedZone {
         let idx = self.active_index(now_ns);
+        #[expect(clippy::expect_used, reason = "from_epochs builds one-zone servers")]
         self.epochs[idx].1.zones().first().expect("epoch servers are built with exactly one zone")
     }
 

@@ -16,6 +16,10 @@
 //! materialised ones, so validators cannot tell the difference — which is
 //! the point: the substitution changes scale, not semantics.
 
+// Fabricated zones add one short label ("ns", "www", "mail", a neighbour)
+// to a registrable name the oracle specified, which always fits.
+#![expect(clippy::expect_used, reason = "one more label over a registrable name fits")]
+
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
@@ -72,7 +76,7 @@ pub trait ZoneOracle {
     fn sld_spec(&self, qname: &Name) -> Option<SyntheticSpec>;
 }
 
-#[allow(clippy::large_enum_variant)] // two long-lived variants, never collections
+#[expect(clippy::large_enum_variant, reason = "two long-lived variants, never collections")]
 enum Mode {
     /// Serve children of this TLD: referrals, DS, NXDOMAIN.
     Tld {
@@ -175,7 +179,9 @@ impl SyntheticAuthority {
         let Some(spec) = self.oracle.sld_spec(&question.name) else {
             return MessageBuilder::respond_to(query).rcode(Rcode::Refused).build();
         };
-        let Mode::Sld { inception, expiration, cache, cache_cap } = &mut self.mode else {
+        #[expect(clippy::unreachable, reason = "`handle` dispatches on the mode")]
+        let Mode::Sld { inception, expiration, cache, cache_cap } = &mut self.mode
+        else {
             unreachable!("handle_sld called in TLD mode");
         };
         if cache.len() >= *cache_cap && !cache.contains_key(&spec.apex) {
@@ -257,7 +263,9 @@ impl SyntheticAuthority {
         let Some(question) = query.question() else {
             return MessageBuilder::respond_to(query).rcode(Rcode::FormErr).build();
         };
-        let Mode::Tld { apex, apex_zone, keys, signed, inception, expiration } = &self.mode else {
+        #[expect(clippy::unreachable, reason = "`handle` dispatches on the mode")]
+        let Mode::Tld { apex, apex_zone, keys, signed, inception, expiration } = &self.mode
+        else {
             unreachable!("handle_tld called in SLD mode");
         };
         let qname = &question.name;
@@ -381,11 +389,14 @@ impl SyntheticAuthority {
 /// A name canonically just before `name`, guaranteed not to collide with
 /// population names (which never end in `-`).
 fn close_predecessor(name: &Name) -> Name {
-    let first = name.label(0).to_string();
-    let trimmed: String =
-        if first.len() > 1 { first[..first.len() - 1].to_string() } else { "0".into() };
+    let mut label = name.label(0).to_string();
+    if label.len() > 1 {
+        label.pop();
+    } else {
+        label = "0".into();
+    }
     let parent = name.parent().expect("child names have parents");
-    parent.prepend(&trimmed).expect("predecessor label fits")
+    parent.prepend(&label).expect("predecessor label fits")
 }
 
 /// A name canonically just after `name`.

@@ -1,17 +1,16 @@
-// lint:stream-hot-path
 //! Reusable message-rendering arena — the wholesale-reset allocator of the
 //! streaming hot path.
 //!
 //! `Message::wire_len` renders into a fresh buffer every call, which is
 //! three heap allocations per simulated exchange (query size, truncation
 //! check, response size). A [`RenderArena`] owns one [`Writer`] — output
-//! buffer plus name-compression map — and resets it wholesale between
-//! renders: the buffer keeps its capacity, the compression map keeps its
-//! buckets, and steady-state rendering stops growing the heap once the
-//! largest message has been seen.
+//! buffer plus the compression suffixes — and resets it wholesale between
+//! renders: both keep their capacity, so steady-state rendering allocates
+//! nothing once the largest message has been seen.
 //!
-//! This module is tagged as streaming steady-state: `measure` runs several
-//! times per exchange for tens of millions of exchanges.
+//! `measure` runs several times per exchange for tens of millions of
+//! exchanges; `crates/bench/tests/alloc_free.rs` holds it, and the
+//! [`Scratch`] take/give cycle, to zero heap allocations.
 
 use crate::codec::Writer;
 use crate::Message;
@@ -55,7 +54,7 @@ impl RenderArena {
     }
 
     /// Largest message rendered so far, in octets — the arena's resident
-    /// footprint is this plus the compression map.
+    /// footprint is this plus the recorded compression suffixes.
     pub fn high_water(&self) -> usize {
         self.high_water
     }

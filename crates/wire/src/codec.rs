@@ -6,16 +6,17 @@
 //! protection.
 //!
 //! Both directions ride the compact [`Name`] representation: the writer
-//! probes its compression map with borrowed byte-suffix slices of the name's
-//! contiguous wire bytes (no per-tail `Name` or key allocation — the map
-//! only allocates when a *new* suffix is recorded), and the reader assembles
+//! compares borrowed byte-suffix slices of the name's contiguous wire bytes
+//! against the suffixes it has already written, which it keeps back to back
+//! in one byte buffer that [`Writer::reset`] empties without freeing, so a
+//! reused writer renders without touching the heap; the reader assembles
 //! labels on a stack [`NameBuilder`], so decoding a short name touches the
 //! heap zero times.
 
-// lint:allow-file(panic::slice-index) -- every Reader slice is preceded by an explicit bounds check (take/seek/read_bytes validate offsets before slicing); the 10k fixed-seed corruption fuzz gate in ci.sh proves panic-freedom on arbitrary input bytes
-
-// lint:allow(determinism::hash-collection) -- Writer.names is only probed, inserted into and cleared, never iterated, so its order cannot reach the encoded bytes
-use std::collections::HashMap;
+#![expect(
+    clippy::indexing_slicing,
+    reason = "every Reader slice is preceded by an explicit bounds check (take/seek/read_bytes validate offsets before slicing), and every Writer slice is a label offset of the name being written or an entry into its own suffix buffer; the 10k fixed-seed corruption fuzz gate in ci.sh exercises the decode paths on arbitrary input bytes"
+)]
 
 use crate::name::{label_offsets, NameBuilder, MAX_LABELS, MAX_NAME_LEN};
 use crate::{Name, WireError};
@@ -24,13 +25,14 @@ use crate::{Name, WireError};
 #[derive(Debug, Default)]
 pub struct Writer {
     buf: Vec<u8>,
-    /// Maps a name tail's wire label bytes (length-prefixed, lower-cased, no
-    /// root byte) to the message offset where that tail was first written.
-    /// Offsets beyond 0x3fff are not recorded because pointers cannot reach
-    /// them. Probed with borrowed slices; keys are only allocated on first
-    /// sight of a suffix.
-    // lint:allow(determinism::hash-collection) -- looked up and cleared, never iterated
-    names: HashMap<Vec<u8>, u16>,
+    /// The wire label bytes (length-prefixed, lower-cased, no root byte) of
+    /// every name tail recorded for compression, back to back.
+    tails: Vec<u8>,
+    /// One `(start, len, offset)` per recorded tail: `tails[start..][..len]`
+    /// was first written at message `offset`. Offsets beyond 0x3fff are not
+    /// recorded because pointers cannot reach them. A message holds a few
+    /// dozen tails, so a linear probe beats hashing them.
+    entries: Vec<(usize, usize, u16)>,
 }
 
 impl Writer {
@@ -59,12 +61,13 @@ impl Writer {
         &self.buf
     }
 
-    /// Clears the buffer and the compression map, keeping both allocations
+    /// Clears the buffer and the recorded tails, keeping every allocation
     /// — the reset that lets one writer render many messages (see
     /// [`crate::RenderArena`]).
     pub fn reset(&mut self) {
         self.buf.clear();
-        self.names.clear();
+        self.tails.clear();
+        self.entries.clear();
     }
 
     /// Appends one octet.
@@ -116,7 +119,7 @@ impl Writer {
         let n = label_offsets(bytes, &mut offs);
         for i in 0..n {
             let tail = &bytes[offs[i] as usize..];
-            if let Some(&pointer) = self.names.get(tail) {
+            if let Some(pointer) = self.find_tail(tail) {
                 // Emit the labels before the match, then a pointer.
                 let prefix = &bytes[..offs[i] as usize];
                 self.buf.extend_from_slice(prefix);
@@ -141,17 +144,24 @@ impl Writer {
         name.encode_uncompressed(&mut self.buf);
     }
 
+    /// The message offset where `tail` was first written, if recorded.
+    fn find_tail(&self, tail: &[u8]) -> Option<u16> {
+        self.entries
+            .iter()
+            .find(|&&(start, len, _)| len == tail.len() && self.tails[start..][..len] == *tail)
+            .map(|&(_, _, at)| at)
+    }
+
     /// Records the message offset of each tail of `bytes` starting at the
     /// given label offsets, where the byte at `offs[i]` sits at message
     /// offset `base + offs[i]`. First sighting wins.
     fn record_tails(&mut self, bytes: &[u8], offs: &[u8], base: usize) {
         for &off in offs {
             let at = base + off as usize;
-            if at <= 0x3fff {
-                let tail = &bytes[off as usize..];
-                if !self.names.contains_key(tail) {
-                    self.names.insert(tail.to_vec(), at as u16);
-                }
+            let tail = &bytes[off as usize..];
+            if at <= 0x3fff && self.find_tail(tail).is_none() {
+                self.entries.push((self.tails.len(), tail.len(), at as u16));
+                self.tails.extend_from_slice(tail);
             }
         }
     }

@@ -27,8 +27,8 @@
 //! # Ok::<(), lookaside_wire::WireError>(())
 //! ```
 
-// A hot-path crate: typed errors, not panics. Clippy holds live code to
-// that; `panic::slice-index` in crates/lint covers indexing.
+// Typed errors, not panics: clippy holds live code to that, indexing
+// included, and every waiver is an `#[expect]` with a reason.
 #![cfg_attr(
     not(test),
     deny(
@@ -37,7 +37,11 @@
         clippy::panic,
         clippy::todo,
         clippy::unimplemented,
-        clippy::unreachable
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::string_slice,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
     )
 )]
 #![warn(missing_docs)]

@@ -188,7 +188,6 @@ impl Message {
     /// reuse one) — the allocation-free rendering path behind
     /// [`crate::RenderArena`]. Produces exactly the bytes of
     /// [`Message::to_bytes`].
-    // lint:entry(hot-path)
     pub fn render_with(&self, w: &mut Writer) {
         let mut header = self.header;
         header.qdcount = self.questions.len() as u16;

@@ -11,11 +11,12 @@
 //! without touching the heap, and a [`NameTable`] interns heap-backed
 //! names per worker so hot paths hand out shared handles.
 
-// lint:allow-file(panic::slice-index) -- all indices derive from label offsets validated when the Name was constructed (Repr invariants), and the corruption fuzz gate exercises the decode paths with arbitrary bytes
+#![expect(
+    clippy::indexing_slicing,
+    reason = "all indices derive from label offsets validated when the Name was constructed (Repr invariants), and the corruption fuzz gate exercises the decode paths with arbitrary bytes"
+)]
 
 use std::cmp::Ordering;
-// lint:allow(determinism::hash-collection) -- NameTable.set is only probed, inserted into, counted and cleared, never iterated: interning order cannot reach a result
-use std::collections::HashSet;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -711,8 +712,11 @@ impl Default for NameBuilder {
 /// never change a name's value, only where its bytes live).
 #[derive(Debug, Clone, Default)]
 pub struct NameTable {
-    // lint:allow(determinism::hash-collection) -- looked up and cleared, never iterated
-    set: HashSet<Name>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "only probed, inserted into, counted and cleared, never iterated: interning order cannot reach a result"
+    )]
+    set: std::collections::HashSet<Name>,
 }
 
 impl NameTable {
@@ -928,6 +932,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_types, reason = "checks `Hash` across representations")]
     fn inline_and_shared_compare_equal() {
         // Force a shared repr for a short logical value by slicing a long one.
         let long = n("extremely-long-prefix-padding-padding.example.com");

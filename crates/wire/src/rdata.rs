@@ -1,4 +1,7 @@
-// lint:allow-file(panic::slice-index) -- rdata slices come from Reader::read_bytes, which errors on short input before the slice is formed; fuzz-backed by the ci.sh corruption gate
+#![expect(
+    clippy::indexing_slicing,
+    reason = "rdata slices come from Reader::read_bytes, which errors on short input before the slice is formed; fuzz-backed by the ci.sh corruption gate"
+)]
 
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};

@@ -1,4 +1,7 @@
-// lint:allow-file(panic::slice-index) -- bitmap window slices are length-checked against the decoded window length before each access; fuzz-backed by the ci.sh corruption gate
+#![expect(
+    clippy::indexing_slicing,
+    reason = "bitmap window slices are length-checked against the decoded window length before each access; fuzz-backed by the ci.sh corruption gate"
+)]
 
 use std::fmt;
 

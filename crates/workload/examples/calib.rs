@@ -1,3 +1,5 @@
+#![expect(clippy::disallowed_macros, reason = "an example prints what it demonstrates")]
+
 use lookaside_workload::{DomainPopulation, PopulationParams};
 fn main() {
     let p =

@@ -62,6 +62,7 @@ impl DitlTrace {
         let mut idx = 0usize;
         while diff != 0 {
             let step = diff.signum();
+            #[expect(clippy::indexing_slicing, reason = "per_minute has DITL_MINUTES entries")]
             let v = &mut per_minute[idx % DITL_MINUTES];
             let candidate = (*v as i64 + step) as u64;
             if (RATE_MIN..=RATE_MAX).contains(&candidate) {

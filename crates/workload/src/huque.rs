@@ -26,11 +26,12 @@ pub struct HuqueDomain {
 
 /// Builds the 45-domain corpus: indices 0–4 are islands (0 and 2
 /// deposited), 5–44 are fully secured.
+#[expect(clippy::expect_used, reason = "`huqueNN.<tld>.` is a valid name")]
 pub fn huque45() -> Vec<HuqueDomain> {
     let tlds = ["com", "net", "org", "edu"];
     (0..45)
-        .map(|i| {
-            let tld = tlds[i % tlds.len()];
+        .zip(tlds.iter().cycle())
+        .map(|(i, tld)| {
             let island = i < 5;
             HuqueDomain {
                 name: Name::parse(&format!("huque{i:02}.{tld}.")).expect("valid name"),

@@ -5,6 +5,10 @@
 //! registry's NSEC spans align with rank intervals and keeps the
 //! repository-density calibration analytic (see [`RepoDensity`]).
 
+// Names are generated in fixed formats over the TLD table, and `tld_cum`
+// holds indices into that table.
+#![expect(clippy::expect_used, clippy::indexing_slicing, reason = "generated by construction")]
+
 use std::net::Ipv4Addr;
 
 use lookaside_wire::Name;
@@ -350,8 +354,8 @@ impl DomainPopulation {
         let apex = qname.suffix(2);
         let sld = apex.label(0).to_string();
         let tld = apex.label(1).to_string();
-        let rest = &sld[1..];
-        if sld.starts_with('d') && rest.len() == 7 && rest.bytes().all(|b| b.is_ascii_digit()) {
+        let digits = |s: &str, n: usize| s.len() == n && s.bytes().all(|b| b.is_ascii_digit());
+        if let Some(rest) = sld.strip_prefix('d').filter(|rest| digits(rest, 7)) {
             let rank: usize = rest.parse().ok()?;
             if rank == 0 || rank > self.params.size {
                 return None;
@@ -362,7 +366,7 @@ impl DomainPopulation {
             }
             return Some(PopEntry::Domain(attrs));
         }
-        if sld.starts_with('h') && rest.len() == 4 && rest.bytes().all(|b| b.is_ascii_digit()) {
+        if let Some(rest) = sld.strip_prefix('h').filter(|rest| digits(rest, 4)) {
             let index: usize = rest.parse().ok()?;
             if index >= self.params.hoster_pool {
                 return None;

@@ -46,7 +46,7 @@ impl Zipf {
     /// Samples a rank in `1..=n` from a uniform `u ∈ [0, 1)`.
     pub fn sample(&self, u: f64) -> usize {
         let u = u.clamp(0.0, 1.0 - f64::EPSILON);
-        match self.cdf.binary_search_by(|p| p.partial_cmp(&u).expect("no NaN in cdf")) {
+        match self.cdf.binary_search_by(|p| p.total_cmp(&u)) {
             Ok(i) | Err(i) => (i + 1).min(self.cdf.len()),
         }
     }

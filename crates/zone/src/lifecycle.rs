@@ -277,8 +277,8 @@ impl KeyTimeline {
         }
         if let LifecycleFault::LateResign { resign_index, delay_secs } = self.fault {
             let idx = resign_index as usize;
-            if idx < times.len() {
-                let shifted = times[idx].saturating_add(delay_secs);
+            if let Some(&at) = times.get(idx) {
+                let shifted = at.saturating_add(delay_secs);
                 times.truncate(idx);
                 times.push(shifted);
                 let mut next = shifted - shifted % step + step;

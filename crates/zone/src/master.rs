@@ -96,7 +96,7 @@ fn strip_comment(line: &str) -> &str {
     for (i, c) in line.char_indices() {
         match c {
             '"' => in_quotes = !in_quotes,
-            ';' if !in_quotes => return &line[..i],
+            ';' if !in_quotes => return line.get(..i).unwrap_or(line),
             _ => {}
         }
     }
@@ -175,13 +175,16 @@ fn parse_name(token: &str, origin: &Name, line: usize) -> Result<Name, MasterErr
 }
 
 fn hex_decode(s: &str, line: usize) -> Result<Vec<u8>, MasterError> {
+    let bad = || MasterError::BadRdata { line, message: format!("bad hex string {s:?}") };
+    // `from_str_radix` alone would also take a sign.
     if !s.len().is_multiple_of(2) || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return Err(MasterError::BadRdata { line, message: format!("bad hex string {s:?}") });
+        return Err(bad());
     }
-    Ok((0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).expect("checked hex"))
-        .collect())
+    s.as_bytes()
+        .chunks(2)
+        .map(|pair| std::str::from_utf8(pair).ok().and_then(|h| u8::from_str_radix(h, 16).ok()))
+        .collect::<Option<_>>()
+        .ok_or_else(bad)
 }
 
 /// Hex-encodes bytes for serialisation.
@@ -199,75 +202,76 @@ fn parse_rdata(
     origin: &Name,
     line: usize,
 ) -> Result<RData, MasterError> {
-    let need = |n: usize| -> Result<(), MasterError> {
-        if args.len() < n {
-            Err(MasterError::Syntax {
-                line,
-                message: format!("{rrtype} needs {n} fields, got {}", args.len()),
-            })
-        } else {
-            Ok(())
-        }
+    // Extra fields are ignored; too few is an error.
+    let too_few = |n: usize| MasterError::Syntax {
+        line,
+        message: format!("{rrtype} needs {n} fields, got {}", args.len()),
     };
     match rrtype {
         "A" => {
-            need(1)?;
-            let addr = args[0].parse().map_err(|_| MasterError::BadRdata {
+            let [addr, ..] = args else { return Err(too_few(1)) };
+            let addr = addr.parse().map_err(|_| MasterError::BadRdata {
                 line,
-                message: format!("bad IPv4 address {:?}", args[0]),
+                message: format!("bad IPv4 address {addr:?}"),
             })?;
             Ok(RData::A(addr))
         }
         "AAAA" => {
-            need(1)?;
-            let addr = args[0].parse().map_err(|_| MasterError::BadRdata {
+            let [addr, ..] = args else { return Err(too_few(1)) };
+            let addr = addr.parse().map_err(|_| MasterError::BadRdata {
                 line,
-                message: format!("bad IPv6 address {:?}", args[0]),
+                message: format!("bad IPv6 address {addr:?}"),
             })?;
             Ok(RData::Aaaa(addr))
         }
         "NS" => {
-            need(1)?;
-            Ok(RData::Ns(parse_name(&args[0], origin, line)?))
+            let [target, ..] = args else { return Err(too_few(1)) };
+            Ok(RData::Ns(parse_name(target, origin, line)?))
         }
         "CNAME" => {
-            need(1)?;
-            Ok(RData::Cname(parse_name(&args[0], origin, line)?))
+            let [target, ..] = args else { return Err(too_few(1)) };
+            Ok(RData::Cname(parse_name(target, origin, line)?))
         }
         "PTR" => {
-            need(1)?;
-            Ok(RData::Ptr(parse_name(&args[0], origin, line)?))
+            let [target, ..] = args else { return Err(too_few(1)) };
+            Ok(RData::Ptr(parse_name(target, origin, line)?))
         }
         "MX" => {
-            need(2)?;
+            let [preference, exchange, ..] = args else { return Err(too_few(2)) };
             Ok(RData::Mx {
-                preference: parse_u(&args[0], "MX preference", line)?,
-                exchange: parse_name(&args[1], origin, line)?,
+                preference: parse_u(preference, "MX preference", line)?,
+                exchange: parse_name(exchange, origin, line)?,
             })
         }
         "TXT" => {
-            need(1)?;
+            if args.is_empty() {
+                return Err(too_few(1));
+            }
             let segments = args.iter().map(|s| s.trim_matches('"').to_string()).collect();
             Ok(RData::Txt(segments))
         }
         "SOA" => {
-            need(7)?;
+            let [mname, rname, serial, refresh, retry, expire, minimum, ..] = args else {
+                return Err(too_few(7));
+            };
             Ok(RData::Soa(SoaData {
-                mname: parse_name(&args[0], origin, line)?,
-                rname: parse_name(&args[1], origin, line)?,
-                serial: parse_u(&args[2], "SOA serial", line)?,
-                refresh: parse_u(&args[3], "SOA refresh", line)?,
-                retry: parse_u(&args[4], "SOA retry", line)?,
-                expire: parse_u(&args[5], "SOA expire", line)?,
-                minimum: parse_u(&args[6], "SOA minimum", line)?,
+                mname: parse_name(mname, origin, line)?,
+                rname: parse_name(rname, origin, line)?,
+                serial: parse_u(serial, "SOA serial", line)?,
+                refresh: parse_u(refresh, "SOA refresh", line)?,
+                retry: parse_u(retry, "SOA retry", line)?,
+                expire: parse_u(expire, "SOA expire", line)?,
+                minimum: parse_u(minimum, "SOA minimum", line)?,
             }))
         }
         "DS" | "DLV" => {
-            need(4)?;
-            let key_tag = parse_u(&args[0], "key tag", line)?;
-            let algorithm = parse_u(&args[1], "algorithm", line)?;
-            let digest_type = parse_u(&args[2], "digest type", line)?;
-            let digest = hex_decode(&args[3], line)?;
+            let [key_tag, algorithm, digest_type, digest, ..] = args else {
+                return Err(too_few(4));
+            };
+            let key_tag = parse_u(key_tag, "key tag", line)?;
+            let algorithm = parse_u(algorithm, "algorithm", line)?;
+            let digest_type = parse_u(digest_type, "digest type", line)?;
+            let digest = hex_decode(digest, line)?;
             Ok(if rrtype == "DS" {
                 RData::Ds { key_tag, algorithm, digest_type, digest }
             } else {
@@ -275,12 +279,14 @@ fn parse_rdata(
             })
         }
         "DNSKEY" => {
-            need(4)?;
+            let [flags, protocol, algorithm, public_key, ..] = args else {
+                return Err(too_few(4));
+            };
             Ok(RData::Dnskey {
-                flags: parse_u(&args[0], "DNSKEY flags", line)?,
-                protocol: parse_u(&args[1], "DNSKEY protocol", line)?,
-                algorithm: parse_u(&args[2], "DNSKEY algorithm", line)?,
-                public_key: hex_decode(&args[3], line)?,
+                flags: parse_u(flags, "DNSKEY flags", line)?,
+                protocol: parse_u(protocol, "DNSKEY protocol", line)?,
+                algorithm: parse_u(algorithm, "DNSKEY algorithm", line)?,
+                public_key: hex_decode(public_key, line)?,
             })
         }
         other => {
@@ -305,32 +311,21 @@ pub fn parse_records(text: &str, default_origin: &Name) -> Result<Vec<MasterReco
     for (line_no, line) in logical_lines(text) {
         let started_with_space = line.starts_with(char::is_whitespace);
         let tokens = tokenize(&line);
-        if tokens.is_empty() {
-            continue;
-        }
-        match tokens[0].as_str() {
-            "$ORIGIN" => {
-                if tokens.len() != 2 {
-                    return Err(MasterError::Syntax {
-                        line: line_no,
-                        message: "$ORIGIN needs one argument".into(),
-                    });
-                }
-                origin = Name::parse(&tokens[1])
+        let Some(first) = tokens.first() else { continue };
+        if let directive @ ("$ORIGIN" | "$TTL") = first.as_str() {
+            let [_, arg] = tokens.as_slice() else {
+                return Err(MasterError::Syntax {
+                    line: line_no,
+                    message: format!("{directive} needs one argument"),
+                });
+            };
+            if directive == "$ORIGIN" {
+                origin = Name::parse(arg)
                     .map_err(|source| MasterError::BadName { line: line_no, source })?;
-                continue;
+            } else {
+                default_ttl = parse_u(arg, "$TTL", line_no)?;
             }
-            "$TTL" => {
-                if tokens.len() != 2 {
-                    return Err(MasterError::Syntax {
-                        line: line_no,
-                        message: "$TTL needs one argument".into(),
-                    });
-                }
-                default_ttl = parse_u(&tokens[1], "$TTL", line_no)?;
-                continue;
-            }
-            _ => {}
+            continue;
         }
 
         // Owner name: blank leading field repeats the previous owner.
@@ -342,14 +337,13 @@ pub fn parse_records(text: &str, default_origin: &Name) -> Result<Vec<MasterReco
             })?
         } else {
             idx = 1;
-            parse_name(&tokens[0], &origin, line_no)?
+            parse_name(first, &origin, line_no)?
         };
         last_name = Some(name.clone());
 
         // Optional TTL and class tokens, in either order.
         let mut ttl = default_ttl;
-        while idx < tokens.len() {
-            let tok = &tokens[idx];
+        while let Some(tok) = tokens.get(idx) {
             if tok == "IN" {
                 idx += 1;
             } else if tok.bytes().all(|b| b.is_ascii_digit()) && idx + 1 < tokens.len() {
@@ -359,13 +353,13 @@ pub fn parse_records(text: &str, default_origin: &Name) -> Result<Vec<MasterReco
                 break;
             }
         }
-        let Some(rrtype) = tokens.get(idx) else {
+        let Some((rrtype, args)) = tokens.get(idx..).and_then(<[String]>::split_first) else {
             return Err(MasterError::Syntax {
                 line: line_no,
                 message: "missing record type".into(),
             });
         };
-        let rdata = parse_rdata(&rrtype.to_uppercase(), &tokens[idx + 1..], &origin, line_no)?;
+        let rdata = parse_rdata(&rrtype.to_uppercase(), args, &origin, line_no)?;
         records.push(MasterRecord { name, ttl, rdata });
     }
     Ok(records)
@@ -592,6 +586,11 @@ child   IN DS  12345 253 2 00ff
     fn bad_values_are_rejected() {
         assert!(parse_records("www IN A not-an-ip\n", &origin()).is_err());
         assert!(parse_records("www IN DS 1 2 3 xyz\n", &origin()).is_err());
+        assert!(parse_records("www IN DS 1 2 3 +f\n", &origin()).is_err());
+        assert!(matches!(
+            parse_records("mail IN MX 10\n", &origin()),
+            Err(MasterError::Syntax { line: 1, .. })
+        ));
         assert!(parse_records("www IN WEIRD data\n", &origin()).is_err());
         assert!(parse_records("$TTL\n", &origin()).is_err());
     }

@@ -80,6 +80,7 @@ impl NsecChain {
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
+    #[expect(clippy::indexing_slicing, reason = "documented contract; callers pass chain indices")]
     pub fn record_at(&self, idx: usize, ttl: u32) -> RrSet {
         let (owner, types) = &self.entries[idx];
         let next = &self.entries[(idx + 1) % self.entries.len()].0;

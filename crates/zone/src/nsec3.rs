@@ -52,6 +52,7 @@ pub fn nsec3_hash(name: &Name, salt: &[u8], iterations: u16) -> [u8; NSEC3_HASH_
 
 /// Base32hex (RFC 4648 §7, no padding, lowercase) — the encoding of NSEC3
 /// owner labels.
+#[expect(clippy::indexing_slicing, reason = "chunks(5) fills at most 5 octets; symbols are 5 bits")]
 pub fn base32hex(bytes: &[u8]) -> String {
     const ALPHABET: &[u8; 32] = b"0123456789abcdefghijklmnopqrstuv";
     let mut out = String::with_capacity(bytes.len().div_ceil(5) * 8);
@@ -131,6 +132,8 @@ impl Nsec3Chain {
     /// # Panics
     ///
     /// Panics if `idx` is out of range or the chain is empty.
+    #[expect(clippy::indexing_slicing, reason = "documented contract; callers pass chain indices")]
+    #[expect(clippy::expect_used, reason = "a 32-octet base32hex label fits under any apex")]
     pub fn record_at(&self, idx: usize, ttl: u32) -> RrSet {
         let (hash, types) = &self.entries[idx];
         let next = self.entries[(idx + 1) % self.entries.len()].0;

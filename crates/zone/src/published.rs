@@ -75,6 +75,8 @@ pub struct ZoneKeySet {
     pub signer_ksk: usize,
 }
 
+// `signer_zsk` and `signer_ksk` index the lists they were chosen from.
+#[expect(clippy::indexing_slicing, reason = "signer indices point into their key lists")]
 impl ZoneKeySet {
     /// The degenerate one-ZSK/one-KSK key set equivalent to `keys`.
     pub fn single(keys: &SigningKeys) -> Self {
@@ -112,8 +114,7 @@ impl From<&SigningKeys> for ZoneKeySet {
 /// Builds the RFC 4034 §3.1.8.1 signature input: the RRSIG RDATA with the
 /// signature field removed, followed by the canonical RRset.
 ///
-/// The argument list mirrors the RRSIG RDATA layout one-to-one on purpose.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "mirrors the RRSIG RDATA layout one-to-one")]
 pub fn rrsig_signing_input(
     type_covered: RrType,
     algorithm: u8,
@@ -238,6 +239,7 @@ impl PublishedZone {
             let sig = Arc::new(sign_rrset(set, &apex, zsk, inception, expiration));
             sigs.insert((set.name.clone(), set.rrtype), sig);
         }
+        #[expect(clippy::expect_used, reason = "the DNSKEY RRset was signed just above")]
         sigs.insert(
             (apex.clone(), RrType::Dnskey),
             dnskeys.rrsig.clone().expect("dnskey signed above"),
@@ -341,6 +343,7 @@ impl PublishedZone {
 
     /// The NSEC/NSEC3 record (with signature) proving `name` does not
     /// exist. Served from the pre-rendered tables — two refcount bumps.
+    #[expect(clippy::indexing_slicing, reason = "each rendered table is built from its chain")]
     pub fn nxdomain_proof(&self, name: &Name) -> Option<SignedRrSet> {
         if let Some(chain) = &self.nsec {
             return Some(self.nsec_rendered[chain.covering_index(name)?].clone());
@@ -353,6 +356,7 @@ impl PublishedZone {
 
     /// The NSEC/NSEC3 record at `name` itself (type-absence proof), if
     /// `name` owns one.
+    #[expect(clippy::indexing_slicing, reason = "each rendered table is built from its chain")]
     pub fn nodata_proof(&self, name: &Name) -> Option<SignedRrSet> {
         if let Some(chain) = &self.nsec {
             return Some(self.nsec_rendered[chain.index_of(name)?].clone());
@@ -414,6 +418,7 @@ impl PublishedZone {
     }
 
     fn referral(&self, cut: &Name) -> Lookup {
+        #[expect(clippy::expect_used, reason = "a zone cut is where an NS RRset sits")]
         let ns =
             self.zone.rrset(cut, RrType::Ns).cloned().expect("cut names always own an NS RRset");
         let ds = self.zone.rrset(cut, RrType::Ds).map(|set| self.with_sig(set));

@@ -32,6 +32,7 @@ impl Zone {
     /// Creates a zone with a default SOA naming `primary_ns` as primary and
     /// adds the apex NS record.
     pub fn new(apex: Name, primary_ns: Name) -> Self {
+        #[expect(clippy::expect_used, reason = "a literal, valid name")]
         let soa = SoaData {
             mname: primary_ns.clone(),
             rname: Name::parse("hostmaster.invalid.").expect("static name"),
@@ -97,6 +98,7 @@ impl Zone {
     ///
     /// Panics if `name` is outside the zone; use [`Zone::try_add`] for
     /// fallible insertion.
+    #[expect(clippy::expect_used, reason = "documented contract")]
     pub fn add(&mut self, name: Name, ttl: u32, rdata: RData) {
         self.try_add(name, ttl, rdata).expect("record in bailiwick");
     }
@@ -107,10 +109,15 @@ impl Zone {
     /// # Errors
     ///
     /// Returns [`ZoneError::OutOfBailiwick`] or [`ZoneError::CnameConflict`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`RData::Unknown`], which only decoding produces.
     pub fn try_add(&mut self, name: Name, ttl: u32, rdata: RData) -> Result<(), ZoneError> {
         if !name.is_subdomain_of(&self.apex) {
             return Err(ZoneError::OutOfBailiwick { apex: self.apex.clone(), name });
         }
+        #[expect(clippy::expect_used, reason = "documented contract")]
         let rrtype = rdata.rrtype().expect("typed rdata");
         if let Some(sets) = self.records.get(&name) {
             let has_other = sets.keys().any(|&t| t != rrtype);

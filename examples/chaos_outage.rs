@@ -6,6 +6,8 @@
 //! cargo run --release -p lookaside --example chaos_outage
 //! ```
 
+#![expect(clippy::disallowed_macros, reason = "an example prints what it demonstrates")]
+
 use lookaside::chaos::{chaos_outage, ChaosConfig, TimerProfile};
 use lookaside::engine::Executor;
 use lookaside::report::render_table;

@@ -6,6 +6,8 @@
 //! cargo run --release -p lookaside --example config_survey
 //! ```
 
+#![expect(clippy::disallowed_macros, reason = "an example prints what it demonstrates")]
+
 use lookaside::experiments::{run, QuerySet, RunConfig};
 use lookaside_resolver::{EffectiveBehavior, InstallMethod, ResolverConfig};
 use lookaside_wire::ext::RemedyMode;

@@ -9,6 +9,8 @@
 //! With `--full` the cache model runs on the entire trace volume
 //! (~15 s); without it, a 1/200 sample smoke-tests the pipeline.
 
+#![expect(clippy::disallowed_macros, reason = "an example prints what it demonstrates")]
+
 use lookaside::engine::Executor;
 use lookaside::experiments::fig12;
 use lookaside_workload::{DitlTrace, DITL_TOTAL_QUERIES};

@@ -15,6 +15,8 @@
 //! cargo run --release -p lookaside --example dlv_decommission
 //! ```
 
+#![expect(clippy::disallowed_macros, reason = "an example prints what it demonstrates")]
+
 use lookaside::byzantine::{byzantine_sweep, Adversary, ByzantineConfig, HardeningProfile};
 use lookaside::engine::Executor;
 use lookaside::report::render_table;

@@ -15,6 +15,8 @@
 //! cargo run --release -p lookaside --example key_rollover
 //! ```
 
+#![expect(clippy::disallowed_macros, reason = "an example prints what it demonstrates")]
+
 use lookaside::engine::Executor;
 use lookaside::lifecycle::{lifecycle_sweep, LifecycleConfig, LifecycleScenario};
 use lookaside::report::render_table;

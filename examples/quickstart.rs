@@ -6,6 +6,8 @@
 //! cargo run --release -p lookaside --example quickstart
 //! ```
 
+#![expect(clippy::disallowed_macros, reason = "an example prints what it demonstrates")]
+
 use lookaside::internet::{Internet, InternetParams};
 use lookaside::leakage::classify;
 use lookaside_resolver::{BindConfig, ResolverConfig};

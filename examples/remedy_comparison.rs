@@ -6,6 +6,8 @@
 //! cargo run --release -p lookaside --example remedy_comparison
 //! ```
 
+#![expect(clippy::disallowed_macros, reason = "an example prints what it demonstrates")]
+
 use lookaside::attacks::{txt_poison_attack, zbit_flip_attack};
 use lookaside::experiments::fig11;
 use lookaside::report::render_table;

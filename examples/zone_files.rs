@@ -6,6 +6,8 @@
 //! cargo run --release -p lookaside --example zone_files
 //! ```
 
+#![expect(clippy::disallowed_macros, reason = "an example prints what it demonstrates")]
+
 use std::net::Ipv4Addr;
 
 use lookaside_netsim::{CaptureFilter, Network};

@@ -7,7 +7,7 @@
 //! `--jobs N` byte-identity is asserted against the same rendering the
 //! user sees.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::sync::OnceLock;
 
@@ -21,13 +21,13 @@ use lookaside::report::fig8_9_table;
 
 /// Memoised serial references so each proptest case pays for one parallel
 /// run, not a parallel *and* a serial one.
-fn cached<K, V, F>(cache: &'static OnceLock<Mutex<HashMap<K, V>>>, key: K, compute: F) -> V
+fn cached<K, V, F>(cache: &'static OnceLock<Mutex<BTreeMap<K, V>>>, key: K, compute: F) -> V
 where
-    K: std::hash::Hash + Eq + Clone,
+    K: Ord + Clone,
     V: Clone,
     F: FnOnce() -> V,
 {
-    let map = cache.get_or_init(|| Mutex::new(HashMap::new()));
+    let map = cache.get_or_init(|| Mutex::new(BTreeMap::new()));
     if let Some(v) = map.lock().unwrap().get(&key) {
         return v.clone();
     }
@@ -36,7 +36,7 @@ where
     v
 }
 
-static FIG9_REFS: OnceLock<Mutex<HashMap<usize, String>>> = OnceLock::new();
+static FIG9_REFS: OnceLock<Mutex<BTreeMap<usize, String>>> = OnceLock::new();
 
 proptest! {
     /// The `repro fig9` table text is byte-identical for every worker
