@@ -30,9 +30,10 @@ cargo test -q
 # shared-buffer memory model (DESIGN.md §8) makes clones cheap, but the
 # hot path is supposed to not need them at all. Zero unsafe code needs no
 # step of its own: the root manifest's `[workspace.lints]` makes rustc
-# forbid it in every build above. tests/policy.rs (in the test run above) pins the deny lines, the
-# manifests and each clippy.toml entry, and crates/bench/tests/alloc_free.rs
-# holds the streaming hot path to zero allocations per call.
+# forbid it in every build above. crates/core/tests/policy.rs (in the test
+# run above) pins the deny lines, the manifests and each clippy.toml entry,
+# and crates/bench/tests/alloc_free.rs holds the streaming hot path to zero
+# allocations per call.
 cargo clippy --workspace -- -D warnings -D clippy::redundant_clone
 cargo fmt --check
 
