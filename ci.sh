@@ -92,15 +92,27 @@ if ! diff -u target/ci/fig9.jobs1.txt target/ci/fig9.jobs4.txt; then
     exit 1
 fi
 
-# Supervised checkpoint/resume gate: SIGKILL a mid-flight full-scale
-# fig12 run that is journalling to --checkpoint, resume it from the same
-# journal, and demand the resumed output byte-match an uninterrupted
-# run. The kill waits for journal progress, not for a fixed time: once
-# the journal is longer than its 18-byte header, at least one shard
-# record is durable and the rest of the run is still to come. Should the
-# run finish between the poll and the kill, the gate degrades to an
-# all-from-journal replay and says so; the byte-diff is the same.
+# Checkpoint/resume gate: SIGKILL a mid-flight full-scale fig12 run that
+# is journalling to --checkpoint, resume it from the same journal, and
+# demand the resumed output byte-match an uninterrupted run. The kill
+# waits for journal progress, not for a fixed time: once the journal is
+# longer than its 18-byte header, at least one shard record is durable
+# and the rest of the run is still to come. Should the run finish between
+# the poll and the kill, the gate degrades to an all-from-journal replay
+# and says so; the byte-diff is the same.
+#
+# A resume that ignored the journal and recomputed every window would
+# print the same bytes, so each resumed run must also note on stderr that
+# it covered every shard and took at least one from the journal:
+# `coverage N/N shards (K resumed)` with K >= 1.
 journal_bytes() { if [ -f "$1" ]; then wc -c < "$1"; else echo 0; fi; }
+require_resumed() {
+    cat "$1" >&2
+    if ! grep -Eq '^coverage ([0-9]+)/\1 shards \([1-9][0-9]* resumed\)$' "$1"; then
+        echo "ci: FAIL — $2 did not note full coverage with a resumed shard" >&2
+        exit 1
+    fi
+}
 CKPT=target/ci/fig12.ckpt
 rm -f "${CKPT}"
 ./target/release/repro fig12 --full --jobs 4 > target/ci/fig12.full.clean.txt
@@ -114,11 +126,12 @@ kill -9 "${REPRO_PID}" 2>/dev/null || echo "ci: note — fig12 finished before t
 wait "${REPRO_PID}" 2>/dev/null || true
 echo "ci: journal after SIGKILL: $(journal_bytes "${CKPT}") bytes"
 ./target/release/repro fig12 --full --jobs 4 --resume "${CKPT}" \
-    > target/ci/fig12.full.resumed.txt
+    > target/ci/fig12.full.resumed.txt 2> target/ci/fig12.full.resumed.err
 if ! diff -u target/ci/fig12.full.clean.txt target/ci/fig12.full.resumed.txt; then
     echo "ci: FAIL — resumed fig12 --full diverges from the uninterrupted run" >&2
     exit 1
 fi
+require_resumed target/ci/fig12.full.resumed.err "the resume after SIGKILL"
 
 # Deterministic variant of the same gate, independent of machine speed:
 # the resumed run above left a complete journal; shear it to 60% (tearing
@@ -129,11 +142,12 @@ FULL_BYTES=$(wc -c < "${CKPT}")
 KEEP=$((FULL_BYTES * 60 / 100))
 head -c "${KEEP}" "${CKPT}" > "${CKPT}.sheared" && mv "${CKPT}.sheared" "${CKPT}"
 ./target/release/repro fig12 --full --jobs 4 --resume "${CKPT}" \
-    > target/ci/fig12.full.sheared.txt
+    > target/ci/fig12.full.sheared.txt 2> target/ci/fig12.full.sheared.err
 if ! diff -u target/ci/fig12.full.clean.txt target/ci/fig12.full.sheared.txt; then
     echo "ci: FAIL — fig12 resumed from a sheared journal diverges from the clean run" >&2
     exit 1
 fi
+require_resumed target/ci/fig12.full.sheared.err "the resume from a sheared journal"
 rm -f "${CKPT}"
 
 # Same contract for the Byzantine sweep: seeded faults (bit-flips,

@@ -1,8 +1,7 @@
 //! Regenerates every table and figure of the paper.
 //!
 //! ```text
-//! repro [--full] [--jobs N] [--checkpoint P|--resume P] [--allow-partial]
-//!       [EXPERIMENT|all]
+//! repro [--full] [--jobs N] [--checkpoint P|--resume P] [EXPERIMENT|all]
 //! ```
 //!
 //! `EXPERIMENT` is one of these sections, listed in the order `all` (the
@@ -37,9 +36,11 @@
 //! and produces byte-identical output. A journal that is refused (not a
 //! journal, or written by a different run) or cannot be written prints
 //! `repro: fig12 journal P: <why>` on stderr and exits with status 3; a
-//! refused file is left untouched. `--allow-partial` accepts sweeps whose
-//! shards exhausted their retry budget, printing an explicit per-shard
-//! coverage table to stderr instead of aborting.
+//! refused file is left untouched. A resumed run notes its coverage,
+//! `coverage N/N shards (K resumed)`, on stderr.
+//!
+//! A sweep with a shard that panicked prints its per-shard coverage table
+//! on stderr and aborts with status 101.
 
 use std::env;
 use std::path::Path;
@@ -94,8 +95,7 @@ const SECTIONS: &[Section] = &[
 /// The parsed command line: everything a run is configured by.
 struct Args {
     full: bool,
-    /// The pool every sweep runs on: `--jobs` workers, and whether a
-    /// degraded sweep is accepted (`--allow-partial`).
+    /// The pool every sweep runs on: `--jobs` workers.
     exec: Executor,
     /// The Fig. 12 window journal (`--checkpoint` / `--resume`).
     journal: Option<String>,
@@ -124,7 +124,7 @@ fn main() -> ExitCode {
 fn usage() -> String {
     let names: Vec<&str> = SECTIONS.iter().flat_map(|(names, _)| names.iter().copied()).collect();
     format!(
-        "usage: repro [--full] [--jobs N] [--checkpoint P|--resume P] [--allow-partial] [all|{}]",
+        "usage: repro [--full] [--jobs N] [--checkpoint P|--resume P] [all|{}]",
         names.join("|")
     )
 }
@@ -135,7 +135,6 @@ fn usage() -> String {
 fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut full = false;
     let mut jobs = None;
-    let mut allow_partial = false;
     let mut journal = None;
     let mut named: Option<&str> = None;
     let mut it = args.iter();
@@ -152,7 +151,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         };
         match flag {
             "--full" if inline.is_none() => full = true,
-            "--allow-partial" if inline.is_none() => allow_partial = true,
             "--jobs" => {
                 let value = value()?;
                 match value.parse() {
@@ -181,7 +179,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     if journal.is_some() && section.is_some_and(|i| SECTIONS[i].0 != ["fig12"]) {
         return Err("--checkpoint/--resume journal fig12 only: name fig12 or all".to_string());
     }
-    let exec = jobs.map_or_else(Executor::default, Executor::new).allow_partial(allow_partial);
+    let exec = jobs.map_or_else(Executor::default, Executor::new);
     Ok(Args { full, exec, journal, section })
 }
 
@@ -836,7 +834,7 @@ mod tests {
     #[test]
     fn flags_take_values_inline_or_next() {
         let a = parse(&["fig12", "--full", "--jobs", "3", "--resume=j.ckpt"]).unwrap();
-        assert!(a.full && !a.exec.allows_partial());
+        assert!(a.full);
         assert_eq!(a.exec, Executor::new(3));
         assert_eq!(a.journal.as_deref(), Some("j.ckpt"));
         assert_eq!(a.section.map(|i| SECTIONS[i].0), Some(&["fig12"][..]));

@@ -197,8 +197,8 @@ pub struct ByzantinePoint {
 /// Runs the full sweep on `exec`: every adversary crossed with every
 /// hardening profile, in profile-major order. Each cell builds a fresh
 /// Internet replica, so cells are natural shards; the point list comes
-/// back in serial order, identical for every worker count. Cells run
-/// under the engine's retry supervisor (retries, coverage accounting).
+/// back in serial order, identical for every worker count. A cell whose
+/// run panics aborts the sweep with its coverage table.
 pub fn byzantine_sweep(
     exec: &lookaside_engine::Executor,
     config: &ByzantineConfig,

@@ -183,10 +183,8 @@ pub struct ChaosPoint {
 /// comes back in the same profile-major order the serial loop produced,
 /// identical for every worker count.
 ///
-/// A failed cell is retried within the engine's bounded budget, and on an
-/// executor that accepts partial sweeps (`--allow-partial`) a
-/// still-failing cell is dropped from the grid (printed in the coverage
-/// table, never silently) instead of aborting the sweep.
+/// A cell whose run panics aborts the sweep, named in the coverage table
+/// on stderr.
 pub fn chaos_outage(exec: &lookaside_engine::Executor, config: &ChaosConfig) -> Vec<ChaosPoint> {
     let mut cells = Vec::with_capacity(config.outages.len() * config.profiles.len());
     for &profile in &config.profiles {

@@ -8,9 +8,7 @@ use std::cell::RefCell;
 use std::path::Path;
 use std::rc::Rc;
 
-use lookaside_engine::{
-    run_fingerprint, Checkpoint, Executor, JournalError, Shard, ShardPlan, Supervisor,
-};
+use lookaside_engine::{run_fingerprint, Checkpoint, Executor, JournalError, Shard, ShardPlan};
 use lookaside_netsim::{CaptureFilter, TrafficStats};
 use lookaside_resolver::{BindConfig, Counters, InstallMethod, ResolverConfig};
 use lookaside_wire::ext::RemedyMode;
@@ -396,10 +394,9 @@ pub struct LeakPoint {
 
 /// Runs the Fig. 8 / Fig. 9 sweep on `exec`. Each dataset size is one
 /// shard — a full cold-cache run, exactly as the serial sweep performed
-/// them — so the point list is identical for every worker count. Failed
-/// sizes are retried within the engine's bounded budget; on an executor
-/// that accepts partial sweeps (`--allow-partial`) a still-failing size is
-/// dropped from the list (and named in the coverage table on stderr).
+/// them — so the point list is identical for every worker count. A size
+/// whose run panics aborts the sweep, naming it in the coverage table on
+/// stderr.
 pub fn fig8_9(exec: &Executor, sizes: &[usize], seed: u64) -> Vec<LeakPoint> {
     let shards = ShardPlan::new(seed).over(sizes.iter().copied());
     collect(exec, &shards, |shard| {
@@ -882,10 +879,9 @@ pub fn fig12_checkpointed(
         |w| model.window(w),
         model.start(),
         |acc, _, minutes| acc.push(minutes),
-        &Supervisor::new(),
         &mut ckpt,
     )?;
-    Ok(model.finish(accept(exec, outcome)))
+    Ok(model.finish(accept(outcome)))
 }
 
 /// One minute of the Fig. 12 replay: queries, baseline bytes, and TXT
@@ -920,11 +916,9 @@ impl Fig12Model {
         });
         #[expect(
             clippy::panic,
-            reason = "no figure exists without calibration; ROADMAP item 2's RunError will carry this"
+            reason = "unreachable: collect returns a row for every shard or aborts; ROADMAP item 2's RunError will carry calibration failure"
         )]
         let [base, txt] = calibrated.as_slice() else {
-            // Every window cost derives from calibration; there is no
-            // partial figure without it, --allow-partial or not.
             panic!("fig12 calibration shard failed; the figure cannot be produced");
         };
         let cold_bytes_per_resolution = base.stats.total_bytes() as f64 / base.queried as f64;

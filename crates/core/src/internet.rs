@@ -172,6 +172,7 @@ pub struct CoreOracle {
     remedy: RemedyMode,
     huque: Vec<HuqueDomain>,
     huque_addr: Ipv4Addr,
+    isc_apex: Name,
     isc_key_seed: u64,
 }
 
@@ -234,7 +235,7 @@ impl CoreOracle {
     }
 
     fn spec_for_isc(&self) -> SyntheticSpec {
-        let apex = Name::parse("isc.org.").expect("static name");
+        let apex = &self.isc_apex;
         SyntheticSpec {
             apex: apex.clone(),
             signed: true,
@@ -255,7 +256,7 @@ impl ZoneOracle for CoreOracle {
             return None;
         }
         let apex = qname.suffix(2);
-        if apex == Name::parse("isc.org.").expect("static name") {
+        if apex == self.isc_apex {
             return Some(self.spec_for_isc());
         }
         if let Some(d) = self.huque.iter().find(|d| d.name == apex) {
@@ -297,6 +298,7 @@ impl Internet {
         let population = DomainPopulation::new(params.population);
         let huque = huque45();
         let huque_addr = Ipv4Addr::new(10, 3, 0, 1);
+        let isc_apex = Name::parse("isc.org.").unwrap();
         let isc_key_seed = 0x15c_0000;
 
         let oracle: Rc<CoreOracle> = Rc::new(CoreOracle {
@@ -304,6 +306,7 @@ impl Internet {
             remedy: params.remedy,
             huque: huque.clone(),
             huque_addr,
+            isc_apex: isc_apex.clone(),
             isc_key_seed,
         });
 
@@ -346,7 +349,6 @@ impl Internet {
         // isc.org (real, signed; delegates dlv.isc.org with DS).
         let isc_keys = SigningKeys::from_seed(isc_key_seed);
         let dlv_keys = SigningKeys::from_seed(0xd17);
-        let isc_apex = Name::parse("isc.org.").unwrap();
         let dlv_apex = Name::parse("dlv.isc.org.").unwrap();
         let mut isc = Zone::new(isc_apex.clone(), isc_apex.prepend("ns1").unwrap());
         isc.add(isc_apex.prepend("ns1").unwrap(), 3600, RData::A(ISC_ADDR));

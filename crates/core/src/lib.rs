@@ -20,10 +20,9 @@
 //!   attack on hashed DLV,
 //! * [`parallel`] — the deterministic sharded execution glue: every sweep
 //!   takes the caller's `lookaside-engine` [`Executor`](engine::Executor)
-//!   (its worker count, `repro --jobs`) and runs its shards, each owning a
-//!   private Internet replica, under the engine's retry supervisor,
-//!   folding results in shard-id order so any worker count is
-//!   byte-identical,
+//!   (its worker count, `repro --jobs`) and runs each of its shards once,
+//!   on a private Internet replica, folding results in shard-id order so
+//!   any worker count is byte-identical,
 //! * [`farm`] — the million-stub client plane in front of a resolver
 //!   farm: topology-aware (per-resolver / shared-cache / ODoH /
 //!   Resolver-Less), cache-hit-aware, per-client case-2 leak accounting

@@ -266,8 +266,8 @@ pub struct LifecyclePoint {
 
 /// Runs the sweep on `exec`. Each scenario builds a fresh Internet
 /// replica, so scenarios are natural shards; results come back in serial
-/// order, identical for every worker count. Scenarios run under the
-/// engine's retry supervisor (retries, coverage accounting).
+/// order, identical for every worker count. A scenario whose run panics
+/// aborts the sweep with its coverage table.
 pub fn lifecycle_sweep(
     exec: &lookaside_engine::Executor,
     config: &LifecycleConfig,

@@ -14,9 +14,9 @@
 //!   (the simulator's `Rc`-based oracle is not thread-shareable, and
 //!   per-run replicas are the honest model anyway) and returns a small
 //!   result — a table row, a tally, a window's minute triples;
-//! * [`Executor::sweep`] runs the plan under the production
-//!   [`Supervisor`] and folds the results in ascending shard id, and
-//!   [`accept`] enforces the coverage contract on the outcome.
+//! * [`Executor::sweep`] runs every shard once and folds the results in
+//!   ascending shard id, and [`accept`] enforces the coverage contract on
+//!   the outcome.
 //!
 //! [`collect`] and [`fold`] are the two shapes experiments need: a row
 //! per shard in plan order, or one accumulator folded in plan order.
@@ -46,40 +46,32 @@
 //! Both models end at the same place: output is a pure function of the
 //! configuration, never of the worker pool.
 
-use lookaside_engine::{Executor, Shard, Supervisor, SweepOutcome};
+use lookaside_engine::{Executor, Shard, SweepOutcome};
 use lookaside_resolver::SecurityStatus;
 
 use crate::experiments::StatusTally;
 
-/// Unwraps a supervised sweep, enforcing the no-silent-caps contract.
+/// Unwraps a sweep, enforcing the no-silent-caps contract.
 ///
-/// Complete sweeps pass straight through (on an executor that accepts
-/// partial sweeps the coverage summary is still printed, so a "clean"
-/// resumed run shows its resumed-shard count). Degraded sweeps — shards
-/// that exhausted their retry budget — print the full per-shard coverage
-/// table to **stderr** (stdout stays byte-diffable) and then abort,
-/// unless `exec` accepts partial sweeps (`repro --allow-partial`), in
-/// which case the partial accumulator is returned and the caller's tables
-/// simply omit the failed shards.
-pub fn accept<A>(exec: &Executor, outcome: SweepOutcome<A>) -> A {
-    let allow_partial = exec.allows_partial();
-    if !outcome.coverage.is_complete() {
-        lookaside_engine::diag::note(&outcome.coverage.table());
-        assert!(
-            allow_partial,
-            "sweep degraded: {} (rerun with --allow-partial to accept partial coverage)",
-            outcome.coverage.summary()
-        );
-    } else if allow_partial {
-        lookaside_engine::diag::note(&outcome.coverage.summary());
+/// A degraded sweep — a shard whose task panicked — prints its per-shard
+/// coverage table to **stderr** (stdout stays byte-diffable) and aborts.
+/// A complete sweep that folded shards from a checkpoint journal notes
+/// its coverage summary on stderr, so a resumed run shows what it
+/// resumed.
+pub fn accept<A>(outcome: SweepOutcome<A>) -> A {
+    let coverage = &outcome.coverage;
+    if !coverage.is_complete() {
+        lookaside_engine::diag::note(&coverage.table());
+    } else if coverage.resumed > 0 {
+        lookaside_engine::diag::note(&coverage.summary());
     }
+    assert!(coverage.is_complete(), "sweep degraded: {}", coverage.summary());
     outcome.value
 }
 
 /// Runs every shard through `task` on `exec` and returns the results in
 /// shard order, through [`accept`] — a degraded sweep aborts with its
-/// coverage table unless `exec` accepts partial sweeps, in which case
-/// failed shards are missing from the list.
+/// coverage table.
 pub fn collect<I, T, F>(exec: &Executor, shards: &[Shard<I>], task: F) -> Vec<T>
 where
     I: Sync,
@@ -93,10 +85,10 @@ where
     })
 }
 
-/// Runs every shard through `task` on `exec` under [`Supervisor::new`]
-/// and folds the results into `init` in ascending shard id as they
-/// complete, through [`accept`]. Only the accumulator and the
-/// out-of-order completions waiting for their turn are live at a time.
+/// Runs every shard through `task` on `exec` and folds the results into
+/// `init` in ascending shard id, through [`accept`]. Only the
+/// accumulator and the few results the workers have finished ahead of
+/// the fold are live at a time.
 pub fn fold<I, T, A, F, G>(exec: &Executor, shards: &[Shard<I>], task: F, init: A, mut fold: G) -> A
 where
     I: Sync,
@@ -104,9 +96,7 @@ where
     F: Fn(&Shard<I>) -> T + Sync,
     G: FnMut(A, T) -> A,
 {
-    let outcome =
-        exec.sweep(shards, task, init, |acc, _id, value| fold(acc, value), &Supervisor::new());
-    accept(exec, outcome)
+    accept(exec.sweep(shards, task, init, |acc, _id, value| fold(acc, value)))
 }
 
 /// Records one resolution's validation status into a tally.
@@ -164,23 +154,23 @@ mod tests {
         }
     }
 
-    /// A shard whose task always panics exhausts its retry budget: a
-    /// strict executor aborts the sweep, an accepting one drops just that
-    /// shard and keeps every other result in order.
+    /// A shard whose task panics degrades the sweep, and [`accept`] aborts
+    /// it at every job count rather than return a table with a hole.
     #[test]
-    fn allow_partial_decides_whether_a_degraded_sweep_survives() {
+    fn a_degraded_sweep_aborts_with_its_coverage() {
         let shards = ShardPlan::new(2).over(0..8usize);
         let task = |s: &Shard<usize>| {
             assert!(s.input != 5, "shard 5 always fails");
             s.input
         };
-        let strict = std::panic::catch_unwind(|| collect(&Executor::new(2), &shards, task));
-        let message = strict.expect_err("a strict executor aborts a degraded sweep");
-        let message = message.downcast_ref::<String>().map_or("", String::as_str);
-        assert!(message.contains("sweep degraded"), "{message}");
         for jobs in [1, 2, 4] {
-            let exec = Executor::new(jobs).allow_partial(true);
-            assert_eq!(collect(&exec, &shards, task), [0, 1, 2, 3, 4, 6, 7], "jobs={jobs}");
+            let aborted = std::panic::catch_unwind(|| collect(&Executor::new(jobs), &shards, task));
+            let message = aborted.expect_err("a degraded sweep aborts");
+            let message = message.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(
+                message.contains("sweep degraded: coverage 7/8 shards (1 failed)"),
+                "{message}"
+            );
         }
     }
 }

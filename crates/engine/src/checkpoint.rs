@@ -1,7 +1,6 @@
-//! Crash-safe shard journaling: the checkpoint half of the supervision
-//! layer (DESIGN.md §14).
+//! Crash-safe shard journaling for checkpointed sweeps (DESIGN.md §14).
 //!
-//! A supervised sweep appends each completed shard result to a journal
+//! A checkpointed sweep appends each completed shard result to a journal
 //! file in ascending shard-id order as the fold front advances. Every
 //! record is length-framed and CRC-checked, so a run killed mid-write
 //! leaves at worst a torn tail that the loader silently truncates;
@@ -317,7 +316,7 @@ impl<T: JournalCodec> Checkpoint<T> {
     }
 
     /// Shard results recovered from the journal, keyed by shard id. The
-    /// supervisor takes these once and folds them without re-running or
+    /// sweep takes these once and folds them without re-running or
     /// re-journaling the shards.
     pub fn take_resumed(&mut self) -> BTreeMap<usize, T> {
         std::mem::take(&mut self.resumed)

@@ -1,5 +1,5 @@
 //! The parallel executor: the worker-pool size plus per-shard panic
-//! isolation. The supervised sweep over it lives in `supervisor.rs`.
+//! isolation. The sweep over it lives in `sweep.rs`.
 
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -14,20 +14,15 @@ use crate::plan::Shard;
 /// is identical for every `jobs` value, including 1. Thread scheduling
 /// can only change *when* a shard runs, never what it computes or where
 /// its result lands.
-///
-/// The executor also carries the caller's answer to a degraded sweep
-/// (one whose shards exhausted their retry budget): a strict executor,
-/// the default, aborts on one; [`Executor::allow_partial`] accepts it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Executor {
     jobs: usize,
-    allow_partial: bool,
 }
 
 impl Executor {
-    /// A strict executor with exactly `jobs` workers (minimum 1).
+    /// An executor with exactly `jobs` workers (minimum 1).
     pub fn new(jobs: usize) -> Self {
-        Executor { jobs: jobs.max(1), allow_partial: false }
+        Executor { jobs: jobs.max(1) }
     }
 
     /// A single-worker executor — the reference for byte-identity checks.
@@ -35,34 +30,23 @@ impl Executor {
         Executor::new(1)
     }
 
-    /// This executor, accepting degraded sweeps when `allow` is set.
-    pub fn allow_partial(self, allow: bool) -> Self {
-        Executor { allow_partial: allow, ..self }
-    }
-
     /// The configured worker count.
     pub fn jobs(&self) -> usize {
         self.jobs
     }
-
-    /// Whether a degraded sweep is accepted rather than aborting.
-    pub fn allows_partial(&self) -> bool {
-        self.allow_partial
-    }
 }
 
 impl Default for Executor {
-    /// A strict executor as wide as the machine
+    /// An executor as wide as the machine
     /// ([`std::thread::available_parallelism`]).
     fn default() -> Self {
         Executor::new(thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1))
     }
 }
 
-/// Runs one shard attempt with panic isolation: a panicking task becomes
-/// `Err` with the panic message instead of unwinding through the pool, so
-/// one bad cell never poisons a sweep — the supervisor retries it or
-/// lists it in the coverage.
+/// Runs one shard with panic isolation: a panicking task becomes `Err`
+/// with the panic message instead of unwinding through the pool, so one
+/// bad cell never poisons a sweep — the sweep lists it in the coverage.
 pub(crate) fn run_one<I, T, F>(task: &F, shard: &Shard<I>) -> Result<T, String>
 where
     F: Fn(&Shard<I>) -> T,
@@ -84,7 +68,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::plan::ShardPlan;
-    use crate::supervisor::{Supervisor, SweepOutcome};
+    use crate::sweep::SweepOutcome;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Collects every completed shard's result in shard order.
@@ -93,16 +77,10 @@ mod tests {
         shards: &[Shard<usize>],
         task: impl Fn(&Shard<usize>) -> T + Sync,
     ) -> SweepOutcome<Vec<T>> {
-        exec.sweep(
-            shards,
-            task,
-            Vec::new(),
-            |mut acc, _id, value| {
-                acc.push(value);
-                acc
-            },
-            &Supervisor::new(),
-        )
+        exec.sweep(shards, task, Vec::new(), |mut acc, _id, value| {
+            acc.push(value);
+            acc
+        })
     }
 
     #[test]
@@ -132,17 +110,19 @@ mod tests {
     fn panicking_shard_reports_error_without_poisoning_the_run() {
         let shards = ShardPlan::new(1).over(0..10usize);
         for jobs in [1, 4] {
+            let ran = AtomicUsize::new(0);
             let out = collect(Executor::new(jobs), &shards, |s| {
+                ran.fetch_add(1, Ordering::Relaxed);
                 assert!(s.input != 3, "cell {} exploded", s.input);
                 s.input * 2
             });
             let want: Vec<usize> = (0..10).filter(|&i| i != 3).map(|i| i * 2).collect();
             assert_eq!(out.value, want, "jobs={jobs}");
+            assert_eq!(ran.load(Ordering::Relaxed), 10, "jobs={jobs}: a failed shard runs once");
             let [failure] = out.coverage.failed.as_slice() else {
                 panic!("jobs={jobs}: exactly shard 3 must fail: {}", out.coverage.table());
             };
             assert_eq!(failure.shard_id, 3);
-            assert_eq!(failure.attempts, Supervisor::new().retry.max_attempts);
             assert!(failure.message.contains("cell 3 exploded"), "{}", failure.message);
         }
     }
@@ -150,13 +130,8 @@ mod tests {
     #[test]
     fn empty_plan_is_fine() {
         let shards: Vec<Shard<u8>> = Vec::new();
-        let out = Executor::new(8).sweep(
-            &shards,
-            |s| s.input,
-            41u32,
-            |acc, _id, v| acc + u32::from(v),
-            &Supervisor::new(),
-        );
+        let out =
+            Executor::new(8).sweep(&shards, |s| s.input, 41u32, |acc, _id, v| acc + u32::from(v));
         assert_eq!(out.value, 41);
         assert!(out.coverage.is_complete());
         assert_eq!(out.coverage.total, 0);
@@ -166,6 +141,5 @@ mod tests {
     fn worker_count_floor_is_one() {
         assert!(Executor::default().jobs() >= 1);
         assert_eq!(Executor::new(0).jobs(), 1);
-        assert!(!Executor::default().allows_partial());
     }
 }

@@ -10,17 +10,15 @@
 //!   workload (sweep points, grid cells, client cohorts, trace windows),
 //!   each shard deriving its private RNG seed as
 //!   [`splitmix64`]`(root_seed, shard_id)`,
-//! * [`BoundedQueue`] — the bounded work queue workers drain,
 //! * [`Executor`] — a scoped `std::thread` pool with a `--jobs N` knob
-//!   (default [`std::thread::available_parallelism`]), per-shard panic
-//!   isolation, and the caller's choice of whether a degraded sweep is
-//!   accepted,
-//! * [`Executor::sweep`] — the one way to run a plan: every shard under a
-//!   [`Supervisor`] (bounded retries, seeded fault injection),
-//!   results folded into one accumulator in shard-id order, failures
-//!   listed in the returned [`SweepOutcome`]'s [`Coverage`] instead of
-//!   aborting the run. [`Executor::sweep_checkpointed`] is the same sweep
-//!   journalling each completed shard to a [`Checkpoint`].
+//!   (default [`std::thread::available_parallelism`]) and per-shard panic
+//!   isolation,
+//! * [`Executor::sweep`] — the one way to run a plan: every shard runs
+//!   exactly once, results fold into one accumulator in shard-id order,
+//!   and a shard whose task panics is listed in the returned
+//!   [`SweepOutcome`]'s [`Coverage`] instead of aborting the run.
+//!   [`Executor::sweep_checkpointed`] is the same sweep journalling each
+//!   completed shard to a [`Checkpoint`].
 //!
 //! The engine is workload-agnostic on purpose: it knows nothing about
 //! DNS, captures, or simulated internets. Higher layers (the `lookaside`
@@ -31,12 +29,10 @@
 //! # Example
 //!
 //! ```
-//! use lookaside_engine::{Executor, ShardPlan, Supervisor};
+//! use lookaside_engine::{Executor, ShardPlan};
 //!
 //! let shards = ShardPlan::new(42).over(1..101usize);
-//! let sum = |exec: Executor| {
-//!     exec.sweep(&shards, |shard| shard.input, 0, |acc, _id, v| acc + v, &Supervisor::new())
-//! };
+//! let sum = |exec: Executor| exec.sweep(&shards, |shard| shard.input, 0, |acc, _id, v| acc + v);
 //! let wide = sum(Executor::new(4));
 //! assert!(wide.coverage.is_complete());
 //! assert_eq!(wide.value, (1..101).sum::<usize>());
@@ -67,17 +63,13 @@ mod checkpoint;
 pub mod diag;
 mod executor;
 mod plan;
-mod queue;
 mod seed;
-mod supervisor;
+mod sweep;
 
 pub use checkpoint::{
     crc32, run_fingerprint, Checkpoint, JournalCodec, JournalError, JOURNAL_MAGIC, JOURNAL_VERSION,
 };
 pub use executor::Executor;
 pub use plan::{Shard, ShardPlan};
-pub use queue::BoundedQueue;
 pub use seed::splitmix64;
-pub use supervisor::{
-    Coverage, EngineFault, EngineFaultPlan, RetryPolicy, ShardFailure, Supervisor, SweepOutcome,
-};
+pub use sweep::{Coverage, ShardFailure, SweepOutcome};

@@ -389,7 +389,7 @@ fn truncated_responses_retry_over_tcp() {
 
 #[test]
 fn resolver_fails_over_to_sibling_name_server() {
-    use lookaside_server::FlakyServer;
+    use lookaside_server::FaultyServer;
     let mut w = build_world(RemedyMode::None);
     // twins.com is served by two name servers; the first is permanently
     // lame (REFUSED), the second answers.
@@ -407,7 +407,7 @@ fn resolver_fails_over_to_sibling_name_server() {
     w.net.register(
         lame_addr,
         "twins-lame",
-        Box::new(FlakyServer::always_lame(Box::new(AuthoritativeServer::single(build_zone())))),
+        Box::new(FaultyServer::always_lame(Box::new(AuthoritativeServer::single(build_zone())))),
     );
     w.net.register(good_addr, "twins-good", Box::new(AuthoritativeServer::single(build_zone())));
     // Hook the delegation into com via a second com zone? Simpler: extend
@@ -936,7 +936,7 @@ fn missed_rfc5011_window_fails_bogus_then_leaks_to_dlv() {
 #[test]
 fn servfail_cache_supersedes_holddown_for_rcode_failures() {
     use lookaside_resolver::RetryPolicy;
-    use lookaside_server::FlakyServer;
+    use lookaside_server::FaultyServer;
 
     // A permanently lame zone: with the SERVFAIL cache enabled the *cache*
     // absorbs rcode failures (admission control) and the server is NOT
@@ -950,7 +950,7 @@ fn servfail_cache_supersedes_holddown_for_rcode_failures() {
         w.net.register(
             lame_addr,
             "lame.com",
-            Box::new(FlakyServer::always_lame(Box::new(AuthoritativeServer::single(
+            Box::new(FaultyServer::always_lame(Box::new(AuthoritativeServer::single(
                 PublishedZone::unsigned(z),
             )))),
         );

@@ -11,7 +11,7 @@
 //!
 //! [`KeyTimeline`]: lookaside_zone::KeyTimeline
 
-// Both routers refuse an empty version list in `new`, and `active_index`
+// The router refuses an empty version list in `new`, and `active_index`
 // clamps into the list, so every index below is in bounds.
 #![expect(clippy::indexing_slicing, reason = "the version list is never empty")]
 
@@ -25,89 +25,13 @@ use crate::authority::AuthoritativeServer;
 /// simulator's clock.
 const NS_PER_SEC: u64 = 1_000_000_000;
 
-/// An authority that serves the zone version active at the simulated query
-/// time.
-pub struct EpochAuthority {
-    /// `(start_ns, server)` pairs, sorted ascending by start.
-    epochs: Vec<(u64, AuthoritativeServer)>,
-}
-
-impl EpochAuthority {
-    /// Builds an epoch authority from explicit `(start_ns, server)` pairs.
-    /// Queries arriving before the first start are served by the first
-    /// version (the zone existed before the observation window opened).
-    pub fn new(mut versions: Vec<(u64, AuthoritativeServer)>) -> Self {
-        assert!(!versions.is_empty(), "an epoch authority needs at least one zone version");
-        versions.sort_by_key(|(start, _)| *start);
-        EpochAuthority { epochs: versions }
-    }
-
-    /// Publishes `zone` once per timeline epoch and serves each from its
-    /// `start_secs` onward — the bridge from [`lookaside_zone::KeyTimeline`]
-    /// output to a servable authority.
-    pub fn from_epochs(zone: &Zone, epochs: &[ZoneEpoch], denial: DenialMode) -> Self {
-        let versions = epochs
-            .iter()
-            .map(|epoch| {
-                let published = epoch.publish(zone.clone(), denial);
-                (u64::from(epoch.start_secs) * NS_PER_SEC, AuthoritativeServer::single(published))
-            })
-            .collect();
-        Self::new(versions)
-    }
-
-    /// Marks `apex` as DLV-advertised (§6.2.1 Z-bit remedy) in every epoch.
-    pub fn advertise_dlv(&mut self, apex: Name) {
-        for (_, server) in &mut self.epochs {
-            server.advertise_dlv(apex.clone());
-        }
-    }
-
-    /// Number of zone versions held.
-    pub fn epoch_count(&self) -> usize {
-        self.epochs.len()
-    }
-
-    /// The zone version active at `now_ns` (latest start ≤ now, clamped to
-    /// the first version for times before the window).
-    pub fn active_zone(&self, now_ns: u64) -> &PublishedZone {
-        let idx = self.active_index(now_ns);
-        #[expect(clippy::expect_used, reason = "from_epochs builds one-zone servers")]
-        self.epochs[idx].1.zones().first().expect("epoch servers are built with exactly one zone")
-    }
-
-    fn active_index(&self, now_ns: u64) -> usize {
-        self.epochs.partition_point(|(start, _)| *start <= now_ns).saturating_sub(1)
-    }
-}
-
-impl DnsHandler for EpochAuthority {
-    fn handle(&mut self, query: &Message, now_ns: u64) -> Message {
-        let idx = self.active_index(now_ns);
-        self.epochs[idx].1.handle(query, now_ns)
-    }
-
-    fn handle_faulty(&mut self, query: &Message, now_ns: u64) -> ServerAction {
-        ServerAction::Respond(self.handle(query, now_ns))
-    }
-
-    fn handle_transport(
-        &mut self,
-        query: &Message,
-        now_ns: u64,
-        _transport: Transport,
-    ) -> ServerAction {
-        self.handle_faulty(query, now_ns)
-    }
-}
-
-/// A generic epoch router: like [`EpochAuthority`] but over *any*
-/// [`DnsHandler`], for zones that are fabricated on demand rather than
-/// published statically — e.g. a [`crate::SyntheticAuthority`] TLD, where
-/// each epoch is a whole authority rebuilt with that epoch's signer keys
-/// and validity window. Queries route to the version whose start is the
-/// latest at or before the simulated arrival time; pre-window queries get
-/// the first version.
+/// An epoch router over any [`DnsHandler`]: one handler per zone version.
+/// [`EpochAuthority`] routes over statically published zones; a zone
+/// fabricated on demand routes the same way, e.g. a
+/// [`crate::SyntheticAuthority`] TLD, where each epoch is a whole
+/// authority rebuilt with that epoch's signer keys and validity window.
+/// Queries route to the version whose start is the latest at or before
+/// the simulated arrival time; pre-window queries get the first version.
 pub struct EpochRouter<H> {
     /// `(start_ns, handler)` pairs, sorted ascending by start.
     epochs: Vec<(u64, H)>,
@@ -176,12 +100,38 @@ impl<H> std::fmt::Debug for EpochRouter<H> {
     }
 }
 
-impl std::fmt::Debug for EpochAuthority {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EpochAuthority")
-            .field("epochs", &self.epochs.len())
-            .field("starts_ns", &self.epochs.iter().map(|(s, _)| *s).collect::<Vec<_>>())
-            .finish()
+/// An authority that serves the published zone version active at the
+/// simulated query time: one pre-signed [`AuthoritativeServer`] per epoch.
+pub type EpochAuthority = EpochRouter<AuthoritativeServer>;
+
+impl EpochAuthority {
+    /// Publishes `zone` once per timeline epoch and serves each from its
+    /// `start_secs` onward — the bridge from [`lookaside_zone::KeyTimeline`]
+    /// output to a servable authority.
+    pub fn from_epochs(zone: &Zone, epochs: &[ZoneEpoch], denial: DenialMode) -> Self {
+        let versions = epochs
+            .iter()
+            .map(|epoch| {
+                let published = epoch.publish(zone.clone(), denial);
+                (u64::from(epoch.start_secs) * NS_PER_SEC, AuthoritativeServer::single(published))
+            })
+            .collect();
+        Self::new(versions)
+    }
+
+    /// Marks `apex` as DLV-advertised (§6.2.1 Z-bit remedy) in every epoch.
+    pub fn advertise_dlv(&mut self, apex: Name) {
+        for (_, server) in &mut self.epochs {
+            server.advertise_dlv(apex.clone());
+        }
+    }
+
+    /// The zone version active at `now_ns` (latest start ≤ now, clamped to
+    /// the first version for times before the window).
+    pub fn active_zone(&self, now_ns: u64) -> &PublishedZone {
+        let idx = self.active_index(now_ns);
+        #[expect(clippy::expect_used, reason = "from_epochs builds one-zone servers")]
+        self.epochs[idx].1.zones().first().expect("epoch servers are built with exactly one zone")
     }
 }
 

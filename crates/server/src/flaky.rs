@@ -6,19 +6,13 @@
 //! any node. [`FaultyServer`] composes several behaviours — answering with
 //! an error rcode, dropping the query outright (the resolver times out),
 //! delaying or truncating responses, and seeded probabilistic variants of
-//! each — on top of any inner [`DnsHandler`]. [`FlakyServer`] is the
-//! original rcode-only wrapper, kept as an alias.
+//! each — on top of any inner [`DnsHandler`].
 //!
 //! All probabilistic schedules are pure functions of `(seed, query count)`,
 //! so two runs with the same seed misbehave identically.
 
 use lookaside_netsim::{DnsHandler, ServerAction, Transport};
 use lookaside_wire::{Message, MessageBuilder, Rcode};
-
-/// The original failure wrapper: answers the first `fail_first` queries
-/// with a fixed error rcode before delegating to the inner handler. Now an
-/// alias for [`FaultyServer`], which generalises it.
-pub type FlakyServer = FaultyServer;
 
 /// Wraps a handler and injects configurable faults into its responses.
 ///
@@ -58,8 +52,7 @@ impl FaultyServer {
         }
     }
 
-    /// Fails the first `fail_first` queries with `rcode`, then recovers —
-    /// the original `FlakyServer` constructor.
+    /// Fails the first `fail_first` queries with `rcode`, then recovers.
     pub fn new(inner: Box<dyn DnsHandler>, fail_first: usize, rcode: Rcode) -> Self {
         FaultyServer::wrap(inner).with_fail_first(fail_first, rcode)
     }
@@ -237,7 +230,7 @@ mod tests {
 
     #[test]
     fn fails_then_recovers() {
-        let mut flaky = FlakyServer::new(inner(), 2, Rcode::ServFail);
+        let mut flaky = FaultyServer::new(inner(), 2, Rcode::ServFail);
         assert_eq!(flaky.handle(&q(), 0).rcode(), Rcode::ServFail);
         assert_eq!(flaky.handle(&q(), 0).rcode(), Rcode::ServFail);
         assert_eq!(flaky.handle(&q(), 0).rcode(), Rcode::NoError);
@@ -246,7 +239,7 @@ mod tests {
 
     #[test]
     fn always_lame_never_recovers() {
-        let mut flaky = FlakyServer::always_lame(inner());
+        let mut flaky = FaultyServer::always_lame(inner());
         for _ in 0..10 {
             assert_eq!(flaky.handle(&q(), 0).rcode(), Rcode::Refused);
         }

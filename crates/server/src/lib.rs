@@ -49,6 +49,6 @@ mod synthetic;
 pub use authority::AuthoritativeServer;
 pub use dlv::{DecommissionStage, DlvDeposit, DlvRegistry, DLV_SPAN_TTL};
 pub use epoch::{EpochAuthority, EpochRouter};
-pub use flaky::{FaultyServer, FlakyServer};
+pub use flaky::FaultyServer;
 pub use render::render_lookup;
 pub use synthetic::{SyntheticAuthority, SyntheticSpec, ZoneOracle};

@@ -17,6 +17,11 @@ pub enum ZoneError {
     DelegationAtApex(Name),
     /// A CNAME was added next to other data at the same name.
     CnameConflict(Name),
+    /// A record whose rdata has no type of its own ([`RData::Unknown`],
+    /// which only decoding produces) was added at this name.
+    ///
+    /// [`RData::Unknown`]: lookaside_wire::RData::Unknown
+    UntypedRdata(Name),
 }
 
 impl fmt::Display for ZoneError {
@@ -30,6 +35,9 @@ impl fmt::Display for ZoneError {
             }
             ZoneError::CnameConflict(name) => {
                 write!(f, "cname at {name} conflicts with existing data")
+            }
+            ZoneError::UntypedRdata(name) => {
+                write!(f, "record at {name} has untyped rdata")
             }
         }
     }

@@ -96,29 +96,29 @@ impl Zone {
     ///
     /// # Panics
     ///
-    /// Panics if `name` is outside the zone; use [`Zone::try_add`] for
-    /// fallible insertion.
+    /// Panics wherever [`Zone::try_add`] returns an error: `name` outside
+    /// the zone, a CNAME conflict, or untyped rdata. Use [`Zone::try_add`]
+    /// for fallible insertion.
     #[expect(clippy::expect_used, reason = "documented contract")]
     pub fn add(&mut self, name: Name, ttl: u32, rdata: RData) {
-        self.try_add(name, ttl, rdata).expect("record in bailiwick");
+        self.try_add(name, ttl, rdata).expect("a valid record for this zone");
     }
 
-    /// Adds a record, failing when `name` is outside the zone or a CNAME
-    /// would conflict with existing data.
+    /// Adds a record, failing when `name` is outside the zone, a CNAME
+    /// would conflict with existing data, or the rdata is untyped.
     ///
     /// # Errors
     ///
-    /// Returns [`ZoneError::OutOfBailiwick`] or [`ZoneError::CnameConflict`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on [`RData::Unknown`], which only decoding produces.
+    /// Returns [`ZoneError::OutOfBailiwick`], [`ZoneError::CnameConflict`]
+    /// or, for [`RData::Unknown`], [`ZoneError::UntypedRdata`]; the zone is
+    /// left unchanged.
     pub fn try_add(&mut self, name: Name, ttl: u32, rdata: RData) -> Result<(), ZoneError> {
         if !name.is_subdomain_of(&self.apex) {
             return Err(ZoneError::OutOfBailiwick { apex: self.apex.clone(), name });
         }
-        #[expect(clippy::expect_used, reason = "documented contract")]
-        let rrtype = rdata.rrtype().expect("typed rdata");
+        let Some(rrtype) = rdata.rrtype() else {
+            return Err(ZoneError::UntypedRdata(name));
+        };
         if let Some(sets) = self.records.get(&name) {
             let has_other = sets.keys().any(|&t| t != rrtype);
             if rrtype == RrType::Cname && has_other {
@@ -271,6 +271,18 @@ mod tests {
         let mut z = zone();
         let err = z.try_add(n("www.other.org"), 300, RData::A(Ipv4Addr::LOCALHOST));
         assert!(matches!(err, Err(ZoneError::OutOfBailiwick { .. })));
+    }
+
+    #[test]
+    fn untyped_rdata_is_rejected_without_touching_the_zone() {
+        let mut z = zone();
+        let before = z.rrset_count();
+        assert_eq!(
+            z.try_add(n("www.example.com"), 300, RData::Unknown(vec![1])),
+            Err(ZoneError::UntypedRdata(n("www.example.com")))
+        );
+        assert_eq!(z.rrset_count(), before);
+        assert!(z.rrset(&n("www.example.com"), RrType::A).is_none());
     }
 
     #[test]
