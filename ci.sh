@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full CI gate: build, tests, lints, formatting, and the parallel-engine
-# determinism check. Run from the repo root.
+# Full CI gate: build, tests, lints, formatting, the published quick
+# outputs, and the parallel-engine determinism check. Run from the repo
+# root.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -11,7 +12,7 @@ mkdir -p target/ci
 # wall-clock time only, never results — is carried by the identity tests
 # that run every sweep on one worker and on several, explicit executors
 # in hand (tests/engine_determinism.rs, tests/lifecycle_sweep.rs,
-# tests/farm_determinism.rs, crates/core/tests/supervised.rs). The suite
+# tests/farm_determinism.rs). The suite
 # also includes the wire-layer proptests (compact-Name codec round-trips,
 # canonical-order reference model) and the tee test (tests/tee.rs), which
 # feeds one run into both the network's capture and a LeakSink and
@@ -24,7 +25,7 @@ cargo test -q
 #   macros, indexing, `str` slicing and reasonless `#[allow]`s in live code;
 # - the root `clippy.toml` bans hash-ordered collections, wall-clock and
 #   environment reads, ambient entropy, host byte order, and file, socket
-#   and stdio access outside engine's journal and diagnostics sink.
+#   and stdio access outside bench.
 # A waiver is an `#[expect(..., reason = ...)]`, which fails this run once
 # it is stale. `redundant_clone` is denied on top of the default set: the
 # shared-buffer memory model (DESIGN.md §8) makes clones cheap, but the
@@ -83,8 +84,8 @@ if [ "${STREAM_QPS}" -lt "${STREAM_QPS_FLOOR}" ]; then
     exit 1
 fi
 
-# Byte-identity gate: `repro fig9` must print the same bytes at --jobs 1
-# and --jobs 4.
+# Byte-identity gate: `repro fig9`, which has no golden, must print the
+# same bytes at --jobs 1 and --jobs 4.
 ./target/release/repro fig9 --jobs 1 > target/ci/fig9.jobs1.txt
 ./target/release/repro fig9 --jobs 4 > target/ci/fig9.jobs4.txt
 if ! diff -u target/ci/fig9.jobs1.txt target/ci/fig9.jobs4.txt; then
@@ -92,88 +93,26 @@ if ! diff -u target/ci/fig9.jobs1.txt target/ci/fig9.jobs4.txt; then
     exit 1
 fi
 
-# Checkpoint/resume gate: SIGKILL a mid-flight full-scale fig12 run that
-# is journalling to --checkpoint, resume it from the same journal, and
-# demand the resumed output byte-match an uninterrupted run. The kill
-# waits for journal progress, not for a fixed time: once the journal is
-# longer than its 18-byte header, at least one shard record is durable
-# and the rest of the run is still to come. Should the run finish between
-# the poll and the kill, the gate degrades to an all-from-journal replay
-# and says so; the byte-diff is the same.
-#
-# A resume that ignored the journal and recomputed every window would
-# print the same bytes, so each resumed run must also note on stderr that
-# it covered every shard and took at least one from the journal:
-# `coverage N/N shards (K resumed)` with K >= 1.
-journal_bytes() { if [ -f "$1" ]; then wc -c < "$1"; else echo 0; fi; }
-require_resumed() {
-    cat "$1" >&2
-    if ! grep -Eq '^coverage ([0-9]+)/\1 shards \([1-9][0-9]* resumed\)$' "$1"; then
-        echo "ci: FAIL — $2 did not note full coverage with a resumed shard" >&2
-        exit 1
-    fi
-}
-CKPT=target/ci/fig12.ckpt
-rm -f "${CKPT}"
-./target/release/repro fig12 --full --jobs 4 > target/ci/fig12.full.clean.txt
-./target/release/repro fig12 --full --jobs 4 --checkpoint "${CKPT}" \
-    > target/ci/fig12.full.killed.txt 2>/dev/null &
-REPRO_PID=$!
-while kill -0 "${REPRO_PID}" 2>/dev/null && [ "$(journal_bytes "${CKPT}")" -le 18 ]; do
-    sleep 0.1
+# Golden gate: every section with a published quick output in
+# benchmark/golden/repro/ must print exactly those bytes, at --jobs 1 and
+# at --jobs 4. The files are only read here; benchmark/run.py checks its
+# runs against the same files.
+for golden in benchmark/golden/repro/*.txt; do
+    exp=$(basename "${golden}" .txt)
+    for jobs in 1 4; do
+        ./target/release/repro "${exp}" --jobs "${jobs}" > "target/ci/${exp}.jobs${jobs}.txt"
+        if ! diff -u "${golden}" "target/ci/${exp}.jobs${jobs}.txt"; then
+            echo "ci: FAIL — repro ${exp} --jobs ${jobs} differs from ${golden}" >&2
+            exit 1
+        fi
+    done
 done
-kill -9 "${REPRO_PID}" 2>/dev/null || echo "ci: note — fig12 finished before the kill"
-wait "${REPRO_PID}" 2>/dev/null || true
-echo "ci: journal after SIGKILL: $(journal_bytes "${CKPT}") bytes"
-./target/release/repro fig12 --full --jobs 4 --resume "${CKPT}" \
-    > target/ci/fig12.full.resumed.txt 2> target/ci/fig12.full.resumed.err
-if ! diff -u target/ci/fig12.full.clean.txt target/ci/fig12.full.resumed.txt; then
-    echo "ci: FAIL — resumed fig12 --full diverges from the uninterrupted run" >&2
-    exit 1
-fi
-require_resumed target/ci/fig12.full.resumed.err "the resume after SIGKILL"
 
-# Deterministic variant of the same gate, independent of machine speed:
-# the resumed run above left a complete journal; shear it to 60% (tearing
-# whatever record straddles the cut) and resume again. The torn record
-# must be dropped, the journalled prefix folded from disk, the sheared
-# suffix recomputed — and the bytes must still match.
-FULL_BYTES=$(wc -c < "${CKPT}")
-KEEP=$((FULL_BYTES * 60 / 100))
-head -c "${KEEP}" "${CKPT}" > "${CKPT}.sheared" && mv "${CKPT}.sheared" "${CKPT}"
-./target/release/repro fig12 --full --jobs 4 --resume "${CKPT}" \
-    > target/ci/fig12.full.sheared.txt 2> target/ci/fig12.full.sheared.err
-if ! diff -u target/ci/fig12.full.clean.txt target/ci/fig12.full.sheared.txt; then
-    echo "ci: FAIL — fig12 resumed from a sheared journal diverges from the clean run" >&2
-    exit 1
-fi
-require_resumed target/ci/fig12.full.sheared.err "the resume from a sheared journal"
-rm -f "${CKPT}"
-
-# Same contract for the Byzantine sweep: seeded faults (bit-flips,
-# truncation, forged payloads) must not perturb worker-count
-# determinism.
-./target/release/repro byzantine --jobs 1 > target/ci/byzantine.jobs1.txt
-./target/release/repro byzantine --jobs 4 > target/ci/byzantine.jobs4.txt
-if ! diff -u target/ci/byzantine.jobs1.txt target/ci/byzantine.jobs4.txt; then
-    echo "ci: FAIL — repro byzantine output diverges between --jobs 1 and --jobs 4" >&2
-    exit 1
-fi
-
-# And for the key-lifecycle sweep: simulated-time rollovers, expiry
-# storms, and RFC 5011 tracking shard scenario-per-worker, so the event
-# tables must be byte-identical at every worker count.
-./target/release/repro lifecycle --jobs 1 > target/ci/lifecycle.jobs1.txt
-./target/release/repro lifecycle --jobs 4 > target/ci/lifecycle.jobs4.txt
-if ! diff -u target/ci/lifecycle.jobs1.txt target/ci/lifecycle.jobs4.txt; then
-    echo "ci: FAIL — repro lifecycle output diverges between --jobs 1 and --jobs 4" >&2
-    exit 1
-fi
-
-# And for the resolver farm: one million hashed-cohort stub clients
-# against every cache topology. The reduction is a set union plus a
-# min-merge, so worker count (and cohort count — the farm proptests pin
-# that one) must never show up in the bytes.
+# The resolver farm has no golden, so it gets the same diff as fig9: one
+# million hashed-cohort stub clients against every cache topology. The
+# reduction is a set union plus a min-merge, so worker count (and cohort
+# count — the farm proptests pin that one) must never show up in the
+# bytes.
 ./target/release/repro farm --jobs 1 > target/ci/farm.jobs1.txt
 ./target/release/repro farm --jobs 4 > target/ci/farm.jobs4.txt
 if ! diff -u target/ci/farm.jobs1.txt target/ci/farm.jobs4.txt; then

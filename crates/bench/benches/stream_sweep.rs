@@ -24,6 +24,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::RefCell;
+use std::num::NonZeroU64;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -78,7 +79,7 @@ const STEADY_ROUNDS: u64 = 5;
 const ALLOC_CEILING: u64 = 2;
 /// Fig. 12 sampling divisor for the throughput measurement: ~0.9M of the
 /// 92.7M modeled queries actually run through the cache model.
-const FIG12_SCALE: u64 = 100;
+const FIG12_SCALE: NonZeroU64 = NonZeroU64::new(100).unwrap();
 
 fn main() {
     // --- steady state: warm-cache resolution through the streaming path.

@@ -1,7 +1,7 @@
 //! Regenerates every table and figure of the paper.
 //!
 //! ```text
-//! repro [--full] [--jobs N] [--checkpoint P|--resume P] [EXPERIMENT|all]
+//! repro [--full] [--jobs N] [EXPERIMENT|all]
 //! ```
 //!
 //! `EXPERIMENT` is one of these sections, listed in the order `all` (the
@@ -14,9 +14,7 @@
 //! ```
 //!
 //! The command line is the whole configuration; `repro` reads no
-//! environment variables. An unknown flag or experiment name, `--jobs 0`,
-//! or a journal flag on a section that keeps no journal prints the usage
-//! line on stderr and exits with status 2.
+//! environment variables.
 //!
 //! Without `--full`, dataset sweeps stop at 10k domains (seconds); with it
 //! they include the 100k and 1M points (minutes).
@@ -30,29 +28,29 @@
 //! emits them instead of capturing and classifying afterwards, so a
 //! sweep holds O(shards) memory.
 //!
-//! `--checkpoint P` / `--resume P` journal every completed `fig12` window
-//! shard to the CRC-checked file `P` (so they apply to `fig12` and `all`
-//! only); a run killed mid-sweep resumes from the journal's valid prefix
-//! and produces byte-identical output. A journal that is refused (not a
-//! journal, or written by a different run) or cannot be written prints
-//! `repro: fig12 journal P: <why>` on stderr and exits with status 3; a
-//! refused file is left untouched. A resumed run notes its coverage,
-//! `coverage N/N shards (K resumed)`, on stderr.
+//! Exit status:
 //!
-//! A sweep with a shard that panicked prints its per-shard coverage table
-//! on stderr and aborts with status 101.
+//! - 0: every section printed, or a reader closed stdout early
+//!   (`repro all | head`); the run stops quietly at the closed pipe.
+//! - 1: any other stdout write error, reported on stderr as
+//!   `repro: writing stdout: <why>`.
+//! - 2: an unknown flag or experiment name, or `--jobs 0`; the usage line
+//!   goes to stderr.
+//! - 101: a panic, which is a program bug. A shard that panics stops its
+//!   sweep, and its own panic message is the one on stderr.
 
 use std::env;
-use std::path::Path;
-use std::process::{self, ExitCode};
+use std::io::{self, Write};
+use std::num::NonZeroU64;
+use std::process::ExitCode;
 
 use lookaside::attacks;
 use lookaside::byzantine::{byzantine_sweep, ByzantineConfig};
 use lookaside::chaos::{chaos_outage, ChaosConfig};
 use lookaside::engine::Executor;
 use lookaside::experiments::{
-    deployment_sweep, fig11, fig12, fig12_checkpointed, fig8_9, nsec3_tradeoff, order_matters,
-    qmin_exposure, table3, table4, table5, tld_breakdown, trace_replay, utility, vantage_sweep,
+    deployment_sweep, fig11, fig12, fig8_9, nsec3_tradeoff, order_matters, qmin_exposure, table3,
+    table4, table5, tld_breakdown, trace_replay, utility, vantage_sweep,
 };
 use lookaside::farm::{Farm, FarmConfig, TopologyReport};
 use lookaside::lifecycle::{lifecycle_sweep, LifecycleConfig};
@@ -60,36 +58,41 @@ use lookaside::report::{megabytes, pct, render_table};
 use lookaside::workload;
 use lookaside_resolver::{environments, InstallMethod};
 
-/// A printable section: the names it answers to, and how to print it
-/// under the parsed command line.
-type Section = (&'static [&'static str], fn(&Args));
+/// A printable section: the names it answers to, and how to print it to
+/// stdout under the parsed command line.
+type Section = (&'static [&'static str], fn(&mut dyn Write, &Args) -> io::Result<()>);
+
+/// Fig. 12's trace sampling without `--full`.
+const FIG12_QUICK_SCALE: NonZeroU64 = NonZeroU64::new(500).expect("500 is not zero");
 
 /// Every section `repro` prints, in the order `all` runs them. Dispatch,
 /// the usage line, and the header doc all follow this table.
 const SECTIONS: &[Section] = &[
-    (&["table1"], |_| print_table1()),
-    (&["table2"], |_| print_table2()),
-    (&["table3"], |_| print_table3()),
-    (&["table4"], |a| print_table4(&table_sizes(a.full))),
-    (&["table5", "fig10"], |a| print_table5_fig10(&table_sizes(a.full))),
-    (&["fig8", "fig9"], |a| print_fig8_9(&a.exec, &sweep_sizes(a.full))),
-    (&["order"], |_| print_order()),
-    (&["utility"], |a| print_utility(if a.full { 10_000 } else { 2_000 })),
-    (&["fig11"], |a| print_fig11(if a.full { 10_000 } else { 1_000 })),
-    (&["fig12"], |a| print_fig12(a, if a.full { 1 } else { 500 })),
-    (&["nsec3"], |a| print_nsec3(if a.full { 5_000 } else { 500 })),
-    (&["qmin"], |a| print_qmin(if a.full { 2_000 } else { 300 })),
-    (&["vantage"], |a| print_vantage(&a.exec, if a.full { 2_000 } else { 300 })),
-    (&["deployment"], |a| print_deployment(&a.exec, if a.full { 5_000 } else { 800 })),
-    (&["tlds"], |a| print_tlds(if a.full { 5_000 } else { 800 })),
-    (&["trace"], |a| print_trace(if a.full { (50_000, 5_000) } else { (3_000, 500) })),
-    (&["survey"], |_| print_survey()),
-    (&["dict"], |_| print_dictionary()),
-    (&["attacks"], |_| print_attacks()),
-    (&["chaos"], |a| print_chaos(&a.exec, if a.full { 120 } else { 25 })),
-    (&["byzantine"], |a| print_byzantine(&a.exec, if a.full { 60 } else { 15 })),
-    (&["lifecycle"], |a| print_lifecycle(&a.exec, if a.full { 10 } else { 5 })),
-    (&["farm"], |a| print_farm(&a.exec, if a.full { 500 } else { 2_000 })),
+    (&["table1"], |out, _| print_table1(out)),
+    (&["table2"], |out, _| print_table2(out)),
+    (&["table3"], |out, _| print_table3(out)),
+    (&["table4"], |out, a| print_table4(out, &table_sizes(a.full))),
+    (&["table5", "fig10"], |out, a| print_table5_fig10(out, &table_sizes(a.full))),
+    (&["fig8", "fig9"], |out, a| print_fig8_9(out, &a.exec, &sweep_sizes(a.full))),
+    (&["order"], |out, _| print_order(out)),
+    (&["utility"], |out, a| print_utility(out, if a.full { 10_000 } else { 2_000 })),
+    (&["fig11"], |out, a| print_fig11(out, if a.full { 10_000 } else { 1_000 })),
+    (&["fig12"], |out, a| {
+        print_fig12(out, &a.exec, if a.full { NonZeroU64::MIN } else { FIG12_QUICK_SCALE })
+    }),
+    (&["nsec3"], |out, a| print_nsec3(out, if a.full { 5_000 } else { 500 })),
+    (&["qmin"], |out, a| print_qmin(out, if a.full { 2_000 } else { 300 })),
+    (&["vantage"], |out, a| print_vantage(out, &a.exec, if a.full { 2_000 } else { 300 })),
+    (&["deployment"], |out, a| print_deployment(out, &a.exec, if a.full { 5_000 } else { 800 })),
+    (&["tlds"], |out, a| print_tlds(out, if a.full { 5_000 } else { 800 })),
+    (&["trace"], |out, a| print_trace(out, if a.full { (50_000, 5_000) } else { (3_000, 500) })),
+    (&["survey"], |out, _| print_survey(out)),
+    (&["dict"], |out, _| print_dictionary(out)),
+    (&["attacks"], |out, _| print_attacks(out)),
+    (&["chaos"], |out, a| print_chaos(out, &a.exec, if a.full { 120 } else { 25 })),
+    (&["byzantine"], |out, a| print_byzantine(out, &a.exec, if a.full { 60 } else { 15 })),
+    (&["lifecycle"], |out, a| print_lifecycle(out, &a.exec, if a.full { 10 } else { 5 })),
+    (&["farm"], |out, a| print_farm(out, &a.exec, if a.full { 500 } else { 2_000 })),
 ];
 
 /// The parsed command line: everything a run is configured by.
@@ -97,8 +100,6 @@ struct Args {
     full: bool,
     /// The pool every sweep runs on: `--jobs` workers.
     exec: Executor,
-    /// The Fig. 12 window journal (`--checkpoint` / `--resume`).
-    journal: Option<String>,
     /// The section to print; `None` means `all`.
     section: Option<usize>,
 }
@@ -112,21 +113,32 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    for (i, (_, print)) in SECTIONS.iter().enumerate() {
-        if args.section.is_none_or(|wanted| wanted == i) {
-            print(&args);
+    match print_sections(&mut io::stdout().lock(), &args) {
+        Ok(()) => ExitCode::SUCCESS,
+        // The reader has all it wanted (`repro all | head`).
+        Err(err) if err.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(err) => {
+            eprintln!("repro: writing stdout: {err}");
+            ExitCode::FAILURE
         }
     }
-    ExitCode::SUCCESS
+}
+
+/// Prints the sections the command line names, in table order, stopping
+/// at the first write error.
+fn print_sections(out: &mut dyn Write, args: &Args) -> io::Result<()> {
+    for (i, (_, print)) in SECTIONS.iter().enumerate() {
+        if args.section.is_none_or(|wanted| wanted == i) {
+            print(out, args)?;
+        }
+    }
+    out.flush()
 }
 
 /// The one-line usage summary printed with every command-line error.
 fn usage() -> String {
     let names: Vec<&str> = SECTIONS.iter().flat_map(|(names, _)| names.iter().copied()).collect();
-    format!(
-        "usage: repro [--full] [--jobs N] [--checkpoint P|--resume P] [all|{}]",
-        names.join("|")
-    )
+    format!("usage: repro [--full] [--jobs N] [all|{}]", names.join("|"))
 }
 
 /// Parses the command line, accepting both `--flag VALUE` and
@@ -135,7 +147,6 @@ fn usage() -> String {
 fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut full = false;
     let mut jobs = None;
-    let mut journal = None;
     let mut named: Option<&str> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -158,7 +169,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                     _ => return Err(format!("--jobs needs a positive number, got {value:?}")),
                 }
             }
-            "--checkpoint" | "--resume" => journal = Some(value()?),
             _ if flag.starts_with('-') => return Err(format!("unknown flag {arg:?}")),
             _ => {
                 if let Some(first) = named.replace(arg) {
@@ -176,11 +186,8 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                 .ok_or_else(|| format!("unknown experiment {name:?}"))?,
         ),
     };
-    if journal.is_some() && section.is_some_and(|i| SECTIONS[i].0 != ["fig12"]) {
-        return Err("--checkpoint/--resume journal fig12 only: name fig12 or all".to_string());
-    }
     let exec = jobs.map_or_else(Executor::default, Executor::new);
-    Ok(Args { full, exec, journal, section })
+    Ok(Args { full, exec, section })
 }
 
 /// Dataset sizes for Tables 4 and 5.
@@ -203,8 +210,8 @@ fn sweep_sizes(full: bool) -> Vec<usize> {
     }
 }
 
-fn print_table1() {
-    println!("\n== Table 1: resolver versions per environment ==");
+fn print_table1(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(out, "\n== Table 1: resolver versions per environment ==")?;
     let rows: Vec<Vec<String>> = environments()
         .iter()
         .map(|e| {
@@ -216,11 +223,11 @@ fn print_table1() {
             ]
         })
         .collect();
-    print!("{}", render_table(&["OS", "software", "package (P)", "manual (M)"], &rows));
+    write!(out, "{}", render_table(&["OS", "software", "package (P)", "manual (M)"], &rows))
 }
 
-fn print_table2() {
-    println!("\n== Table 2: default configuration per install method ==");
+fn print_table2(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(out, "\n== Table 2: default configuration per install method ==")?;
     let rows: Vec<Vec<String>> = InstallMethod::ALL
         .iter()
         .map(|m| {
@@ -234,11 +241,15 @@ fn print_table2() {
             ]
         })
         .collect();
-    print!("{}", render_table(&["install", "DNSSEC", "validation", "DLV", "trust anchor"], &rows));
+    write!(
+        out,
+        "{}",
+        render_table(&["install", "DNSSEC", "validation", "DLV", "trust anchor"], &rows)
+    )
 }
 
-fn print_table3() {
-    println!("\n== Table 3: do *secured* domains leak to DLV? (huque45) ==");
+fn print_table3(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(out, "\n== Table 3: do *secured* domains leak to DLV? (huque45) ==")?;
     let rows: Vec<Vec<String>> = table3(3)
         .iter()
         .map(|r| {
@@ -249,14 +260,15 @@ fn print_table3() {
             ]
         })
         .collect();
-    print!("{}", render_table(&["install", "secured leaked", "islands to DLV"], &rows));
-    println!(
+    write!(out, "{}", render_table(&["install", "secured leaked", "islands to DLV"], &rows))?;
+    writeln!(
+        out,
         "(paper: apt-get No, apt-get\u{2020} Yes, yum No, manual Yes; 5 islands under correct config)"
-    );
+    )
 }
 
-fn print_table4(sizes: &[usize]) {
-    println!("\n== Table 4: queries by type ==");
+fn print_table4(out: &mut dyn Write, sizes: &[usize]) -> io::Result<()> {
+    writeln!(out, "\n== Table 4: queries by type ==")?;
     let rows: Vec<Vec<String>> = table4(sizes, 5)
         .iter()
         .map(|r| {
@@ -272,15 +284,16 @@ fn print_table4(sizes: &[usize]) {
             ]
         })
         .collect();
-    print!(
+    write!(
+        out,
         "{}",
         render_table(&["#domains", "A", "AAAA", "DNSKEY", "DS", "NS", "PTR", "total"], &rows)
-    );
-    println!("(paper @100: A 467, AAAA 243, DNSKEY 32, DS 221, NS 36, PTR 2, total 1001)");
+    )?;
+    writeln!(out, "(paper @100: A 467, AAAA 243, DNSKEY 32, DS 221, NS 36, PTR 2, total 1001)")
 }
 
-fn print_table5_fig10(sizes: &[usize]) {
-    println!("\n== Table 5 / Fig. 10: TXT-remedy overhead ==");
+fn print_table5_fig10(out: &mut dyn Write, sizes: &[usize]) -> io::Result<()> {
+    writeln!(out, "\n== Table 5 / Fig. 10: TXT-remedy overhead ==")?;
     let rows: Vec<Vec<String>> = table5(sizes, 7)
         .iter()
         .map(|r| {
@@ -298,7 +311,8 @@ fn print_table5_fig10(sizes: &[usize]) {
             ]
         })
         .collect();
-    print!(
+    write!(
+        out,
         "{}",
         render_table(
             &[
@@ -315,28 +329,28 @@ fn print_table5_fig10(sizes: &[usize]) {
             ],
             &rows
         )
-    );
-    println!("(paper ratios: time 18.7\u{2192}29.2%, traffic 6.7\u{2192}10.0%, queries 10.8\u{2192}19.7%)");
+    )?;
+    writeln!(out, "(paper ratios: time 18.7\u{2192}29.2%, traffic 6.7\u{2192}10.0%, queries 10.8\u{2192}19.7%)")
 }
 
-fn print_fig8_9(exec: &Executor, sizes: &[usize]) {
-    println!("\n== Figs. 8\u{2013}9: DLV queries and leaked proportion ==");
-    print!("{}", lookaside::report::fig8_9_table(&fig8_9(exec, sizes, 11)));
-    println!("(paper: 84% @100 decaying ~linearly in log N to 6.8% @1M)");
+fn print_fig8_9(out: &mut dyn Write, exec: &Executor, sizes: &[usize]) -> io::Result<()> {
+    writeln!(out, "\n== Figs. 8\u{2013}9: DLV queries and leaked proportion ==")?;
+    write!(out, "{}", lookaside::report::fig8_9_table(&fig8_9(exec, sizes, 11)))?;
+    writeln!(out, "(paper: 84% @100 decaying ~linearly in log N to 6.8% @1M)")
 }
 
-fn print_order() {
-    println!("\n== \u{a7}5.1 order matters: shuffled top-100 ==");
+fn print_order(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(out, "\n== \u{a7}5.1 order matters: shuffled top-100 ==")?;
     let rows: Vec<Vec<String>> = order_matters(100, &[1, 2, 3], 19)
         .iter()
         .map(|(seed, prop)| vec![format!("shuffle {seed}"), pct(*prop)])
         .collect();
-    print!("{}", render_table(&["trial", "leaked %"], &rows));
-    println!("(paper: 82%, 84%, 77% across trials)");
+    write!(out, "{}", render_table(&["trial", "leaked %"], &rows))?;
+    writeln!(out, "(paper: 82%, 84%, 77% across trials)")
 }
 
-fn print_utility(n: usize) {
-    println!("\n== \u{a7}5.3 validation utility (misconfigured profile, top-{n}) ==");
+fn print_utility(out: &mut dyn Write, n: usize) -> io::Result<()> {
+    writeln!(out, "\n== \u{a7}5.3 validation utility (misconfigured profile, top-{n}) ==")?;
     let report = utility(n, 13);
     let rows = vec![vec![
         report.dlv_queries.to_string(),
@@ -344,12 +358,12 @@ fn print_utility(n: usize) {
         report.case2.to_string(),
         pct(report.leak_fraction()),
     ]];
-    print!("{}", render_table(&["DLV queries", "No error", "No such name", "leak %"], &rows));
-    println!("(paper: \u{2248}98.8% of DLV queries provide no validation utility)");
+    write!(out, "{}", render_table(&["DLV queries", "No error", "No such name", "leak %"], &rows))?;
+    writeln!(out, "(paper: \u{2248}98.8% of DLV queries provide no validation utility)")
 }
 
-fn print_fig11(n: usize) {
-    println!("\n== Fig. 11: remedies compared (top-{n}) ==");
+fn print_fig11(out: &mut dyn Write, n: usize) -> io::Result<()> {
+    writeln!(out, "\n== Fig. 11: remedies compared (top-{n}) ==")?;
     let rows: Vec<Vec<String>> = fig11(n, 17)
         .iter()
         .map(|r| {
@@ -362,24 +376,17 @@ fn print_fig11(n: usize) {
             ]
         })
         .collect();
-    print!("{}", render_table(&["remedy", "time (s)", "MB", "queries", "case-2 leaks"], &rows));
-    println!("(paper: TXT highest overhead, Z-bit minimal; both eliminate leaks)");
+    write!(
+        out,
+        "{}",
+        render_table(&["remedy", "time (s)", "MB", "queries", "case-2 leaks"], &rows)
+    )?;
+    writeln!(out, "(paper: TXT highest overhead, Z-bit minimal; both eliminate leaks)")
 }
 
-fn print_fig12(args: &Args, scale: u64) {
-    println!("\n== Fig. 12: DITL trace-driven overhead (sampling 1/{scale}) ==");
-    let data = match &args.journal {
-        None => fig12(&args.exec, 23, scale),
-        // --checkpoint and --resume are the same mechanism: the journal
-        // loader folds back whatever valid prefix the file holds (none,
-        // for a fresh path) and the sweep continues from there.
-        Some(path) => {
-            fig12_checkpointed(&args.exec, 23, scale, Path::new(path)).unwrap_or_else(|err| {
-                eprintln!("repro: fig12 journal {path}: {err}");
-                process::exit(3)
-            })
-        }
-    };
+fn print_fig12(out: &mut dyn Write, exec: &Executor, scale: NonZeroU64) -> io::Result<()> {
+    writeln!(out, "\n== Fig. 12: DITL trace-driven overhead (sampling 1/{scale}) ==")?;
+    let data = fig12(exec, 23, scale);
     let minutes = data.per_minute.len();
     let sample = [0usize, minutes / 4, minutes / 2, 3 * minutes / 4, minutes - 1];
     let rows: Vec<Vec<String>> = sample
@@ -394,19 +401,21 @@ fn print_fig12(args: &Args, scale: u64) {
             ]
         })
         .collect();
-    print!(
+    write!(
+        out,
         "{}",
         render_table(&["minute", "queries/min", "cum queries", "cum base MB", "cum ovh MB"], &rows)
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "total overhead: {} MB over 7h = {:.3} Mbps (paper: \u{2248}1.2 GB, 0.38 Mbps)",
         megabytes(*data.cumulative_overhead_bytes.last().unwrap()),
         data.overhead_mbps
-    );
+    )
 }
 
-fn print_nsec3(n: usize) {
-    println!("\n== \u{a7}7.3 NSEC vs NSEC3 registry (top-{n}) ==");
+fn print_nsec3(out: &mut dyn Write, n: usize) -> io::Result<()> {
+    writeln!(out, "\n== \u{a7}7.3 NSEC vs NSEC3 registry (top-{n}) ==")?;
     let rows: Vec<Vec<String>> = nsec3_tradeoff(n, 29)
         .iter()
         .map(|r| {
@@ -418,15 +427,20 @@ fn print_nsec3(n: usize) {
             ]
         })
         .collect();
-    print!("{}", render_table(&["denial", "DLV queries", "suppressed", "case-2 leaks"], &rows));
-    println!(
+    write!(
+        out,
+        "{}",
+        render_table(&["denial", "DLV queries", "suppressed", "case-2 leaks"], &rows)
+    )?;
+    writeln!(
+        out,
         "(paper \u{a7}7.3: without aggressive negative caching, every query \
          triggers a DLV query — NSEC3 trades enumeration resistance for leakage)"
-    );
+    )
 }
 
-fn print_qmin(n: usize) {
-    println!("\n== RFC 7816 extension: QNAME minimisation vs DLV leakage (top-{n}) ==");
+fn print_qmin(out: &mut dyn Write, n: usize) -> io::Result<()> {
+    writeln!(out, "\n== RFC 7816 extension: QNAME minimisation vs DLV leakage (top-{n}) ==")?;
     let rows: Vec<Vec<String>> = qmin_exposure(n, 37)
         .iter()
         .map(|r| {
@@ -438,18 +452,22 @@ fn print_qmin(n: usize) {
             ]
         })
         .collect();
-    print!(
+    write!(
+        out,
         "{}",
         render_table(
             &["qmin", "names at root", "sub-SLD names at TLDs", "DLV case-2 leaks"],
             &rows
         )
-    );
-    println!("(minimisation shields on-path servers; DLV leaks are untouched — the look-aside query *is* the name)");
+    )?;
+    writeln!(out, "(minimisation shields on-path servers; DLV leaks are untouched — the look-aside query *is* the name)")
 }
 
-fn print_vantage(exec: &Executor, n: usize) {
-    println!("\n== \u{a7}7.1 vantage generality: same findings from every vantage (top-{n}) ==");
+fn print_vantage(out: &mut dyn Write, exec: &Executor, n: usize) -> io::Result<()> {
+    writeln!(
+        out,
+        "\n== \u{a7}7.1 vantage generality: same findings from every vantage (top-{n}) =="
+    )?;
     let rows: Vec<Vec<String>> = vantage_sweep(exec, n, 43)
         .iter()
         .map(|r| {
@@ -461,15 +479,19 @@ fn print_vantage(exec: &Executor, n: usize) {
             ]
         })
         .collect();
-    print!(
+    write!(
+        out,
         "{}",
         render_table(&["vantage", "case-2 leaks", "distinct leaked", "sim time (s)"], &rows)
-    );
-    println!("(paper \u{a7}7.1: \"results among different platforms remain the same\")");
+    )?;
+    writeln!(out, "(paper \u{a7}7.1: \"results among different platforms remain the same\")")
 }
 
-fn print_deployment(exec: &Executor, n: usize) {
-    println!("\n== \u{a7}7.1 deployment sweep: leak share vs DLV deposit density (top-{n}) ==");
+fn print_deployment(out: &mut dyn Write, exec: &Executor, n: usize) -> io::Result<()> {
+    writeln!(
+        out,
+        "\n== \u{a7}7.1 deployment sweep: leak share vs DLV deposit density (top-{n}) =="
+    )?;
     let rows: Vec<Vec<String>> = deployment_sweep(exec, n, &[0, 100, 300, 600, 1000], 39)
         .iter()
         .map(|r| {
@@ -481,17 +503,19 @@ fn print_deployment(exec: &Executor, n: usize) {
             ]
         })
         .collect();
-    print!(
+    write!(
+        out,
         "{}",
         render_table(&["islands depositing", "No error", "No such name", "leak %"], &rows)
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "(paper \u{a7}7.1: findings become less significant as more domains populate the registry)"
-    );
+    )
 }
 
-fn print_tlds(n: usize) {
-    println!("\n== per-TLD leakage breakdown (top-{n}) ==");
+fn print_tlds(out: &mut dyn Write, n: usize) -> io::Result<()> {
+    writeln!(out, "\n== per-TLD leakage breakdown (top-{n}) ==")?;
     let rows: Vec<Vec<String>> = tld_breakdown(n, 49)
         .iter()
         .map(|r| {
@@ -505,18 +529,19 @@ fn print_tlds(n: usize) {
             ]
         })
         .collect();
-    print!(
+    write!(
+        out,
         "{}",
         render_table(&["TLD", "zone", "domains", "leaked", "leak %", "secure leaked"], &rows)
-    );
-    println!("(secure children — signed with DS — never leak; unsigned TLDs cannot have any)");
+    )?;
+    writeln!(out, "(secure children — signed with DS — never leak; unsigned TLDs cannot have any)")
 }
 
-fn print_trace(params: (usize, usize)) {
-    let (draws, support) = params;
-    println!(
+fn print_trace(out: &mut dyn Write, (draws, support): (usize, usize)) -> io::Result<()> {
+    writeln!(
+        out,
         "\n== trace replay: {draws} Zipf stub queries over top-{support} (Fig. 12 cross-check) =="
-    );
+    )?;
     let rows: Vec<Vec<String>> = trace_replay(draws, support, 47)
         .iter()
         .map(|r| {
@@ -530,18 +555,22 @@ fn print_trace(params: (usize, usize)) {
             ]
         })
         .collect();
-    print!(
+    write!(
+        out,
         "{}",
         render_table(
             &["remedy", "stub q", "distinct", "upstream q", "upstream/q", "TXT probes"],
             &rows
         )
-    );
-    println!("(TXT probes track distinct zones, not query volume — the Fig. 12 cache assumption)");
+    )?;
+    writeln!(
+        out,
+        "(TXT probes track distinct zones, not query volume — the Fig. 12 cache assumption)"
+    )
 }
 
-fn print_survey() {
-    println!("\n== \u{a7}5.2 operator survey (DNS-OARC 2015) ==");
+fn print_survey(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(out, "\n== \u{a7}5.2 operator survey (DNS-OARC 2015) ==")?;
     let s = workload::survey();
     let rows = vec![
         vec![
@@ -561,11 +590,11 @@ fn print_survey() {
         ],
         vec!["use ISC DLV".to_string(), s.isc_dlv.to_string(), format!("{:.1}%", s.pct(s.isc_dlv))],
     ];
-    print!("{}", render_table(&["answer", "count", "share"], &rows));
+    write!(out, "{}", render_table(&["answer", "count", "share"], &rows))
 }
 
-fn print_dictionary() {
-    println!("\n== \u{a7}6.2.4 dictionary attack on hashed DLV ==");
+fn print_dictionary(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(out, "\n== \u{a7}6.2.4 dictionary attack on hashed DLV ==")?;
     let pop = workload::DomainPopulation::new(workload::PopulationParams {
         size: 10_000,
         ..workload::PopulationParams::default()
@@ -591,15 +620,20 @@ fn print_dictionary() {
             pct(outcome_small.recovery_rate()),
         ],
     ];
-    print!("{}", render_table(&["dictionary", "size", "observed", "recovered", "rate"], &rows));
-    println!(
+    write!(
+        out,
+        "{}",
+        render_table(&["dictionary", "size", "observed", "recovered", "rate"], &rows)
+    )?;
+    writeln!(
+        out,
         "(paper: full-space dictionaries are impractical at 350M+ names; a DNSSEC-only \
          dictionary shrinks the search but misses non-DNSSEC leaks)"
-    );
+    )
 }
 
-fn print_chaos(exec: &Executor, n: usize) {
-    println!("\n== \u{a7}7.3.2 chaos sweep: DLV-registry outage vs leakage amplification ({n} queries/cell) ==");
+fn print_chaos(out: &mut dyn Write, exec: &Executor, n: usize) -> io::Result<()> {
+    writeln!(out, "\n== \u{a7}7.3.2 chaos sweep: DLV-registry outage vs leakage amplification ({n} queries/cell) ==")?;
     let rows: Vec<Vec<String>> = chaos_outage(exec, &ChaosConfig::quick(n))
         .iter()
         .map(|p| {
@@ -616,7 +650,8 @@ fn print_chaos(exec: &Executor, n: usize) {
             ]
         })
         .collect();
-    print!(
+    write!(
+        out,
         "{}",
         render_table(
             &[
@@ -632,17 +667,19 @@ fn print_chaos(exec: &Executor, n: usize) {
             ],
             &rows
         )
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "(retries multiply on-wire exposure as the registry degrades; the RFC 2308 \
          SERVFAIL cache collapses it by holding the dead zone down)"
-    );
+    )
 }
 
-fn print_byzantine(exec: &Executor, n: usize) {
-    println!(
+fn print_byzantine(out: &mut dyn Write, exec: &Executor, n: usize) -> io::Result<()> {
+    writeln!(
+        out,
         "\n== Byzantine sweep: data-plane adversaries \u{d7} validator hardening ({n} queries/cell) =="
-    );
+    )?;
     let rows: Vec<Vec<String>> = byzantine_sweep(exec, &ByzantineConfig::quick(n))
         .iter()
         .map(|p| {
@@ -660,7 +697,8 @@ fn print_byzantine(exec: &Executor, n: usize) {
             ]
         })
         .collect();
-    print!(
+    write!(
+        out,
         "{}",
         render_table(
             &[
@@ -677,15 +715,19 @@ fn print_byzantine(exec: &Executor, n: usize) {
             ],
             &rows
         )
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "(wrong answers leak more than lost ones: corruption and truncation retrigger \
          transmissions, while hardening preserves availability through every decommission stage)"
-    );
+    )
 }
 
-fn print_lifecycle(exec: &Executor, n: usize) {
-    println!("\n== key-lifecycle sweep: rollovers, expiry storms, RFC 5011 ({n} queries/event) ==");
+fn print_lifecycle(out: &mut dyn Write, exec: &Executor, n: usize) -> io::Result<()> {
+    writeln!(
+        out,
+        "\n== key-lifecycle sweep: rollovers, expiry storms, RFC 5011 ({n} queries/event) =="
+    )?;
     let rows: Vec<Vec<String>> = lifecycle_sweep(exec, &LifecycleConfig::quick(n))
         .iter()
         .flat_map(|p| {
@@ -706,7 +748,8 @@ fn print_lifecycle(exec: &Executor, n: usize) {
             })
         })
         .collect();
-    print!(
+    write!(
+        out,
         "{}",
         render_table(
             &[
@@ -724,16 +767,17 @@ fn print_lifecycle(exec: &Executor, n: usize) {
             ],
             &rows
         )
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "(a missed KSK rollover strands the resolver anchorless: validation collapses to \
          the look-aside walk and every fresh name leaks to the registry until an anchor \
          is re-installed out of band)"
-    );
+    )
 }
 
-fn print_attacks() {
-    println!("\n== \u{a7}6.2.3 signaling attacks ==");
+fn print_attacks(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(out, "\n== \u{a7}6.2.3 signaling attacks ==")?;
     let z = attacks::zbit_flip_attack(200, 31);
     let t = attacks::txt_poison_attack(200, 33);
     let rows = vec![
@@ -748,7 +792,7 @@ fn print_attacks() {
             t.leaks_under_attack.to_string(),
         ],
     ];
-    print!("{}", render_table(&["attack", "leaks (remedy)", "leaks (attacked)"], &rows));
+    write!(out, "{}", render_table(&["attack", "leaks (remedy)", "leaks (attacked)"], &rows))
 }
 
 fn farm_rows(reports: &[TopologyReport]) -> Vec<Vec<String>> {
@@ -792,35 +836,39 @@ const FARM_HEADERS: [&str; 14] = [
     "content-exp",
 ];
 
-fn print_farm(exec: &Executor, ditl_scale: u64) {
+fn print_farm(out: &mut dyn Write, exec: &Executor, ditl_scale: u64) -> io::Result<()> {
     let farm = Farm::new(FarmConfig::paper_scale());
     let clients = farm.config().plane.clients;
     let resolvers = farm.config().resolvers;
 
-    println!(
+    writeln!(
+        out,
         "\n== resolver farm: {clients} stub clients, {resolvers} resolvers, topology sweep =="
-    );
-    print!("{}", render_table(&FARM_HEADERS, &farm_rows(&farm.sweep(exec))));
-    println!(
+    )?;
+    write!(out, "{}", render_table(&FARM_HEADERS, &farm_rows(&farm.sweep(exec))))?;
+    writeln!(
+        out,
         "(aggregation is the accidental remedy: a shared cache dedupes case-2 names across the \
          whole client base, an ODoH split leaves the registry's view intact but unlinkable, and \
          Resolver-Less DNS trades the registry leak for full content-server exposure)"
-    );
+    )?;
 
-    println!("\n== farm scaling: per-resolver caches, per-client leak rate vs farm size ==");
+    writeln!(out, "\n== farm scaling: per-resolver caches, per-client leak rate vs farm size ==")?;
     let curve = farm.scaling(&[1, 2, 4, 8, 16, 32], exec);
-    print!("{}", render_table(&FARM_HEADERS, &farm_rows(&curve)));
-    println!(
+    write!(out, "{}", render_table(&FARM_HEADERS, &farm_rows(&curve)))?;
+    writeln!(
+        out,
         "(fragmenting the client base across more caches multiplies what the registry sees: \
          every cache re-leaks the same names once per span TTL)"
-    );
+    )?;
 
-    println!("\n== DITL-scale trace through the farm (1/{ditl_scale} sample) ==");
-    print!("{}", render_table(&FARM_HEADERS, &farm_rows(&farm.ditl(ditl_scale, exec))));
-    println!(
+    writeln!(out, "\n== DITL-scale trace through the farm (1/{ditl_scale} sample) ==")?;
+    write!(out, "{}", render_table(&FARM_HEADERS, &farm_rows(&farm.ditl(ditl_scale, exec))))?;
+    writeln!(
+        out,
         "(the Fig. 12 day-in-the-life volume replayed against the farm instead of one resolver: \
          per-client attribution survives any partition of the trace)"
-    );
+    )
 }
 
 #[cfg(test)]
@@ -833,10 +881,9 @@ mod tests {
 
     #[test]
     fn flags_take_values_inline_or_next() {
-        let a = parse(&["fig12", "--full", "--jobs", "3", "--resume=j.ckpt"]).unwrap();
+        let a = parse(&["fig12", "--full", "--jobs", "3"]).unwrap();
         assert!(a.full);
         assert_eq!(a.exec, Executor::new(3));
-        assert_eq!(a.journal.as_deref(), Some("j.ckpt"));
         assert_eq!(a.section.map(|i| SECTIONS[i].0), Some(&["fig12"][..]));
         assert_eq!(parse(&["--jobs=2", "all"]).unwrap().section, None);
         assert_eq!(parse(&["fig10"]).unwrap().section, parse(&["table5"]).unwrap().section);
@@ -853,8 +900,6 @@ mod tests {
             &["table1", "table2"],
             &["--jobs", "0"],
             &["--jobs=0", "fig9"],
-            &["table1", "--resume", "j.ckpt"],
-            &["--checkpoint=j.ckpt", "chaos"],
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must be rejected");
         }

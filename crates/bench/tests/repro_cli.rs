@@ -1,9 +1,11 @@
 //! The `repro` command line rejects what it does not know: an unknown
 //! experiment or flag exits with status 2 and the usage line on stderr,
-//! instead of printing nothing and succeeding. A Fig. 12 journal it
-//! cannot use exits with status 3 and leaves the file as it found it.
+//! instead of printing nothing and succeeding. A reader that closes
+//! stdout early ends the run quietly with status 0; any other stdout
+//! write error exits with status 1 and says why.
 
-use std::process::{Command, Output};
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Output, Stdio};
 
 fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro")).args(args).output().expect("repro starts")
@@ -37,18 +39,40 @@ fn known_experiment_with_inline_jobs_runs() {
     assert!(!stdout.contains("Table 2"), "only the named section runs: {stdout}");
 }
 
+/// `repro table4 | head -1`: the reader hangs up after the header, while
+/// the table is still being computed.
 #[test]
-fn refused_journal_exits_3_and_is_left_untouched() {
-    let mut path = std::env::temp_dir();
-    path.push(format!("lookaside-repro-cli-{}-not-a-journal", std::process::id()));
-    let junk = [0x5au8; 32];
-    std::fs::write(&path, junk).expect("write junk journal");
-    let out = repro(&["fig12", "--resume", path.to_str().expect("utf-8 temp path")]);
-    let on_disk = std::fs::read(&path).expect("junk journal still there");
-    let _ = std::fs::remove_file(&path);
+fn a_closed_stdout_ends_the_run_quietly() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("table4")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("repro starts");
+    let mut stdout = BufReader::new(child.stdout.take().expect("stdout is piped"));
+    let mut line = String::new();
+    while !line.starts_with("== Table 4") {
+        line.clear();
+        let read = stdout.read_line(&mut line).expect("stdout reads");
+        assert!(read > 0, "stdout ended before the Table 4 header");
+    }
+    drop(stdout);
+    let out = child.wait_with_output().expect("repro exits");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(3), "{stderr}");
-    assert!(stderr.contains("repro: fig12 journal"), "{stderr}");
-    assert!(stderr.contains("not a checkpoint journal"), "{stderr}");
-    assert_eq!(on_disk, junk, "a refused journal must not be rewritten");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "a closed pipe is not an error: {stderr}");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_stdout_write_error_exits_1_with_its_reason() {
+    let full = std::fs::File::options().write(true).open("/dev/full").expect("/dev/full opens");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("table1")
+        .stdout(full)
+        .output()
+        .expect("repro starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("repro: writing stdout: "), "{stderr}");
 }

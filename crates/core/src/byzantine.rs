@@ -198,7 +198,7 @@ pub struct ByzantinePoint {
 /// hardening profile, in profile-major order. Each cell builds a fresh
 /// Internet replica, so cells are natural shards; the point list comes
 /// back in serial order, identical for every worker count. A cell whose
-/// run panics aborts the sweep with its coverage table.
+/// run panics aborts the sweep with that panic.
 pub fn byzantine_sweep(
     exec: &lookaside_engine::Executor,
     config: &ByzantineConfig,

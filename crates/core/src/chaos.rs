@@ -183,8 +183,7 @@ pub struct ChaosPoint {
 /// comes back in the same profile-major order the serial loop produced,
 /// identical for every worker count.
 ///
-/// A cell whose run panics aborts the sweep, named in the coverage table
-/// on stderr.
+/// A cell whose run panics aborts the sweep with that panic.
 pub fn chaos_outage(exec: &lookaside_engine::Executor, config: &ChaosConfig) -> Vec<ChaosPoint> {
     let mut cells = Vec::with_capacity(config.outages.len() * config.profiles.len());
     for &profile in &config.profiles {

@@ -5,10 +5,10 @@
 //! drives the resolver, and classifies the DLV packets the run emits.
 
 use std::cell::RefCell;
-use std::path::Path;
+use std::num::NonZeroU64;
 use std::rc::Rc;
 
-use lookaside_engine::{run_fingerprint, Checkpoint, Executor, JournalError, Shard, ShardPlan};
+use lookaside_engine::{Executor, Shard, ShardPlan};
 use lookaside_netsim::{CaptureFilter, TrafficStats};
 use lookaside_resolver::{BindConfig, Counters, InstallMethod, ResolverConfig};
 use lookaside_wire::ext::RemedyMode;
@@ -18,7 +18,7 @@ use serde::Serialize;
 
 use crate::internet::{Internet, InternetParams};
 use crate::leakage::{classify, LeakSink, LeakageReport};
-use crate::parallel::{accept, collect, fold};
+use crate::parallel::collect;
 
 /// Which names a run queries.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -395,8 +395,7 @@ pub struct LeakPoint {
 /// Runs the Fig. 8 / Fig. 9 sweep on `exec`. Each dataset size is one
 /// shard — a full cold-cache run, exactly as the serial sweep performed
 /// them — so the point list is identical for every worker count. A size
-/// whose run panics aborts the sweep, naming it in the coverage table on
-/// stderr.
+/// whose run panics aborts the sweep with that panic.
 pub fn fig8_9(exec: &Executor, sizes: &[usize], seed: u64) -> Vec<LeakPoint> {
     let shards = ShardPlan::new(seed).over(sizes.iter().copied());
     collect(exec, &shards, |shard| {
@@ -831,11 +830,12 @@ pub struct Fig12Data {
 
 /// Builds Fig. 12 from a generated DITL trace on `exec`.
 ///
-/// Per-query byte costs are *measured* from a calibration run of the full
-/// simulator; the trace is then aggregated analytically (92.7M queries are
-/// not resolved one by one — the paper's own Fig. 12 likewise replays
-/// aggregate volumes). `scale` divides the trace volume for cheap test
-/// runs; use 1 for the full figure.
+/// Per-query byte costs are *measured* from two calibration runs of the
+/// full simulator, one without a remedy and one with the TXT remedy; the
+/// trace is then aggregated analytically (92.7M queries are not resolved
+/// one by one — the paper's own Fig. 12 likewise replays aggregate
+/// volumes). `scale` divides the trace volume for cheap test runs; use 1
+/// for the full figure.
 ///
 /// Parallel decomposition: the cache model resets its TTL window every 60
 /// minutes, so the 420-minute trace is seven *independent* windows. Each
@@ -843,45 +843,12 @@ pub struct Fig12Data {
 /// shard seed), simulated in isolation; the sweep folds each window's
 /// minute triples into the cumulative prefix sums as windows complete,
 /// in shard order — the same totals at any worker count, holding one
-/// window's triples at a time. The two calibration runs (baseline and
-/// TXT remedy) are likewise independent shards.
-pub fn fig12(exec: &Executor, seed: u64, scale: u64) -> Fig12Data {
-    let model = Fig12Model::calibrate(exec, seed, scale);
-    let acc = fold(exec, &model.windows, |w| model.window(w), model.start(), Fig12Acc::push);
+/// window's triples at a time. The calibration runs precede the sweep,
+/// one after the other.
+pub fn fig12(exec: &Executor, seed: u64, scale: NonZeroU64) -> Fig12Data {
+    let model = Fig12Model::calibrate(seed, scale);
+    let acc = exec.sweep(&model.windows, |w| model.window(w), model.start(), Fig12Acc::push);
     model.finish(acc)
-}
-
-/// [`fig12`] journalling every completed window shard to `journal`:
-/// an atomic, CRC-checked [`Checkpoint`] file keyed by a fingerprint of
-/// `(seed, scale, window count)`. A run killed mid-sweep resumes from the
-/// journal's valid prefix — already-journalled windows fold back without
-/// re-running — and produces byte-identical output.
-///
-/// # Errors
-///
-/// The [`JournalError`] that refused `journal` — it is not a journal, or
-/// was written under different parameters — or that failed an append.
-/// A refused journal is left untouched.
-pub fn fig12_checkpointed(
-    exec: &Executor,
-    seed: u64,
-    scale: u64,
-    journal: &Path,
-) -> Result<Fig12Data, JournalError> {
-    let model = Fig12Model::calibrate(exec, seed, scale);
-    // The fingerprint binds the journal to everything that shapes a
-    // window's bytes; resuming under different parameters is a refusal,
-    // not a silent mix of two runs.
-    let run_id = run_fingerprint(&[0xf161_2a11, seed, scale, model.windows.len() as u64]);
-    let mut ckpt = Checkpoint::resume(journal, run_id)?;
-    let outcome = exec.sweep_checkpointed(
-        &model.windows,
-        |w| model.window(w),
-        model.start(),
-        |acc, _, minutes| acc.push(minutes),
-        &mut ckpt,
-    )?;
-    Ok(model.finish(accept(outcome)))
 }
 
 /// One minute of the Fig. 12 replay: queries, baseline bytes, and TXT
@@ -896,32 +863,25 @@ struct Fig12Model {
     /// table is 16 MB at 2M ranks; one per window put a table on every
     /// busy worker and made peak memory swing with thread scheduling.
     zipf: Zipf,
-    scale: u64,
+    scale: NonZeroU64,
     cold_bytes_per_resolution: f64,
     txt_bytes_per_probe: f64,
 }
 
 impl Fig12Model {
-    fn calibrate(exec: &Executor, seed: u64, scale: u64) -> Self {
-        assert!(scale >= 1);
+    fn calibrate(seed: u64, scale: NonZeroU64) -> Self {
         let trace = DitlTrace::generate(seed);
 
         // Calibration: measure average upstream bytes per cold resolution
         // and per TXT probe from a small real run of each configuration.
-        let calib = ShardPlan::new(seed ^ 0xca11b).over([RemedyMode::None, RemedyMode::TxtSignal]);
-        let calibrated = collect(exec, &calib, |shard| {
+        let calibration = |remedy| {
             let mut cfg = RunConfig::quick(60);
-            cfg.remedy = shard.input;
+            cfg.remedy = remedy;
             run(&cfg)
-        });
-        #[expect(
-            clippy::panic,
-            reason = "unreachable: collect returns a row for every shard or aborts; ROADMAP item 2's RunError will carry calibration failure"
-        )]
-        let [base, txt] = calibrated.as_slice() else {
-            panic!("fig12 calibration shard failed; the figure cannot be produced");
         };
+        let base = calibration(RemedyMode::None);
         let cold_bytes_per_resolution = base.stats.total_bytes() as f64 / base.queried as f64;
+        let txt = calibration(RemedyMode::TxtSignal);
         let txt_probes = txt.stats.queries_of(RrType::Txt).max(1);
         let txt_bytes_per_probe = txt.stats.bytes_of(RrType::Txt) as f64 / txt_probes as f64;
 
@@ -941,7 +901,7 @@ impl Fig12Model {
     fn window(&self, shard: &Shard<Vec<u64>>) -> Vec<Minute> {
         // Stub-side cost of answering one query (query + typical answer).
         let stub_bytes_per_query = 130.0;
-        let scale = self.scale;
+        let scale = self.scale.get();
         let zipf = &self.zipf;
         let mut seen = vec![false; zipf.n() + 1];
         let mut rng_state = shard.seed;
@@ -1119,7 +1079,7 @@ mod tests {
 
     #[test]
     fn fig12_shapes_hold() {
-        let data = fig12(&Executor::default(), 23, 2000);
+        let data = fig12(&Executor::default(), 23, NonZeroU64::new(2000).unwrap());
         assert_eq!(data.per_minute.len(), lookaside_workload::DITL_MINUTES);
         assert_eq!(
             *data.cumulative_queries.last().unwrap(),

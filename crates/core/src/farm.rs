@@ -52,8 +52,6 @@ use lookaside_server::DLV_SPAN_TTL;
 use lookaside_workload::{DitlTrace, DomainPopulation, PopulationParams, Zipf, DITL_MINUTES};
 use serde::Serialize;
 
-use crate::parallel::fold;
-
 fn mix(a: u64, b: u64) -> u64 {
     let mut x = a ^ b.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -360,7 +358,7 @@ impl Farm {
         F: Fn(&lookaside_engine::Shard<usize>) -> CohortTally + Sync,
     {
         let plan = ShardPlan::new(self.config.seed).over(0..cohorts);
-        fold(exec, &plan, work, CohortTally::default(), |mut acc, tally| {
+        exec.sweep(&plan, work, CohortTally::default(), |mut acc, tally| {
             acc.absorb(tally);
             acc
         })

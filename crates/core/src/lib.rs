@@ -74,7 +74,6 @@ pub use client::Client;
 pub use farm::{Farm, FarmConfig, FarmTopology, TopologyReport};
 pub use internet::{Internet, InternetParams, VantagePoint};
 pub use leakage::{classify, LeakSink, LeakageReport};
-pub use parallel::accept;
 
 pub use lookaside_population as population;
 

@@ -180,7 +180,7 @@ fn assert_each_once(errors: &[String], messages: &[&str]) {
 
 #[test]
 fn clippy_refuses_host_byte_order_in_every_call_form() {
-    // `x: &T` is the receiver a `JournalCodec` impl has (`&self`), the
+    // `x: &T` is the receiver a codec method has (`&self`), the
     // form clippy's `host_endian_bytes` lets through; the decode is a
     // path call. The same source with `_le_` is the control.
     const TYPES: [&str; 12] =

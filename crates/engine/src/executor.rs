@@ -1,11 +1,8 @@
-//! The parallel executor: the worker-pool size plus per-shard panic
-//! isolation. The sweep over it lives in `sweep.rs`.
+//! The parallel executor: the worker-pool size. The sweep over it lives
+//! in `sweep.rs`.
 
 use std::num::NonZeroUsize;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread;
-
-use crate::plan::Shard;
 
 /// Runs shard plans across a worker pool.
 ///
@@ -44,40 +41,20 @@ impl Default for Executor {
     }
 }
 
-/// Runs one shard with panic isolation: a panicking task becomes `Err`
-/// with the panic message instead of unwinding through the pool, so one
-/// bad cell never poisons a sweep — the sweep lists it in the coverage.
-pub(crate) fn run_one<I, T, F>(task: &F, shard: &Shard<I>) -> Result<T, String>
-where
-    F: Fn(&Shard<I>) -> T,
-{
-    catch_unwind(AssertUnwindSafe(|| task(shard))).map_err(|payload| panic_message(&*payload))
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::ShardPlan;
-    use crate::sweep::SweepOutcome;
+    use crate::plan::{Shard, ShardPlan};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// Collects every completed shard's result in shard order.
+    /// Collects every shard's result in shard order.
     fn collect<T: Send>(
         exec: Executor,
         shards: &[Shard<usize>],
         task: impl Fn(&Shard<usize>) -> T + Sync,
-    ) -> SweepOutcome<Vec<T>> {
-        exec.sweep(shards, task, Vec::new(), |mut acc, _id, value| {
+    ) -> Vec<T> {
+        exec.sweep(shards, task, Vec::new(), |mut acc, value| {
             acc.push(value);
             acc
         })
@@ -86,10 +63,10 @@ mod tests {
     #[test]
     fn results_keep_submission_order_at_any_job_count() {
         let shards = ShardPlan::new(3).over(0..64usize);
-        let serial = collect(Executor::serial(), &shards, |s| s.seed ^ s.input as u64).value;
+        let serial = collect(Executor::serial(), &shards, |s| s.seed ^ s.input as u64);
         for jobs in [2, 3, 8] {
             let parallel = collect(Executor::new(jobs), &shards, |s| s.seed ^ s.input as u64);
-            assert_eq!(parallel.value, serial, "jobs={jobs}");
+            assert_eq!(parallel, serial, "jobs={jobs}");
         }
     }
 
@@ -102,39 +79,32 @@ mod tests {
             s.input
         });
         assert_eq!(ran.load(Ordering::Relaxed), 100);
-        assert_eq!(out.value, (0..100).collect::<Vec<_>>());
-        assert_eq!(out.coverage.completed, 100);
+        assert_eq!(out, (0..100).collect::<Vec<_>>());
     }
 
+    /// The fold reaches shards in id order, so of two panicking shards the
+    /// lower one's payload propagates, whichever finished first.
     #[test]
-    fn panicking_shard_reports_error_without_poisoning_the_run() {
+    fn the_lowest_panicking_shard_propagates_at_any_job_count() {
         let shards = ShardPlan::new(1).over(0..10usize);
-        for jobs in [1, 4] {
-            let ran = AtomicUsize::new(0);
-            let out = collect(Executor::new(jobs), &shards, |s| {
-                ran.fetch_add(1, Ordering::Relaxed);
-                assert!(s.input != 3, "cell {} exploded", s.input);
-                s.input * 2
-            });
-            let want: Vec<usize> = (0..10).filter(|&i| i != 3).map(|i| i * 2).collect();
-            assert_eq!(out.value, want, "jobs={jobs}");
-            assert_eq!(ran.load(Ordering::Relaxed), 10, "jobs={jobs}: a failed shard runs once");
-            let [failure] = out.coverage.failed.as_slice() else {
-                panic!("jobs={jobs}: exactly shard 3 must fail: {}", out.coverage.table());
-            };
-            assert_eq!(failure.shard_id, 3);
-            assert!(failure.message.contains("cell 3 exploded"), "{}", failure.message);
+        for jobs in [1, 2, 4] {
+            let out = catch_unwind(AssertUnwindSafe(|| {
+                collect(Executor::new(jobs), &shards, |s| {
+                    assert!(s.input != 3 && s.input != 7, "cell {} exploded", s.input);
+                    s.input * 2
+                })
+            }));
+            let payload = out.expect_err("a shard panic reaches the caller");
+            let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+            assert_eq!(message, "cell 3 exploded", "jobs={jobs}");
         }
     }
 
     #[test]
     fn empty_plan_is_fine() {
         let shards: Vec<Shard<u8>> = Vec::new();
-        let out =
-            Executor::new(8).sweep(&shards, |s| s.input, 41u32, |acc, _id, v| acc + u32::from(v));
-        assert_eq!(out.value, 41);
-        assert!(out.coverage.is_complete());
-        assert_eq!(out.coverage.total, 0);
+        let out = Executor::new(8).sweep(&shards, |s| s.input, 41u32, |acc, v| acc + u32::from(v));
+        assert_eq!(out, 41);
     }
 
     #[test]

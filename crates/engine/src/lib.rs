@@ -11,14 +11,11 @@
 //!   each shard deriving its private RNG seed as
 //!   [`splitmix64`]`(root_seed, shard_id)`,
 //! * [`Executor`] — a scoped `std::thread` pool with a `--jobs N` knob
-//!   (default [`std::thread::available_parallelism`]) and per-shard panic
-//!   isolation,
+//!   (default [`std::thread::available_parallelism`]),
 //! * [`Executor::sweep`] — the one way to run a plan: every shard runs
-//!   exactly once, results fold into one accumulator in shard-id order,
-//!   and a shard whose task panics is listed in the returned
-//!   [`SweepOutcome`]'s [`Coverage`] instead of aborting the run.
-//!   [`Executor::sweep_checkpointed`] is the same sweep journalling each
-//!   completed shard to a [`Checkpoint`].
+//!   exactly once and results fold into one accumulator in shard-id
+//!   order. A shard whose task panics is a program bug: the sweep stops
+//!   handing out shards and re-raises that panic in the caller.
 //!
 //! The engine is workload-agnostic on purpose: it knows nothing about
 //! DNS, captures, or simulated internets. Higher layers (the `lookaside`
@@ -32,10 +29,9 @@
 //! use lookaside_engine::{Executor, ShardPlan};
 //!
 //! let shards = ShardPlan::new(42).over(1..101usize);
-//! let sum = |exec: Executor| exec.sweep(&shards, |shard| shard.input, 0, |acc, _id, v| acc + v);
+//! let sum = |exec: Executor| exec.sweep(&shards, |shard| shard.input, 0, |acc, v| acc + v);
 //! let wide = sum(Executor::new(4));
-//! assert!(wide.coverage.is_complete());
-//! assert_eq!(wide.value, (1..101).sum::<usize>());
+//! assert_eq!(wide, (1..101).sum::<usize>());
 //! // Identical fold regardless of worker count:
 //! assert_eq!(wide, sum(Executor::serial()));
 //! ```
@@ -59,17 +55,11 @@
 )]
 #![warn(missing_docs)]
 
-mod checkpoint;
-pub mod diag;
 mod executor;
 mod plan;
 mod seed;
 mod sweep;
 
-pub use checkpoint::{
-    crc32, run_fingerprint, Checkpoint, JournalCodec, JournalError, JOURNAL_MAGIC, JOURNAL_VERSION,
-};
 pub use executor::Executor;
 pub use plan::{Shard, ShardPlan};
 pub use seed::splitmix64;
-pub use sweep::{Coverage, ShardFailure, SweepOutcome};

@@ -11,13 +11,15 @@
 
 #![expect(clippy::disallowed_macros, reason = "an example prints what it demonstrates")]
 
+use std::num::NonZeroU64;
+
 use lookaside::engine::Executor;
 use lookaside::experiments::fig12;
 use lookaside_workload::{DitlTrace, DITL_TOTAL_QUERIES};
 
 fn main() {
     let full = std::env::args().any(|a| a == "--full");
-    let scale = if full { 1 } else { 200 };
+    let scale = NonZeroU64::new(if full { 1 } else { 200 }).expect("the divisor is not zero");
 
     let trace = DitlTrace::generate(23);
     println!("generated DITL-style trace:");
@@ -48,7 +50,7 @@ fn main() {
         data.overhead_mbps
     );
     println!("  (paper: ≈1.2 GB over 7 h ≈ 0.38 Mbps — small next to the baseline)");
-    if scale > 1 {
+    if scale.get() > 1 {
         println!(
             "  NOTE: sampled runs overstate the cache-miss rate; run with --full\n\
              \u{20}       for the calibrated figure (≈1.08 GB / 0.34 Mbps)."

@@ -8,6 +8,7 @@
 //! user sees.
 
 use std::collections::BTreeMap;
+use std::num::NonZeroU64;
 use std::sync::Mutex;
 use std::sync::OnceLock;
 
@@ -16,7 +17,7 @@ use proptest::prelude::*;
 use lookaside::byzantine::{byzantine_sweep, ByzantineConfig};
 use lookaside::chaos::{chaos_outage, ChaosConfig};
 use lookaside::engine::Executor;
-use lookaside::experiments::{deployment_sweep, fig8_9, vantage_sweep};
+use lookaside::experiments::{deployment_sweep, fig12, fig8_9, vantage_sweep, Fig12Data};
 use lookaside::report::fig8_9_table;
 
 /// Memoised serial references so each proptest case pays for one parallel
@@ -69,8 +70,7 @@ fn chaos_grid_is_worker_count_invariant() {
 
 /// The Byzantine sweep (adversary × hardening-profile cells) reduces to
 /// the same point list, in the same profile-major order, for every
-/// worker count — this backs the `repro byzantine --jobs N` byte-diff
-/// gate in CI.
+/// worker count.
 #[test]
 fn byzantine_sweep_is_worker_count_invariant() {
     let config = ByzantineConfig::quick(6);
@@ -101,5 +101,39 @@ fn deployment_sweep_is_worker_count_invariant() {
     for jobs in [2, 4] {
         let parallel = format!("{:?}", deployment_sweep(&Executor::new(jobs), 100, &densities, 39));
         assert_eq!(parallel, reference, "jobs={jobs}");
+    }
+}
+
+/// Every field of a Fig. 12 result, the float by its bit pattern. The
+/// destructuring names each field, so a new one fails to compile here
+/// until the comparison covers it.
+fn fig12_bits(data: Fig12Data) -> (Vec<u64>, Vec<u64>, Vec<u64>, Vec<u64>, u64) {
+    let Fig12Data {
+        per_minute,
+        cumulative_queries,
+        cumulative_baseline_bytes,
+        cumulative_overhead_bytes,
+        overhead_mbps,
+    } = data;
+    (
+        per_minute,
+        cumulative_queries,
+        cumulative_baseline_bytes,
+        cumulative_overhead_bytes,
+        overhead_mbps.to_bits(),
+    )
+}
+
+/// Fig. 12 (one shard per 60-minute trace window) folds to the same
+/// cumulative series for every worker count.
+#[test]
+fn fig12_is_worker_count_invariant() {
+    let scale = NonZeroU64::new(500_000).unwrap();
+    for seed in [7, 11, 13] {
+        let reference = fig12_bits(fig12(&Executor::serial(), seed, scale));
+        for jobs in [2, 4] {
+            let parallel = fig12_bits(fig12(&Executor::new(jobs), seed, scale));
+            assert_eq!(parallel, reference, "seed={seed} jobs={jobs}");
+        }
     }
 }
