@@ -108,17 +108,21 @@ for golden in benchmark/golden/repro/*.txt; do
     done
 done
 
-# The resolver farm has no golden, so it gets the same diff as fig9: one
-# million hashed-cohort stub clients against every cache topology. The
-# reduction is a set union plus a min-merge, so worker count (and cohort
-# count — the farm proptests pin that one) must never show up in the
-# bytes.
-./target/release/repro farm --jobs 1 > target/ci/farm.jobs1.txt
-./target/release/repro farm --jobs 4 > target/ci/farm.jobs4.txt
-if ! diff -u target/ci/farm.jobs1.txt target/ci/farm.jobs4.txt; then
-    echo "ci: FAIL — repro farm output diverges between --jobs 1 and --jobs 4" >&2
-    exit 1
-fi
+# The resolver farm has no golden, so it gets the same diff as fig9, at
+# quick scale and at full scale (whose DITL replay samples 1 in 500
+# queries, not 1 in 2 000): one million stub clients, sharded into
+# contiguous cohorts, against every cache topology. The reduction is a
+# set union plus a min-merge, so worker count (and cohort count — the
+# farm proptests pin that one) must never show up in the bytes.
+for scale in "" --full; do
+    out="target/ci/farm${scale/--/.}"
+    ./target/release/repro farm ${scale} --jobs 1 > "${out}.jobs1.txt"
+    ./target/release/repro farm ${scale} --jobs 4 > "${out}.jobs4.txt"
+    if ! diff -u "${out}.jobs1.txt" "${out}.jobs4.txt"; then
+        echo "ci: FAIL — repro farm ${scale} output diverges between --jobs 1 and --jobs 4" >&2
+        exit 1
+    fi
+done
 
 # Corruption robustness gate: 10k fixed-seed mutated packets through the
 # wire decoder — typed WireError or success, never a panic. Its static

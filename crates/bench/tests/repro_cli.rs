@@ -39,22 +39,22 @@ fn known_experiment_with_inline_jobs_runs() {
     assert!(!stdout.contains("Table 2"), "only the named section runs: {stdout}");
 }
 
-/// `repro table4 | head -1`: the reader hangs up after the header, while
+/// `repro table3 | head -1`: the reader hangs up after the header, while
 /// the table is still being computed.
 #[test]
 fn a_closed_stdout_ends_the_run_quietly() {
     let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .arg("table4")
+        .arg("table3")
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
         .expect("repro starts");
     let mut stdout = BufReader::new(child.stdout.take().expect("stdout is piped"));
     let mut line = String::new();
-    while !line.starts_with("== Table 4") {
+    while !line.starts_with("== Table 3") {
         line.clear();
         let read = stdout.read_line(&mut line).expect("stdout reads");
-        assert!(read > 0, "stdout ended before the Table 4 header");
+        assert!(read > 0, "stdout ended before the Table 3 header");
     }
     drop(stdout);
     let out = child.wait_with_output().expect("repro exits");

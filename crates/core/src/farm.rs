@@ -23,11 +23,17 @@
 //! Both reductions are order-free: a key either exists or it doesn't,
 //! and the client *attributed* with a leak is the minimum `(time,
 //! client)` pair that touched the key — an associative, commutative
-//! reduction. That is why the farm shards by **client cohort** (stable
-//! client→cohort hashing from the population crate) instead of rank
-//! ranges: any partition of clients, processed by any number of workers,
-//! merges to the same bytes. The determinism suite pins down both
+//! reduction. That is why the farm shards by **client cohort**, a
+//! contiguous range of client ids, instead of rank ranges: any partition
+//! of clients, processed by any number of workers, merges to the same
+//! bytes. Client attributes are hash-derived, so contiguous ranges carry
+//! equal expected load. The determinism suite pins down both
 //! worker-count and cohort-count invariance.
+//!
+//! The tallies are dense, one rank-indexed row per cache and TTL bucket:
+//! a bitset of misses, and one earliest-toucher slot per span key. A
+//! cohort shard returns the keys it touched, and the fold ORs and
+//! min-merges them in.
 //!
 //! Four topologies re-score the paper's threat model (§PAPERS.md):
 //!
@@ -44,10 +50,10 @@
 //!   and every query exposes the client directly to the content server
 //!   instead.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 use lookaside_engine::{Executor, ShardPlan};
-use lookaside_population::{PlaneParams, StubPlane};
+use lookaside_population::{PlaneParams, QueryEvent, StubPlane};
 use lookaside_server::DLV_SPAN_TTL;
 use lookaside_workload::{DitlTrace, DomainPopulation, PopulationParams, Zipf, DITL_MINUTES};
 use serde::Serialize;
@@ -221,30 +227,43 @@ enum LeakClass {
     Case2,
 }
 
-/// One cohort's (or trace window's) contribution, mergeable in any order.
-#[derive(Debug, Default, Clone)]
-struct CohortTally {
-    active_clients: u64,
-    clients_seen: BTreeSet<u64>,
+/// The keys one cohort (or trace window) touched, duplicates allowed;
+/// each span key comes with its toucher's `time << 32 | client`.
+#[derive(Default)]
+struct Keys {
     stub_queries: u64,
-    /// Distinct `(cache, rank, answer bucket)` keys.
-    misses: BTreeSet<(u32, u32, u32)>,
-    /// `(cache, rank, span bucket)` → earliest `(time, client)` toucher.
-    dlv: BTreeMap<(u32, u32, u32), (u32, u64)>,
+    clients: Vec<u64>,
+    misses: Vec<usize>,
+    dlv: Vec<(usize, u64)>,
 }
 
-impl CohortTally {
-    fn absorb(&mut self, other: CohortTally) {
-        self.active_clients += other.active_clients;
-        self.clients_seen.extend(other.clients_seen);
-        self.stub_queries += other.stub_queries;
-        self.misses.extend(other.misses);
-        for (key, candidate) in other.dlv {
-            let slot = self.dlv.entry(key).or_insert((u32::MAX, u64::MAX));
-            if candidate < *slot {
-                *slot = candidate;
-            }
+/// Bitsets of querying clients and answer-cache keys, and per span key the
+/// earliest `time << 32 | client` (`u64::MAX`: none), which orders by
+/// `(time, client)` because client ids stay below 2³² (see [`Farm::new`]).
+struct Tally {
+    stub_queries: u64,
+    clients: Vec<u64>,
+    misses: Vec<u64>,
+    dlv: Vec<u64>,
+}
+
+impl Tally {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "client ids are below the plane's size, keys below the lengths `Farm::tally` sets"
+    )]
+    fn absorb(mut self, keys: Keys) -> Self {
+        self.stub_queries += keys.stub_queries;
+        for client in keys.clients {
+            self.clients[client as usize / 64] |= 1 << (client % 64);
         }
+        for key in keys.misses {
+            self.misses[key / 64] |= 1 << (key % 64);
+        }
+        for (key, toucher) in keys.dlv {
+            self.dlv[key] = self.dlv[key].min(toucher);
+        }
+        self
     }
 }
 
@@ -262,10 +281,12 @@ impl Farm {
     /// # Panics
     ///
     /// Panics if the domain population does not cover the plane's
-    /// support, or if `resolvers`/`cohorts` is zero.
+    /// support, if `resolvers`/`cohorts` is zero, or if client ids do not
+    /// fit in 32 bits.
     pub fn new(config: FarmConfig) -> Self {
         assert!(config.resolvers > 0, "a farm needs at least one resolver");
         assert!(config.cohorts > 0, "a farm needs at least one cohort");
+        assert!(config.plane.clients as u64 <= 1 << 32, "client ids must fit in 32 bits");
         assert!(
             config.population.size >= config.plane.domain_support,
             "population must cover the plane's domain support"
@@ -296,96 +317,106 @@ impl Farm {
         &self.config
     }
 
-    /// The resolver cache `client` is routed to in a farm of `resolvers`.
-    fn route(&self, topology: FarmTopology, client: u64, resolvers: usize) -> u32 {
+    /// The resolver cache `client` is routed to in a farm of `resolvers`;
+    /// none under Resolver-Less DNS, which has no recursive.
+    fn route(&self, topology: FarmTopology, client: u64, resolvers: usize) -> Option<usize> {
         match topology {
-            FarmTopology::SharedCache => 0,
+            FarmTopology::SharedCache => Some(0),
             // ODoH targets are picked by the proxy the same way anycast
             // picks a resolver: hash routing. Same caches, same registry
             // view — only linkability differs.
-            FarmTopology::PerResolver | FarmTopology::Odoh | FarmTopology::ResolverLess => {
-                (mix(self.config.seed ^ SALT_ANYCAST, client) % resolvers as u64) as u32
+            FarmTopology::PerResolver | FarmTopology::Odoh => {
+                Some((mix(self.config.seed ^ SALT_ANYCAST, client) % resolvers as u64) as usize)
             }
+            FarmTopology::ResolverLess => None,
         }
     }
 
     /// Whether resolver instance `cache` is DLV-configured.
-    fn dlv_configured(&self, cache: u32) -> bool {
-        mix(self.config.seed ^ SALT_DLV_CONF, u64::from(cache)) % 1000
+    fn dlv_configured(&self, cache: usize) -> bool {
+        mix(self.config.seed ^ SALT_DLV_CONF, cache as u64) % 1000
             < u64::from(self.config.dlv_enabled_milli)
     }
 
-    /// Feeds one stub query into a cohort tally.
+    /// The key of `rank` at `time` in `cache`'s layer of `ttl`-second buckets
+    /// before `horizon`: one row of `domain_support + 1` ranks (rank 0 unused)
+    /// per cache and bucket, so the key is `(cache · buckets + bucket) · width + rank`.
+    fn key(&self, horizon: u32, ttl: u32, cache: usize, time: u32, rank: u32) -> usize {
+        let ttl = ttl.max(1);
+        let buckets = horizon.div_ceil(ttl) as usize;
+        (cache * buckets + (time / ttl) as usize) * self.classes.len() + rank as usize
+    }
+
+    /// Records the keys query `q` from `client` through `cache` touches.
     fn feed(
         &self,
-        tally: &mut CohortTally,
-        topology: FarmTopology,
-        cache: u32,
+        keys: &mut Keys,
+        horizon: u32,
+        cache: Option<usize>,
         client: u64,
-        time_secs: u32,
-        rank: u32,
+        q: QueryEvent,
     ) {
-        tally.stub_queries += 1;
-        if topology == FarmTopology::ResolverLess {
-            // No recursive: nothing is cached farm-side, nothing reaches
-            // the registry; the content server sees the client directly.
-            return;
-        }
-        let answer_bucket = time_secs / self.config.answer_ttl_secs.max(1);
-        tally.misses.insert((cache, rank, answer_bucket));
+        keys.stub_queries += 1;
+        // No recursive: nothing is cached farm-side, nothing reaches the
+        // registry; the content server sees the client directly.
+        let Some(cache) = cache else { return };
+        let key = |ttl| self.key(horizon, ttl, cache, q.time_secs, q.rank);
+        keys.misses.push(key(self.config.answer_ttl_secs));
         #[expect(
             clippy::indexing_slicing,
             reason = "ranks are Zipf samples in 1..=domain_support, the span `classes` covers"
         )]
-        if self.classes[rank as usize] == LeakClass::Secure || !self.dlv_configured(cache) {
+        if self.classes[q.rank as usize] == LeakClass::Secure || !self.dlv_configured(cache) {
             return;
         }
-        let span_bucket = time_secs / self.config.dlv_span_ttl_secs.max(1);
-        let slot = tally.dlv.entry((cache, rank, span_bucket)).or_insert((u32::MAX, u64::MAX));
-        let candidate = (time_secs, client);
-        if candidate < *slot {
-            *slot = candidate;
+        keys.dlv.push((key(self.config.dlv_span_ttl_secs), u64::from(q.time_secs) << 32 | client));
+    }
+
+    /// An empty tally of `caches` caches over events before `horizon`.
+    fn tally(&self, caches: usize, horizon: u32) -> Tally {
+        // Cache `caches`' first key is one past the last real key.
+        let len = |ttl| self.key(horizon, ttl, caches, 0, 0);
+        Tally {
+            stub_queries: 0,
+            clients: vec![0; self.config.plane.clients.div_ceil(64)],
+            misses: vec![0; len(self.config.answer_ttl_secs).div_ceil(64)],
+            dlv: vec![u64::MAX; len(self.config.dlv_span_ttl_secs)],
         }
     }
 
-    /// Merges per-cohort tallies on `exec`: one shard per cohort index
-    /// (seeded from `splitmix64(seed, cohort)`), each tally absorbed as
-    /// its cohort completes, so one tally per worker is live at a time.
-    /// The reduction is a set union plus a min-merge, so any worker count
-    /// produces the same bytes.
-    fn merged_tallies<F>(&self, cohorts: usize, exec: &Executor, work: F) -> CohortTally
+    /// Splits `0..units` into at most `cohorts` contiguous ranges, one shard
+    /// each on `exec`, and absorbs their keys into `tally`: a set union plus a
+    /// min-merge, so any partition and any worker count give the same bytes.
+    fn merged<F>(&self, tally: Tally, units: usize, exec: &Executor, work: F) -> Tally
     where
-        F: Fn(&lookaside_engine::Shard<usize>) -> CohortTally + Sync,
+        F: Fn(Range<usize>) -> Keys + Sync,
     {
-        let plan = ShardPlan::new(self.config.seed).over(0..cohorts);
-        exec.sweep(&plan, work, CohortTally::default(), |mut acc, tally| {
-            acc.absorb(tally);
-            acc
-        })
+        let cohorts = self.config.cohorts.min(units);
+        let ranges = (0..cohorts).map(|k| k * units / cohorts..(k + 1) * units / cohorts);
+        let plan = ShardPlan::new(self.config.seed).over(ranges);
+        exec.sweep(&plan, |shard| work(shard.input.clone()), tally, Tally::absorb)
     }
 
-    /// Runs one topology at `resolvers` instances, sharded by client
-    /// cohort on `exec`. Output is a pure function of `(config,
-    /// topology, resolvers)` — invariant under worker count *and* cohort
-    /// count, because the reduction is a set union plus a min-merge.
+    /// Runs one topology at `resolvers` instances on `exec`, one shard
+    /// per cohort of contiguous client ids. Output is a pure function of
+    /// `(config, topology, resolvers)` — invariant under worker count
+    /// *and* cohort count, because the reduction is a set union plus a
+    /// min-merge.
     pub fn run(&self, topology: FarmTopology, resolvers: usize, exec: &Executor) -> TopologyReport {
-        let cohorts = self.config.cohorts;
-        let merged = self.merged_tallies(cohorts, exec, |shard| {
-            let mut tally = CohortTally::default();
-            for client in self.plane.cohort_members(shard.input, cohorts) {
-                let events = self.plane.events(client);
-                if events.is_empty() {
-                    continue;
-                }
-                tally.active_clients += 1;
+        let horizon = self.plane.horizon_secs();
+        let tally = self.tally(resolvers, horizon);
+        let merged = self.merged(tally, self.config.plane.clients, exec, |members| {
+            let mut keys = Keys::default();
+            for client in members.map(|c| c as u64).filter(|&c| self.plane.is_active(c)) {
+                keys.clients.push(client);
                 let cache = self.route(topology, client, resolvers);
-                for event in events {
-                    self.feed(&mut tally, topology, cache, client, event.time_secs, event.rank);
+                for event in self.plane.events(client) {
+                    self.feed(&mut keys, horizon, cache, client, event);
                 }
             }
-            tally
+            keys
         });
-        self.reduce(topology, resolvers, merged, false)
+        self.reduce(topology, resolvers, merged)
     }
 
     /// All four topologies at the configured farm size.
@@ -410,104 +441,221 @@ impl Farm {
     pub fn ditl(&self, scale: u64, exec: &Executor) -> Vec<TopologyReport> {
         let trace = DitlTrace::generate(self.config.seed);
         let zipf = Zipf::new(self.config.plane.domain_support, self.config.plane.zipf_s);
-        let cohorts = self.config.cohorts.min(DITL_MINUTES);
+        let resolvers = self.config.resolvers;
+        let horizon = DITL_MINUTES as u32 * 60;
         FarmTopology::ALL
             .iter()
             .map(|&topology| {
-                let merged = self.merged_tallies(cohorts, exec, |shard| {
-                    let lo = shard.input * DITL_MINUTES / cohorts;
-                    let hi = (shard.input + 1) * DITL_MINUTES / cohorts;
-                    let mut tally = CohortTally::default();
-                    for minute in lo..hi {
-                        #[expect(
-                            clippy::indexing_slicing,
-                            reason = "cohort windows split 0..DITL_MINUTES, the trace's length"
-                        )]
-                        let volume = trace.per_minute()[minute] / scale.max(1);
-                        for q in 0..volume {
+                let tally = self.tally(resolvers, horizon);
+                let merged = self.merged(tally, DITL_MINUTES, exec, |minutes| {
+                    let mut keys = Keys::default();
+                    let volumes = trace.per_minute().get(minutes.clone()).unwrap_or_default();
+                    for (minute, volume) in minutes.zip(volumes) {
+                        for q in 0..volume / scale.max(1) {
                             let key = ((minute as u64) << 32) | q;
                             let client = mix(self.config.seed ^ SALT_DITL_CLIENT, key)
                                 % self.config.plane.clients as u64;
                             let rank = zipf.sample_hash(mix(self.config.seed ^ SALT_DITL_RANK, key))
                                 as u32;
                             let time_secs = minute as u32 * 60 + (q % 60) as u32;
-                            let cache = self.route(topology, client, self.config.resolvers);
-                            tally.clients_seen.insert(client);
-                            self.feed(&mut tally, topology, cache, client, time_secs, rank);
+                            let cache = self.route(topology, client, resolvers);
+                            keys.clients.push(client);
+                            let event = QueryEvent { time_secs, rank };
+                            self.feed(&mut keys, horizon, cache, client, event);
                         }
                     }
-                    tally
+                    keys
                 });
-                self.reduce(topology, self.config.resolvers, merged, true)
+                self.reduce(topology, resolvers, merged)
             })
             .collect()
     }
 
-    /// Classifies the registry's view of the merged cohort tally.
-    fn reduce(
-        &self,
-        topology: FarmTopology,
-        resolvers: usize,
-        merged: CohortTally,
-        clients_from_set: bool,
-    ) -> TopologyReport {
-        let mut case1 = 0u64;
-        let mut case2 = 0u64;
-        let mut per_client: BTreeMap<u64, u64> = BTreeMap::new();
-        for ((_cache, rank, _bucket), (_time, client)) in &merged.dlv {
-            #[expect(
-                clippy::indexing_slicing,
-                clippy::unreachable,
-                reason = "`feed` tallies only ranks it looked up in `classes` and found not Secure"
-            )]
-            match self.classes[*rank as usize] {
-                LeakClass::Secure => unreachable!("secure ranks never enter the DLV tally"),
-                LeakClass::Case1 => case1 += 1,
-                LeakClass::Case2 => {
-                    case2 += 1;
-                    *per_client.entry(*client).or_insert(0) += 1;
+    /// Classifies the registry's view of the merged tally.
+    fn reduce(&self, topology: FarmTopology, resolvers: usize, merged: Tally) -> TopologyReport {
+        let popcount = |bits: &[u64]| bits.iter().map(|word| u64::from(word.count_ones())).sum();
+        let mut case1 = 0;
+        // The attributed client of every case-2 key.
+        let mut case2_clients = Vec::new();
+        for row in merged.dlv.chunks(self.classes.len()) {
+            for (&slot, class) in row.iter().zip(&self.classes).filter(|p| *p.0 != u64::MAX) {
+                #[expect(
+                    clippy::unreachable,
+                    reason = "`feed` keys only ranks it looked up in `classes` and found not Secure"
+                )]
+                match class {
+                    LeakClass::Secure => unreachable!("secure ranks never enter the DLV tally"),
+                    LeakClass::Case1 => case1 += 1,
+                    LeakClass::Case2 => case2_clients.push(slot as u32),
                 }
             }
         }
+        let case2 = case2_clients.len() as u64;
+        // Sorted, each client's run of equal ids is its case-2 count.
+        case2_clients.sort_unstable();
+        let runs = case2_clients.chunk_by(|a, b| a == b).map(|run| run.len() as u64);
         // Linkability: per-resolver and shared farms see identity+qname at
         // the resolver, so every case-2 query is attributable. Under the
         // ODoH split no single party holds both halves.
-        let linkable = topology != FarmTopology::Odoh;
+        let linked = |n: u64| if topology == FarmTopology::Odoh { 0 } else { n };
+        let resolver_less = topology == FarmTopology::ResolverLess;
         TopologyReport {
             topology,
             resolvers,
-            active_clients: if clients_from_set {
-                merged.clients_seen.len() as u64
-            } else {
-                merged.active_clients
-            },
+            active_clients: popcount(&merged.clients),
             stub_queries: merged.stub_queries,
-            upstream_misses: merged.misses.len() as u64,
+            upstream_misses: popcount(&merged.misses),
             dlv_queries: case1 + case2,
             case1,
             case2,
-            linkable_case2: if linkable { case2 } else { 0 },
-            leaked_clients: if linkable { per_client.len() as u64 } else { 0 },
-            max_client_case2: if linkable {
-                per_client.values().copied().max().unwrap_or(0)
-            } else {
-                0
-            },
-            content_exposed: if topology == FarmTopology::ResolverLess {
-                merged.stub_queries
-            } else {
-                0
-            },
+            linkable_case2: linked(case2),
+            leaked_clients: linked(runs.clone().count() as u64),
+            max_client_case2: linked(runs.max().unwrap_or(0)),
+            content_exposed: if resolver_less { merged.stub_queries } else { 0 },
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::{BTreeMap, BTreeSet};
+
     use super::*;
 
     fn farm(clients: usize) -> Farm {
         Farm::new(FarmConfig::quick(clients))
+    }
+
+    /// The naive reference for the dense tallies: every stub query
+    /// replayed on one thread into a `BTreeSet` of `(cache, rank, answer
+    /// bucket)` misses and a `BTreeMap` from `(cache, rank, span bucket)`
+    /// to its earliest `(time, client)`, then classified key by key.
+    #[derive(Default)]
+    struct TreeTally {
+        clients: BTreeSet<u64>,
+        stub_queries: u64,
+        misses: BTreeSet<(usize, u32, u32)>,
+        dlv: BTreeMap<(usize, u32, u32), (u32, u64)>,
+    }
+
+    impl TreeTally {
+        fn feed(&mut self, farm: &Farm, cache: Option<usize>, client: u64, time: u32, rank: u32) {
+            self.clients.insert(client);
+            self.stub_queries += 1;
+            let Some(cache) = cache else { return };
+            self.misses.insert((cache, rank, time / farm.config.answer_ttl_secs.max(1)));
+            if farm.classes[rank as usize] == LeakClass::Secure || !farm.dlv_configured(cache) {
+                return;
+            }
+            let slot = self
+                .dlv
+                .entry((cache, rank, time / farm.config.dlv_span_ttl_secs.max(1)))
+                .or_insert((u32::MAX, u64::MAX));
+            *slot = (*slot).min((time, client));
+        }
+
+        fn report(&self, farm: &Farm, topology: FarmTopology, resolvers: usize) -> TopologyReport {
+            let (mut case1, mut case2) = (0, 0);
+            let mut per_client: BTreeMap<u64, u64> = BTreeMap::new();
+            for (&(_, rank, _), &(_, client)) in &self.dlv {
+                match farm.classes[rank as usize] {
+                    LeakClass::Secure => unreachable!("secure ranks never reach the registry"),
+                    LeakClass::Case1 => case1 += 1,
+                    LeakClass::Case2 => {
+                        case2 += 1;
+                        *per_client.entry(client).or_insert(0) += 1;
+                    }
+                }
+            }
+            let linkable = topology != FarmTopology::Odoh;
+            let resolver_less = topology == FarmTopology::ResolverLess;
+            TopologyReport {
+                topology,
+                resolvers,
+                active_clients: self.clients.len() as u64,
+                stub_queries: self.stub_queries,
+                upstream_misses: self.misses.len() as u64,
+                dlv_queries: case1 + case2,
+                case1,
+                case2,
+                linkable_case2: if linkable { case2 } else { 0 },
+                leaked_clients: if linkable { per_client.len() as u64 } else { 0 },
+                max_client_case2: if linkable {
+                    per_client.values().copied().max().unwrap_or(0)
+                } else {
+                    0
+                },
+                content_exposed: if resolver_less { self.stub_queries } else { 0 },
+            }
+        }
+    }
+
+    fn reference_run(farm: &Farm, topology: FarmTopology, resolvers: usize) -> TopologyReport {
+        let mut tree = TreeTally::default();
+        for client in 0..farm.config.plane.clients as u64 {
+            let cache = farm.route(topology, client, resolvers);
+            for event in farm.plane.events(client) {
+                tree.feed(farm, cache, client, event.time_secs, event.rank);
+            }
+        }
+        tree.report(farm, topology, resolvers)
+    }
+
+    fn reference_ditl(farm: &Farm, scale: u64) -> Vec<TopologyReport> {
+        let config = &farm.config;
+        let trace = DitlTrace::generate(config.seed);
+        let zipf = Zipf::new(config.plane.domain_support, config.plane.zipf_s);
+        let mut trees: Vec<TreeTally> =
+            FarmTopology::ALL.iter().map(|_| TreeTally::default()).collect();
+        for (minute, &volume) in trace.per_minute().iter().enumerate() {
+            for q in 0..volume / scale {
+                let key = ((minute as u64) << 32) | q;
+                let client = mix(config.seed ^ SALT_DITL_CLIENT, key) % config.plane.clients as u64;
+                let rank = zipf.sample_hash(mix(config.seed ^ SALT_DITL_RANK, key)) as u32;
+                let time = minute as u32 * 60 + (q % 60) as u32;
+                for (tree, &topology) in trees.iter_mut().zip(&FarmTopology::ALL) {
+                    let cache = farm.route(topology, client, config.resolvers);
+                    tree.feed(farm, cache, client, time, rank);
+                }
+            }
+        }
+        trees
+            .iter()
+            .zip(FarmTopology::ALL)
+            .map(|(tree, topology)| tree.report(farm, topology, config.resolvers))
+            .collect()
+    }
+
+    #[test]
+    fn dense_tallies_match_the_tree_reference() {
+        const DITL_SCALE: u64 = 20_000;
+        // The last farm turns DLV on at about half its resolvers.
+        for (seed, dlv_enabled_milli) in [(0xfa12, 1000), (7, 1000), (0xbeef, 500)] {
+            let mut config = FarmConfig::quick(1_500);
+            config.seed = seed;
+            config.plane.seed = seed ^ 0x9d;
+            config.dlv_enabled_milli = dlv_enabled_milli;
+            let reference = Farm::new(config.clone());
+            let sweep: Vec<_> =
+                FarmTopology::ALL.iter().map(|&t| reference_run(&reference, t, 8)).collect();
+            let scaling: Vec<_> = [1, 3, 8]
+                .iter()
+                .map(|&n| reference_run(&reference, FarmTopology::PerResolver, n))
+                .collect();
+            let ditl = reference_ditl(&reference, DITL_SCALE);
+            assert!(sweep[0].case1 > 0 && sweep[0].leaked_clients > 0 && ditl[0].case2 > 0);
+            for cohorts in [1, 3, 8] {
+                config.cohorts = cohorts;
+                let farm = Farm::new(config.clone());
+                for jobs in [1, 3] {
+                    let exec = Executor::new(jobs);
+                    let at = format!("seed {seed}, {cohorts} cohorts, {jobs} workers");
+                    assert_eq!(farm.sweep(&exec), sweep, "sweep at {at}");
+                    assert_eq!(farm.scaling(&[1, 3, 8], &exec), scaling, "scaling at {at}");
+                    assert_eq!(farm.ditl(DITL_SCALE, &exec), ditl, "ditl at {at}");
+                }
+            }
+        }
     }
 
     #[test]

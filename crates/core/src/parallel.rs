@@ -35,14 +35,13 @@
 //!   resolver — that span-cache locality is what the Fig. 8/9
 //!   calibration anchors depend on. Sweeps shard across *runs* (sizes,
 //!   remedies, cells), never across the ranks inside one.
-//! * **Client planes shard by hashed client cohort** (used by
-//!   [`crate::farm`]). Clients are independent; their cohort is a pure
-//!   function of `(seed, client)` (see
-//!   `lookaside_population::StubPlane::cohort_of`), and the farm's
-//!   reduction is a set union plus a min-merge — associative and
-//!   commutative — so *any* partition of clients reduces to the same
-//!   bytes. Here hashing is correct **and** required: it keeps cohort
-//!   sizes balanced no matter how client ids are distributed.
+//! * **Client planes shard by client cohort** (used by [`crate::farm`]).
+//!   Clients are independent, and the farm's reduction is a set union
+//!   plus a min-merge — associative and commutative — so *any* partition
+//!   of clients reduces to the same bytes. Cohort `k` of `n` is the
+//!   contiguous id range `k·clients/n .. (k+1)·clients/n`: every client
+//!   attribute is hash-derived, so contiguous ranges already carry equal
+//!   expected load, and a shard visits only its own clients.
 //!
 //! Both models end at the same place: output is a pure function of the
 //! configuration, never of the worker pool.

@@ -13,15 +13,13 @@
 //!   TTL-driven re-query behaviour), and the resulting per-client
 //!   [`QueryEvent`] streams,
 //! * [`PlaneParams`] — the knobs: client count, Zipf exponent, favourite
-//!   pool, session window, stub-cache TTL,
-//! * [`StubPlane::cohort_of`] — stable client→cohort hashing, the
-//!   sharding substrate of the farm driver (`lookaside::farm`): cohort
-//!   membership depends only on `(seed, client, cohort count)`, never on
-//!   worker count, so any executor schedule reduces to the same bytes.
+//!   pool, session window, stub-cache TTL.
 //!
 //! Every attribute derives from splitmix64-style hashing of
 //! `(seed, client, salt)`; two planes with equal parameters are
-//! indistinguishable, which the proptests pin down.
+//! indistinguishable, which the proptests pin down. Hashing also makes
+//! any contiguous range of client ids a fair sample of the plane, so the
+//! farm driver (`lookaside::farm`) shards clients by range.
 
 // Typed errors, not panics: clippy holds live code to that, indexing
 // included, and every waiver is an `#[expect]` with a reason.

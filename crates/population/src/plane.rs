@@ -1,7 +1,5 @@
 //! Pure-function stub clients: profiles, sessions, and query events.
 
-use std::collections::BTreeSet;
-
 use lookaside_workload::Zipf;
 use serde::{Deserialize, Serialize};
 
@@ -23,7 +21,10 @@ const SALT_FAVSET: u64 = 0x6661_7673;
 const SALT_FAVROLL: u64 = 0x6661_7672;
 const SALT_FAVPICK: u64 = 0x6661_7670;
 const SALT_FRESH: u64 = 0x6672_6573;
-const SALT_COHORT: u64 = 0x636f_686f;
+
+/// A client's pace is `PACE_MIN_SECS` plus less than `PACE_SPREAD_SECS`.
+const PACE_MIN_SECS: u32 = 15;
+const PACE_SPREAD_SECS: u32 = 120;
 
 /// Parameters of a stub-client plane.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -117,11 +118,6 @@ impl StubPlane {
         &self.params
     }
 
-    /// Number of clients in the plane.
-    pub fn clients(&self) -> usize {
-        self.params.clients
-    }
-
     /// Whether `client` has an active session in the window (churn roll).
     pub fn is_active(&self, client: u64) -> bool {
         mix(self.params.seed ^ SALT_ACTIVE, client) % 1000 < u64::from(self.params.active_milli)
@@ -135,7 +131,15 @@ impl StubPlane {
 
     /// Seconds between `client`'s successive queries (their browsing pace).
     pub fn pace_secs(&self, client: u64) -> u32 {
-        15 + (mix(self.params.seed ^ SALT_PACE, client) % 120) as u32
+        PACE_MIN_SECS
+            + (mix(self.params.seed ^ SALT_PACE, client) % u64::from(PACE_SPREAD_SECS)) as u32
+    }
+
+    /// An exclusive bound on every event's `time_secs`: the latest session
+    /// start plus `2·mean_queries` steps at the slowest pace.
+    pub fn horizon_secs(&self) -> u32 {
+        self.params.window_secs.max(1)
+            + 2 * self.params.mean_queries * (PACE_MIN_SECS + PACE_SPREAD_SECS)
     }
 
     /// How many queries `client` issues when active: uniform in
@@ -178,40 +182,24 @@ impl StubPlane {
         let start = self.session_start(client);
         let pace = self.pace_secs(client);
         let count = self.query_count(client);
-        let mut seen: BTreeSet<(u32, u32)> = BTreeSet::new();
-        let mut out = Vec::with_capacity(count as usize);
+        let ttl = self.params.stub_ttl_secs.max(1);
+        let mut out: Vec<QueryEvent> = Vec::with_capacity(count as usize);
         for i in 0..count {
             let time_secs = start + i * pace;
             let rank = self.query_rank(client, i) as u32;
-            let ttl_bucket = time_secs / self.params.stub_ttl_secs.max(1);
-            if seen.insert((rank, ttl_bucket)) {
+            let cached = |e: &QueryEvent| e.rank == rank && e.time_secs / ttl == time_secs / ttl;
+            if !out.iter().any(cached) {
                 out.push(QueryEvent { time_secs, rank });
             }
         }
         out
     }
-
-    /// Stable cohort of `client` among `cohorts`: a pure function of
-    /// `(seed, client, cohorts)`. Worker threads never appear in the
-    /// derivation, which is what makes cohort-sharded farm runs
-    /// byte-identical at every `--jobs` value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cohorts` is zero.
-    pub fn cohort_of(&self, client: u64, cohorts: usize) -> usize {
-        assert!(cohorts > 0, "cohort count must be positive");
-        (mix(self.params.seed ^ SALT_COHORT, client) % cohorts as u64) as usize
-    }
-
-    /// Iterates the clients of `cohort` in ascending client order.
-    pub fn cohort_members(&self, cohort: usize, cohorts: usize) -> impl Iterator<Item = u64> + '_ {
-        (0..self.params.clients as u64).filter(move |&c| self.cohort_of(c, cohorts) == cohort)
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
     fn small() -> StubPlane {
@@ -291,20 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn cohorts_partition_the_plane() {
-        let plane = small();
-        let cohorts = 7;
-        let mut seen = 0usize;
-        for cohort in 0..cohorts {
-            for c in plane.cohort_members(cohort, cohorts) {
-                assert_eq!(plane.cohort_of(c, cohorts), cohort);
-                seen += 1;
-            }
-        }
-        assert_eq!(seen, plane.clients());
-    }
-
-    #[test]
     fn ranks_stay_in_support() {
         let plane = small();
         for client in 0..300u64 {
@@ -312,11 +286,5 @@ mod tests {
                 assert!((1..=500).contains(&(e.rank as usize)));
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "cohort count")]
-    fn zero_cohorts_panic() {
-        small().cohort_of(1, 0);
     }
 }

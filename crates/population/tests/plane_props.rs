@@ -2,13 +2,14 @@
 //!
 //! The plane's contract is purity: every per-client attribute — and
 //! therefore every query event — is a function of `(params, client)`
-//! alone. Sharding and the farm driver lean on that: cohort membership
-//! must be a pure function of `(seed, client, cohorts)` so no executor
-//! schedule can perturb it.
+//! alone. The farm driver leans on that: any range of clients replays
+//! the same way on any worker, so no executor schedule can perturb it.
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use lookaside_population::{PlaneParams, StubPlane};
+use lookaside_population::{PlaneParams, QueryEvent, StubPlane};
 
 fn params(clients: usize, seed: u64, support: usize) -> PlaneParams {
     PlaneParams { clients, seed, domain_support: support, ..PlaneParams::default() }
@@ -37,21 +38,34 @@ proptest! {
         prop_assert_eq!(a.events(client), b.events(client));
     }
 
-    /// Cohort assignment is a stable pure function: independent of any
-    /// other client, stable across plane rebuilds, and always a valid
-    /// cohort index. Together with the min-merge reduction this is what
-    /// makes farm output invariant under worker count.
+    /// `events` is the stub cache applied to the raw query stream: the
+    /// first query of each `(rank, stub-TTL bucket)` is kept, in query
+    /// order, and every later one is served locally. The reference filters
+    /// the raw stream through a `BTreeSet`. Every kept event also falls
+    /// before the plane's horizon.
     #[test]
-    fn cohort_assignment_is_stable_and_in_range(
+    fn events_keep_the_first_query_of_each_stub_ttl_bucket(
         seed in 0u64..10_000,
-        cohorts in 1usize..64,
-        client in 0u64..100_000,
+        support in 20usize..500,
+        stub_ttl_secs in 1u32..900,
+        client in 0u64..5_000,
     ) {
-        let a = StubPlane::new(params(100_000, seed, 500));
-        let b = StubPlane::new(params(100_000, seed, 500));
-        let cohort = a.cohort_of(client, cohorts);
-        prop_assert!(cohort < cohorts);
-        prop_assert_eq!(cohort, b.cohort_of(client, cohorts));
+        let plane = StubPlane::new(PlaneParams { stub_ttl_secs, ..params(5_000, seed, support) });
+        let mut seen = BTreeSet::new();
+        let mut expected = Vec::new();
+        if plane.is_active(client) {
+            let (start, pace) = (plane.session_start(client), plane.pace_secs(client));
+            for i in 0..plane.query_count(client) {
+                let time_secs = start + i * pace;
+                let rank = plane.query_rank(client, i) as u32;
+                if seen.insert((rank, time_secs / stub_ttl_secs)) {
+                    expected.push(QueryEvent { time_secs, rank });
+                }
+            }
+        }
+        let events = plane.events(client);
+        prop_assert!(events.iter().all(|e| e.time_secs < plane.horizon_secs()));
+        prop_assert_eq!(events, expected);
     }
 
     /// Different seeds really do reshuffle the plane (no degenerate

@@ -3,11 +3,12 @@
 //! The farm's contract has two halves. The *engine* half — worker count
 //! never shows up in the bytes — it shares with every other sweep in the
 //! workspace. The *reduction* half is stronger and farm-specific: because
-//! leak accounting is a set union plus a min-merge over
-//! `(cache, rank, bucket)` keys, the client-cohort **partition itself**
+//! leak accounting is a set union plus a min-merge over dense
+//! `(cache, bucket, rank)` keys, the client-cohort **partition itself**
 //! is invisible — 1 cohort and k cohorts reduce to identical reports.
-//! That is the invariant that lets the farm shard clients by stable hash
-//! instead of replaying the whole plane in one thread.
+//! That is the invariant that lets the farm shard clients into
+//! contiguous id ranges instead of replaying the whole plane in one
+//! thread.
 
 use lookaside::farm::{Farm, FarmConfig, FarmTopology};
 use lookaside_engine::Executor;
