@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Full CI gate: build, tests, lints, formatting, the published quick
-# outputs, and the parallel-engine determinism check. Run from the repo
-# root.
+# Full CI gate: build, tests, lints, formatting, resolver throughput
+# floors, the published quick outputs, and the parallel-engine
+# determinism check. Run from the repo root.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -19,8 +19,8 @@ mkdir -p target/ci
 # requires classify(capture) == sink.report.
 cargo test -q
 
-# Clippy checks the source-level invariants (DESIGN.md §10), on lib and
-# bin targets:
+# Clippy checks the source-level invariants (DESIGN.md §10), on every
+# target (libraries, binaries, tests and examples):
 # - every library crate's `lib.rs` denies unwrap, expect, the panic-family
 #   macros, indexing, `str` slicing and reasonless `#[allow]`s in live code;
 # - the root `clippy.toml` bans hash-ordered collections, wall-clock and
@@ -33,56 +33,34 @@ cargo test -q
 # step of its own: the root manifest's `[workspace.lints]` makes rustc
 # forbid it in every build above. crates/core/tests/policy.rs (in the test
 # run above) pins the deny lines, the manifests and each clippy.toml entry,
-# and crates/bench/tests/alloc_free.rs holds the streaming hot path to zero
-# allocations per call.
-cargo clippy --workspace -- -D warnings -D clippy::redundant_clone
+# and crates/bench/tests/alloc_free.rs holds the allocation counts of a
+# cold sweep and of warm re-resolution exactly, and the per-packet hot
+# path to zero allocations per call.
+cargo clippy --workspace --all-targets -- -D warnings -D clippy::redundant_clone
 cargo fmt --check
 
-# Allocation-regression gate: the alloc_sweep bench counts every heap
-# allocation of a deterministic fig8_9 run, so allocations/query is an
-# exact number, not a timing. Fail if it creeps >10% above the recorded
-# baseline (PR-3 set 619, see BENCH_pr3.json; PR-9's `resolve_into` +
-# RRset scratch pool lowered it to 453). The render arena's suffix buffer,
-# which keeps its capacity across renders, lowered it to 381 (190,754
-# allocations over 500 queries).
-ALLOC_BASELINE=381
-cargo bench --bench alloc_sweep | tee target/ci/alloc_sweep.txt
-ALLOCS_PER_QUERY=$(awk '/allocs\/query/ { print $3; exit }' target/ci/alloc_sweep.txt)
-if [ -z "${ALLOCS_PER_QUERY}" ]; then
-    echo "ci: FAIL — alloc_sweep did not report allocs/query" >&2
-    exit 1
-fi
-if awk -v got="${ALLOCS_PER_QUERY}" -v base="${ALLOC_BASELINE}" \
-    'BEGIN { exit !(got > base * 1.10) }'; then
-    echo "ci: FAIL — ${ALLOCS_PER_QUERY} allocs/query exceeds baseline ${ALLOC_BASELINE} by >10%" >&2
-    exit 1
-fi
-
-# Streaming-regression gate: the stream_sweep bench measures the
-# steady-state allocations/query of the capture-less observer path (hard
-# ceiling, see BENCH_pr8.json) and the streamed Fig. 12 replay rate
-# (floor set ~10x under the recorded 4-worker figure, so it only trips
-# on order-of-magnitude regressions, not machine noise). The warm query
-# path is allocation-free since `resolve_into` + the resolver's RRset
-# scratch pool (PR 9); the ceiling of 2 leaves headroom for residual
-# cold-path traffic without letting a per-query allocation back in.
-STREAM_ALLOC_CEILING=2
-STREAM_QPS_FLOOR=150000
-cargo bench --bench stream_sweep | tee target/ci/stream_sweep.txt
-STREAM_ALLOCS=$(awk '/steady_state:.*allocs\/query/ { print $3; exit }' target/ci/stream_sweep.txt)
-STREAM_QPS=$(awk '/sampled queries\/sec/ { print $3; exit }' target/ci/stream_sweep.txt)
-if [ -z "${STREAM_ALLOCS}" ] || [ -z "${STREAM_QPS}" ]; then
-    echo "ci: FAIL — stream_sweep did not report allocs/query and queries/sec" >&2
-    exit 1
-fi
-if [ "${STREAM_ALLOCS}" -ge "${STREAM_ALLOC_CEILING}" ]; then
-    echo "ci: FAIL — ${STREAM_ALLOCS} steady-state allocs/query breaches the <${STREAM_ALLOC_CEILING} ceiling" >&2
-    exit 1
-fi
-if [ "${STREAM_QPS}" -lt "${STREAM_QPS_FLOOR}" ]; then
-    echo "ci: FAIL — ${STREAM_QPS} sampled queries/sec is under the ${STREAM_QPS_FLOOR} floor" >&2
-    exit 1
-fi
+# Throughput gate: one short benchmark/run.py run of each resolver
+# workload. run.py exits non-zero when a run's outputs are wrong (an
+# answer or a digest mismatch), and each run must reach an ops/s floor
+# set about 5x under the recorded medians (cold-sweep 11.8k-15.5k,
+# warm-zipf 241k-325k), so only order-of-magnitude regressions trip it,
+# not machine noise. run.py writes only under target/.
+for gate in cold-sweep:2500 warm-zipf:50000; do
+    workload=${gate%:*}
+    floor=${gate#*:}
+    if ! python3 benchmark/run.py --workload "${workload}" --seed 1 --seconds 5 \
+        > "target/ci/${workload}.json"; then
+        echo "ci: FAIL — benchmark/run.py --workload ${workload} failed" >&2
+        exit 1
+    fi
+    ops=$(tail -n 1 "target/ci/${workload}.json" \
+        | python3 -c 'import json, sys; print(round(json.load(sys.stdin)["metrics"]["ops_per_s"]["value"]))')
+    echo "ci: ${workload} ${ops} ops/s (floor ${floor})"
+    if [ "${ops}" -lt "${floor}" ]; then
+        echo "ci: FAIL — ${workload} ran ${ops} ops/s, under the ${floor} floor" >&2
+        exit 1
+    fi
+done
 
 # Byte-identity gate: `repro fig9`, which has no golden, must print the
 # same bytes at --jobs 1 and --jobs 4.

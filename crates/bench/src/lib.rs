@@ -1,8 +1,10 @@
-//! Benchmark and reproduction support for the DLV privacy study.
+//! Reproduction support for the DLV privacy study.
 //!
-//! The interesting entry points are the Criterion benches under `benches/`
-//! and the `repro` binary (`cargo run --release -p lookaside-bench --bin
-//! repro -- all`), which regenerates every table and figure of the paper.
+//! The interesting entry point is the `repro` binary (`cargo run --release
+//! -p lookaside-bench --bin repro -- all`), which regenerates every table
+//! and figure of the paper. `tests/alloc_free.rs` holds the resolution
+//! path's allocation counts exactly; wall-clock timing is the job of
+//! `benchmark/` at the repository root.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -25,7 +25,10 @@
 //! Everything is a pure function of the configured seed; the sweep runs on
 //! the sharded executor and is byte-identical for every `--jobs` value.
 
-use lookaside_netsim::{CaptureFilter, Direction, LinkFaults};
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use lookaside_netsim::{CaptureFilter, DlvQueryCounter, LinkFaults};
 use lookaside_resolver::{
     BindConfig, FeatureModel, Hardening, Lookaside, ResolverConfig, RetryPolicy, SecurityStatus,
 };
@@ -254,11 +257,15 @@ fn run_cell(
     // must be materialised.
     let mut params = InternetParams::for_top(size, population, RemedyMode::None);
     params.seed = config.seed;
-    params.capture = CaptureFilter::DlvOnly;
+    params.capture = CaptureFilter::None;
     if let Adversary::Decommission(stage) = adversary {
         params.dlv_stage = stage;
     }
     let mut internet = Internet::build(params);
+    // DLV query packets are counted as they are emitted; the
+    // `reset_measurement` after the warm-up zeroes the count.
+    let counter = Rc::new(RefCell::new(DlvQueryCounter::new()));
+    internet.net.set_observer(Box::new(Rc::clone(&counter)));
 
     // As in the chaos harness: aggressive NSEC caching would suppress most
     // look-aside lookups for fresh names, hiding exactly the traffic the
@@ -309,8 +316,7 @@ fn run_cell(
         }
     }
 
-    let dlv_packets =
-        internet.net.capture().dlv_queries().filter(|p| p.direction == Direction::Query).count();
+    let dlv_packets = counter.borrow().queries as usize;
     let stats = internet.net.stats();
     let c = &resolver.counters;
     ByzantinePoint {

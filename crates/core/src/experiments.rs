@@ -586,14 +586,18 @@ pub fn vantage_sweep(exec: &Executor, n: usize, seed: u64) -> Vec<VantageRow> {
         let mut params = InternetParams::for_top(n, population, RemedyMode::None);
         params.seed = seed;
         params.vantage = vantage;
+        params.capture = CaptureFilter::None;
         let mut internet = Internet::build(params);
+        let sink =
+            Rc::new(RefCell::new(LeakSink::new(CaptureFilter::DlvOnly, internet.dlv_apex.clone())));
+        internet.net.set_observer(Box::new(Rc::clone(&sink)));
         let mut resolver =
             internet.resolver(ResolverConfig::Bind(BindConfig::correct()), seed ^ 0x7a);
         for rank in 1..=n {
             let qname = internet.population.domain(rank);
             let _ = resolver.resolve(&mut internet.net, &qname, RrType::A);
         }
-        let leakage = classify(internet.net.capture(), &internet.dlv_apex);
+        let leakage = &sink.borrow().report;
         VantageRow {
             vantage: vantage.label().to_string(),
             leaks: leakage.case2,

@@ -61,7 +61,6 @@
 pub mod attacks;
 pub mod byzantine;
 pub mod chaos;
-pub mod client;
 pub mod experiments;
 pub mod farm;
 pub mod internet;
@@ -70,7 +69,6 @@ pub mod lifecycle;
 pub mod parallel;
 pub mod report;
 
-pub use client::Client;
 pub use farm::{Farm, FarmConfig, FarmTopology, TopologyReport};
 pub use internet::{Internet, InternetParams, VantagePoint};
 pub use leakage::{classify, LeakSink, LeakageReport};

@@ -44,7 +44,10 @@
 //! across the engine executor and the report is byte-identical for every
 //! `--jobs` value.
 
-use lookaside_netsim::CaptureFilter;
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use lookaside_netsim::{CaptureFilter, PacketSink};
 use lookaside_resolver::{BindConfig, FeatureModel, ResolverConfig, RetryPolicy, SecurityStatus};
 use lookaside_server::DecommissionStage;
 use lookaside_wire::ext::RemedyMode;
@@ -54,7 +57,7 @@ use lookaside_zone::{KeyTimeline, LifecycleFault, LifecycleTarget, RolloverPolic
 use serde::Serialize;
 
 use crate::internet::{Internet, InternetParams, ROOT_KEY_SEED};
-use crate::leakage;
+use crate::leakage::LeakSink;
 
 const NS_PER_SEC: u64 = 1_000_000_000;
 
@@ -302,9 +305,14 @@ fn run_cell(config: &LifecycleConfig, scenario: LifecycleScenario) -> LifecycleP
     let population = PopulationParams { size, ..PopulationParams::default() };
     let mut params = InternetParams::for_top(size, population, RemedyMode::None);
     params.seed = config.seed;
-    params.capture = CaptureFilter::DlvOnly;
+    params.capture = CaptureFilter::None;
     params.dlv_schedule = scenario.registry_schedule();
     let mut internet = Internet::build(params);
+    // DLV packets are classified as they are emitted; each event below
+    // takes the report its own queries folded.
+    let sink =
+        Rc::new(RefCell::new(LeakSink::new(CaptureFilter::DlvOnly, internet.dlv_apex.clone())));
+    internet.net.set_observer(Box::new(Rc::clone(&sink)));
     // Consumed in order: the warm-up, then each event's slice.
     let mut ranks = anchored_ranks(&internet, needed).into_iter();
     let mut timeline = scenario.timeline();
@@ -331,7 +339,8 @@ fn run_cell(config: &LifecycleConfig, scenario: LifecycleScenario) -> LifecycleP
     }
 
     let mut installed = false;
-    let mut prev_leaks = leakage::classify(internet.net.capture(), &internet.dlv_apex);
+    // The warm-up's DLV traffic belongs to no event.
+    sink.borrow_mut().reset();
     let mut events = Vec::with_capacity(EVENT_TIMES.len());
     for at_secs in EVENT_TIMES {
         let target_ns = at_secs * NS_PER_SEC;
@@ -380,10 +389,9 @@ fn run_cell(config: &LifecycleConfig, scenario: LifecycleScenario) -> LifecycleP
         point.expired_rrsig_bogus = c.expired_rrsig_bogus - counters_before.expired_rrsig_bogus;
         point.missing_anchor =
             c.missing_anchor_indeterminate - counters_before.missing_anchor_indeterminate;
-        let leaks = leakage::classify(internet.net.capture(), &internet.dlv_apex);
-        point.dlv_queries = leaks.dlv_queries - prev_leaks.dlv_queries;
-        point.case2_leaks = leaks.case2 - prev_leaks.case2;
-        prev_leaks = leaks;
+        let leaks = std::mem::take(&mut sink.borrow_mut().report);
+        point.dlv_queries = leaks.dlv_queries;
+        point.case2_leaks = leaks.case2;
         events.push(point);
     }
     LifecyclePoint { scenario, events }

@@ -67,7 +67,7 @@ fn the_workspace_forbids_unsafe_code() {
 
 #[test]
 fn every_crate_but_bench_inherits_the_workspace_lints() {
-    // bench's counting allocators are `unsafe impl GlobalAlloc`; its
+    // bench's allocation tests count with `unsafe impl GlobalAlloc`; its
     // `lib.rs` forbids unsafe code for the library target alone.
     for dir in library_crates() {
         let manifest = dir.join("Cargo.toml");
