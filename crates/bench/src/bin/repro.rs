@@ -602,8 +602,9 @@ fn print_dictionary(out: &mut dyn Write) -> io::Result<()> {
     let full: Vec<_> = (1..=10_000).map(|r| pop.domain(r)).collect();
     let dnssec_only: Vec<_> =
         (1..=10_000).filter(|&r| pop.attributes(r).signed).map(|r| pop.domain(r)).collect();
-    let outcome_full = attacks::dictionary_attack(500, 35, full);
-    let outcome_small = attacks::dictionary_attack(500, 35, dnssec_only);
+    let observed = attacks::observe_hashed(500, 35);
+    let outcome_full = attacks::dictionary_attack(&observed, full);
+    let outcome_small = attacks::dictionary_attack(&observed, dnssec_only);
     let rows = vec![
         vec![
             "full population".to_string(),

@@ -6,8 +6,9 @@
 //!
 //! - The per-packet and per-lookup entries that run over tens of millions
 //!   of simulated queries (message sizing, scratch vectors, flat-zone
-//!   lookups, holddown timers and the DLV packet counter) are warmed with
-//!   one call, then 1,000 further calls must touch the heap zero times.
+//!   lookups, name-map probes, holddown timers and the DLV packet counter)
+//!   are warmed with one call, then 1,000 further calls must touch the
+//!   heap zero times.
 //! - Whole runs are deterministic, so their counts are exact numbers, not
 //!   timings: a cold fig8_9-style sweep and warm re-resolution through one
 //!   reused `Resolution` must each stay at or under a recorded count.
@@ -27,7 +28,8 @@ use lookaside_netsim::{CaptureFilter, Direction, DlvQueryCounter, Packet, Packet
 use lookaside_resolver::{BindConfig, Resolution, ResolverConfig, TimerRing};
 use lookaside_wire::ext::RemedyMode;
 use lookaside_wire::{
-    Message, MessageBuilder, Name, RData, Rcode, Record, RenderArena, RrType, Scratch,
+    Message, MessageBuilder, Name, NameMap, NameSet, RData, Rcode, Record, RenderArena, RrType,
+    Scratch,
 };
 use lookaside_zone::{FlatZone, Zone};
 
@@ -160,6 +162,33 @@ fn flat_zone_lookups_do_not_allocate() {
 }
 
 #[test]
+fn name_map_probes_do_not_allocate() {
+    let inline = name("www.example.com.");
+    let shared = name("a-name-over-twenty-two-octets.example.com.");
+    let miss = name("nope.example.com.");
+    let mut map = NameMap::new();
+    let mut set = NameSet::new();
+    for n in [&inline, &shared] {
+        map.insert(n.clone(), 1u32);
+        set.insert(n.clone());
+    }
+    for (what, qname, found) in
+        [("inline", &inline, true), ("shared", &shared, true), ("miss", &miss, false)]
+    {
+        assert_eq!(map.get(qname).is_some(), found);
+        assert_allocation_free(&format!("NameMap::get ({what})"), || {
+            black_box(map.get(qname));
+        });
+        assert_allocation_free(&format!("NameMap::get_mut ({what})"), || {
+            black_box(map.get_mut(qname));
+        });
+        assert_allocation_free(&format!("NameSet::contains ({what})"), || {
+            black_box(set.contains(qname));
+        });
+    }
+}
+
+#[test]
 fn timer_ring_past_capacity_does_not_allocate() {
     let mut ring = TimerRing::with_capacity(4);
     let mut now = 0u64;
@@ -200,9 +229,9 @@ fn dlv_query_counter_observes_without_allocating() {
 const COLD_SIZES: [usize; 4] = [50, 100, 150, 200];
 const SEED: u64 = 11;
 
-/// Allocations of the cold run over its 500 queries (379 per query),
+/// Allocations of the cold run over its 500 queries (351 per query),
 /// Internet builds included; the same in debug and release builds.
-const COLD_ALLOCS: u64 = 189_881;
+const COLD_ALLOCS: u64 = 175_484;
 
 /// Allocations of 1,000 warm re-resolutions (200 names, five rounds).
 const WARM_ALLOCS: u64 = 65;

@@ -98,19 +98,23 @@ impl DictionaryOutcome {
     }
 }
 
-/// Runs a hashed-DLV workload, collects the hashed labels the registry
-/// observed, then mounts a dictionary attack with the given candidate set.
-pub fn dictionary_attack<I>(n: usize, seed: u64, dictionary: I) -> DictionaryOutcome
-where
-    I: IntoIterator<Item = Name>,
-{
+/// Runs a hashed-DLV workload over the top `n` domains and returns the
+/// hashed labels the registry observed: the first label of each leaked
+/// query name. One observation serves any number of
+/// [`dictionary_attack`]s.
+pub fn observe_hashed(n: usize, seed: u64) -> Vec<String> {
     let mut config = RunConfig::for_top(n, RemedyMode::HashedDlv);
     config.seed = seed;
     let outcome = run(&config);
-    // Observed hashed labels (first label of each leaked query name).
-    let observed: Vec<String> =
-        outcome.leakage.leaked_names.iter().map(|name| name.label(0).to_string()).collect();
+    outcome.leakage.leaked_names.iter().map(|name| name.label(0).to_string()).collect()
+}
 
+/// Mounts a dictionary attack on `observed` hashed labels (from
+/// [`observe_hashed`]) with the given candidate set.
+pub fn dictionary_attack<I>(observed: &[String], dictionary: I) -> DictionaryOutcome
+where
+    I: IntoIterator<Item = Name>,
+{
     let mut table: BTreeMap<String, Name> = BTreeMap::new();
     let mut hash_ops = 0u64;
     for candidate in dictionary {
@@ -150,7 +154,7 @@ mod tests {
         let pop =
             DomainPopulation::new(PopulationParams { size: 1000, ..PopulationParams::default() });
         let dictionary: Vec<_> = (1..=200).map(|r| pop.domain(r)).collect();
-        let outcome = dictionary_attack(60, 35, dictionary);
+        let outcome = dictionary_attack(&observe_hashed(60, 35), dictionary);
         assert!(outcome.observed > 0);
         // Every queried *ranked* domain is in the attacker's dictionary;
         // hoster zones and unsigned TLDs also leak hashes but are not
@@ -168,7 +172,7 @@ mod tests {
             DomainPopulation::new(PopulationParams { size: 1000, ..PopulationParams::default() });
         // Candidates far outside the queried top-60.
         let dictionary: Vec<_> = (500..=520).map(|r| pop.domain(r)).collect();
-        let outcome = dictionary_attack(60, 35, dictionary);
+        let outcome = dictionary_attack(&observe_hashed(60, 35), dictionary);
         assert_eq!(outcome.recovered, 0);
         assert_eq!(outcome.hash_ops, 21);
     }

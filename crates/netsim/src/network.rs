@@ -1,5 +1,6 @@
 //! The message-routing core of the simulator.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -370,10 +371,15 @@ impl Network {
             Transport::Udp => self.faults.plan(dst, self.seq),
             Transport::Tcp => self.faults.tcp_plan(dst, self.seq),
         };
-        let mut query = query.clone();
-        if let Some(tamper) = &mut self.tamper {
-            tamper(&mut query, Direction::Query);
-        }
+        // Only a man-in-the-middle needs a query of its own to rewrite.
+        let query = match &mut self.tamper {
+            Some(tamper) => {
+                let mut copy = query.clone();
+                tamper(&mut copy, Direction::Query);
+                Cow::Owned(copy)
+            }
+            None => Cow::Borrowed(query),
+        };
         let mut query_bytes = self.arena.measure(&query);
         let mut rtt_ns = match (transport, &self.tcp_latency) {
             (Transport::Tcp, Some(tcp)) => tcp.rtt_ns(dst, self.seq),
@@ -432,9 +438,13 @@ impl Network {
         if let Some(tamper) = &mut self.tamper {
             tamper(&mut response, Direction::Response);
         }
+        // The response's wire size, while it is still the message rendered
+        // last: truncation and corruption change it and clear this.
+        let mut measured = None;
         if transport == Transport::Udp {
             let limit = query.edns.map_or(UDP_LIMIT_NO_EDNS, |e| e.udp_size) as usize;
-            if self.arena.measure(&response) > limit || plan.truncate {
+            let size = self.arena.measure(&response);
+            if size > limit || plan.truncate {
                 // Truncate: keep the header + question, raise TC. The fault
                 // plane can force this on fitting responses too (a
                 // middlebox or rate-limiter clipping the datagram).
@@ -445,6 +455,8 @@ impl Network {
                 if plan.truncate {
                     self.stats.forced_truncations += 1;
                 }
+            } else {
+                measured = Some(size);
             }
         }
         if plan.response_lost || rtt_ns >= timeout_ns {
@@ -455,7 +467,10 @@ impl Network {
         // message, or an undecodable one the resolver must classify.
         if let (Transport::Udp, Some(salt)) = (transport, plan.corrupt_salt) {
             match corrupt_message(&response, salt) {
-                Some(mangled) => response = mangled,
+                Some(mangled) => {
+                    response = mangled;
+                    measured = None;
+                }
                 None => {
                     self.clock_ns += rtt_ns;
                     self.stats.record_malformed(qtype, query_bytes, rtt_ns);
@@ -470,7 +485,10 @@ impl Network {
             }
             _ => None,
         };
-        let response_bytes = self.arena.measure(&response);
+        let response_bytes = match measured {
+            Some(size) => size,
+            None => self.arena.measure(&response),
+        };
         self.clock_ns += rtt_ns;
 
         let response_packet = Packet {

@@ -11,7 +11,7 @@ use std::net::Ipv4Addr;
 use std::ops::Bound;
 use std::sync::Arc;
 
-use lookaside_wire::{Name, Rcode, Record, RrSet, RrType};
+use lookaside_wire::{Name, NameMap, Rcode, Record, RrSet, RrType};
 
 /// A cached positive RRset with optional signature and validation state.
 ///
@@ -31,15 +31,16 @@ pub struct CachedRrSet {
 ///
 /// Keyed by owner name alone, with the handful of types per name in a flat
 /// vector — so probes borrow the query name instead of materialising a
-/// `(Name, RrType)` tuple per lookup.
+/// `(Name, RrType)` tuple per lookup. The maps are [`NameMap`]s: a probe
+/// compares fingerprints, not label walks.
 ///
 /// Expired entries are purged opportunistically every
 /// [`AnswerCache::PURGE_INTERVAL`] insertions so million-domain runs do not
 /// accumulate unbounded dead state.
 #[derive(Debug, Default)]
 pub struct AnswerCache {
-    positive: BTreeMap<Name, Vec<(RrType, CachedRrSet)>>,
-    negative: BTreeMap<Name, Vec<(RrType, Rcode, u64)>>,
+    positive: NameMap<Vec<(RrType, CachedRrSet)>>,
+    negative: NameMap<Vec<(RrType, Rcode, u64)>>,
     puts_since_purge: usize,
     /// RFC 8767 serve-stale window: expired positive entries are retained
     /// (and servable via [`AnswerCache::get_stale`]) for this long past
@@ -173,13 +174,13 @@ impl AnswerCache {
 /// the root hint.
 #[derive(Debug, Default)]
 pub struct ZoneServerCache {
-    zones: BTreeMap<Name, Vec<Ipv4Addr>>,
+    zones: NameMap<Vec<Ipv4Addr>>,
 }
 
 impl ZoneServerCache {
     /// Creates a cache holding only the root hint.
     pub fn with_root_hint(root: Ipv4Addr) -> Self {
-        let mut zones = BTreeMap::new();
+        let mut zones = NameMap::new();
         zones.insert(Name::root(), vec![root]);
         ZoneServerCache { zones }
     }
@@ -211,11 +212,6 @@ impl ZoneServerCache {
     /// Whether a cut is known.
     pub fn contains(&self, cut: &Name) -> bool {
         self.zones.contains_key(cut)
-    }
-
-    /// Known cuts, canonical order.
-    pub fn cuts(&self) -> impl Iterator<Item = &Name> {
-        self.zones.keys()
     }
 }
 

@@ -7,7 +7,7 @@
 //! traffic), and feeds every exchange through the network simulator so the
 //! packet capture sees exactly what a real wire would.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -15,7 +15,9 @@ use std::sync::Arc;
 use lookaside_crypto::PublicKey;
 use lookaside_netsim::{NetError, Network};
 use lookaside_wire::ext::RemedyMode;
-use lookaside_wire::{Message, Name, RData, Rcode, Record, RrSet, RrType, Scratch};
+use lookaside_wire::{
+    Message, Name, NameMap, NameSet, RData, Rcode, Record, RrSet, RrType, Scratch,
+};
 
 use crate::cache::{AnswerCache, NsecSpanCache, ZoneServerCache};
 use crate::config::{EffectiveBehavior, FeatureModel, ResolverConfig};
@@ -243,15 +245,16 @@ pub struct RecursiveResolver {
     pub(crate) answers: AnswerCache,
     pub(crate) zones: ZoneServerCache,
     pub(crate) nsec_spans: NsecSpanCache,
-    pub(crate) zone_status: BTreeMap<Name, SecurityStatus>,
-    pub(crate) secured_via_dlv: BTreeSet<Name>,
-    pub(crate) validated_keys: BTreeMap<Name, Vec<PublicKey>>,
-    pub(crate) zone_parent: BTreeMap<Name, Name>,
-    pub(crate) ds_info: BTreeMap<Name, DsInfo>,
-    pub(crate) z_signal: BTreeMap<Name, bool>,
-    pub(crate) txt_signal_cache: BTreeMap<Name, Option<bool>>,
+    // Exact-match per-zone state: fingerprint-keyed, never iterated.
+    pub(crate) zone_status: NameMap<SecurityStatus>,
+    pub(crate) secured_via_dlv: NameSet,
+    pub(crate) validated_keys: NameMap<Vec<PublicKey>>,
+    pub(crate) zone_parent: NameMap<Name>,
+    pub(crate) ds_info: NameMap<DsInfo>,
+    pub(crate) z_signal: NameMap<bool>,
+    pub(crate) txt_signal_cache: NameMap<Option<bool>>,
     pub(crate) seen_addrs: BTreeSet<Ipv4Addr>,
-    pub(crate) validating: BTreeSet<Name>,
+    pub(crate) validating: NameSet,
     pub(crate) salt: u64,
     pub(crate) retry: RetryPolicy,
     pub(crate) infra: InfraCache,
@@ -314,15 +317,15 @@ impl RecursiveResolver {
             answers: AnswerCache::new(),
             zones: ZoneServerCache::with_root_hint(setup.root_hint),
             nsec_spans: NsecSpanCache::new(),
-            zone_status: BTreeMap::new(),
-            secured_via_dlv: BTreeSet::new(),
-            validated_keys: BTreeMap::new(),
-            zone_parent: BTreeMap::new(),
-            ds_info: BTreeMap::new(),
-            z_signal: BTreeMap::new(),
-            txt_signal_cache: BTreeMap::new(),
+            zone_status: NameMap::new(),
+            secured_via_dlv: NameSet::new(),
+            validated_keys: NameMap::new(),
+            zone_parent: NameMap::new(),
+            ds_info: NameMap::new(),
+            z_signal: NameMap::new(),
+            txt_signal_cache: NameMap::new(),
             seen_addrs: BTreeSet::new(),
-            validating: BTreeSet::new(),
+            validating: NameSet::new(),
             salt: setup.salt,
             retry: RetryPolicy::default(),
             infra: InfraCache::new(),

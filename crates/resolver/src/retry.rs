@@ -20,7 +20,7 @@
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
-use lookaside_wire::{Name, RrType};
+use lookaside_wire::{Name, NameMap, RrType};
 
 use crate::ring::TimerRing;
 
@@ -160,11 +160,11 @@ impl InfraCache {
 #[derive(Debug, Clone, Default)]
 pub struct ServfailCache {
     /// §7.1: per-`(qname, qtype)` failure entries, keyed by name so the
-    /// per-resolution probe borrows the qname instead of cloning it.
-    tuples: BTreeMap<Name, Vec<(RrType, u64)>>,
+    /// per-resolution probe takes the qname by reference.
+    tuples: NameMap<Vec<(RrType, u64)>>,
     /// §7.2: zones whose entire server set proved unreachable; lookups at
     /// or below such a cut fail instantly until expiry.
-    dead_zones: BTreeMap<Name, u64>,
+    dead_zones: NameMap<u64>,
 }
 
 impl ServfailCache {

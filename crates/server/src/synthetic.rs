@@ -20,7 +20,6 @@
 // to a registrable name the oracle specified, which always fits.
 #![expect(clippy::expect_used, reason = "one more label over a registrable name fits")]
 
-use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
@@ -28,7 +27,8 @@ use lookaside_crypto::ds_rdata;
 use lookaside_netsim::DnsHandler;
 use lookaside_wire::ext::txt_signal;
 use lookaside_wire::{
-    Message, MessageBuilder, Name, RData, Rcode, Record, RrClass, RrType, Section, TypeBitmap,
+    Message, MessageBuilder, Name, NameMap, RData, Rcode, Record, RrClass, RrSet, RrType, Section,
+    TypeBitmap,
 };
 use lookaside_zone::{rrsig_signing_input, PublishedZone, SigningKeys, Zone, DEFAULT_TTL};
 
@@ -79,22 +79,10 @@ pub trait ZoneOracle {
 #[expect(clippy::large_enum_variant, reason = "two long-lived variants, never collections")]
 enum Mode {
     /// Serve children of this TLD: referrals, DS, NXDOMAIN.
-    Tld {
-        apex: Name,
-        apex_zone: PublishedZone,
-        keys: SigningKeys,
-        signed: bool,
-        inception: u32,
-        expiration: u32,
-    },
+    Tld { apex_zone: PublishedZone, signed: bool, signer: ProofSigner },
     /// Serve SLD zone content for any oracle-known domain. Cached zones are
     /// behind `Rc` so repeat queries share one publication.
-    Sld {
-        inception: u32,
-        expiration: u32,
-        cache: BTreeMap<Name, Rc<PublishedZone>>,
-        cache_cap: usize,
-    },
+    Sld { inception: u32, expiration: u32, cache: NameMap<Rc<PublishedZone>>, cache_cap: usize },
 }
 
 /// A fabricating authoritative server (see module docs).
@@ -120,17 +108,15 @@ impl SyntheticAuthority {
         } else {
             PublishedZone::unsigned(zone)
         };
-        SyntheticAuthority {
-            oracle,
-            mode: Mode::Tld { apex, apex_zone, keys, signed, inception, expiration },
-        }
+        let signer = ProofSigner { apex, keys, inception, expiration, recent: Vec::new() };
+        SyntheticAuthority { oracle, mode: Mode::Tld { apex_zone, signed, signer } }
     }
 
     /// Creates an SLD-mode authority, suitable as the network default route.
     pub fn sld_default(oracle: Rc<dyn ZoneOracle>, inception: u32, expiration: u32) -> Self {
         SyntheticAuthority {
             oracle,
-            mode: Mode::Sld { inception, expiration, cache: BTreeMap::new(), cache_cap: 512 },
+            mode: Mode::Sld { inception, expiration, cache: NameMap::new(), cache_cap: 512 },
         }
     }
 
@@ -200,48 +186,6 @@ impl SyntheticAuthority {
         response
     }
 
-    /// Fabricates a signed record over `rrset`-like data for TLD-mode
-    /// proofs.
-    fn sign_fabricated(
-        rrset: &lookaside_wire::RrSet,
-        apex: &Name,
-        keys: &SigningKeys,
-        inception: u32,
-        expiration: u32,
-    ) -> Record {
-        let key_tag = keys.zsk.key_tag();
-        let algorithm = lookaside_crypto::ALGORITHM_SIM_SCHNORR;
-        let labels = rrset.name.label_count() as u8;
-        let input = rrsig_signing_input(
-            rrset.rrtype,
-            algorithm,
-            labels,
-            rrset.ttl,
-            expiration,
-            inception,
-            key_tag,
-            apex,
-            rrset,
-        );
-        Record {
-            name: rrset.name.clone(),
-            rrtype: RrType::Rrsig,
-            class: RrClass::In,
-            ttl: rrset.ttl,
-            rdata: RData::Rrsig {
-                type_covered: rrset.rrtype,
-                algorithm,
-                labels,
-                original_ttl: rrset.ttl,
-                expiration,
-                inception,
-                key_tag,
-                signer_name: apex.clone(),
-                signature: keys.zsk.sign_to_bytes(&input),
-            },
-        }
-    }
-
     /// A tight fabricated NSEC at `owner` (type-absence proof) or covering
     /// `owner` (non-existence proof when `exists` is false).
     fn fabricate_nsec(owner: &Name, exists: bool, types: TypeBitmap) -> lookaside_wire::RrSet {
@@ -264,11 +208,12 @@ impl SyntheticAuthority {
             return MessageBuilder::respond_to(query).rcode(Rcode::FormErr).build();
         };
         #[expect(clippy::unreachable, reason = "`handle` dispatches on the mode")]
-        let Mode::Tld { apex, apex_zone, keys, signed, inception, expiration } = &self.mode
+        let Mode::Tld { ref apex_zone, signed, ref mut signer } = self.mode
         else {
             unreachable!("handle_tld called in SLD mode");
         };
         let qname = &question.name;
+        let apex = &signer.apex;
         if !qname.is_subdomain_of(apex) {
             return MessageBuilder::respond_to(query).rcode(Rcode::Refused).build();
         }
@@ -290,9 +235,9 @@ impl SyntheticAuthority {
                 for rec in apex_zone.signed_soa().rrset.to_records() {
                     msg.push(Section::Authority, rec);
                 }
-                if with_dnssec && *signed {
+                if with_dnssec && signed {
                     let nsec = Self::fabricate_nsec(&child, false, TypeBitmap::new());
-                    let sig = Self::sign_fabricated(&nsec, apex, keys, *inception, *expiration);
+                    let sig = signer.sign(&nsec);
                     for rec in nsec.to_records() {
                         msg.push(Section::Authority, rec);
                     }
@@ -301,7 +246,7 @@ impl SyntheticAuthority {
                 msg
             }
             Some(spec) => {
-                let secure_child = *signed && spec.signed && spec.ds_in_parent;
+                let secure_child = signed && spec.signed && spec.ds_in_parent;
                 if qname == &child && question.rrtype == RrType::Ds {
                     // The parent answers DS at the cut.
                     let mut msg = MessageBuilder::respond_to(query).authoritative(true).build();
@@ -311,7 +256,7 @@ impl SyntheticAuthority {
                             DEFAULT_TTL,
                             ds_rdata(&child, &spec.keys().ksk.public()),
                         );
-                        let sig = Self::sign_fabricated(&ds, apex, keys, *inception, *expiration);
+                        let sig = signer.sign(&ds);
                         for rec in ds.to_records() {
                             msg.push(Section::Answer, rec);
                         }
@@ -323,14 +268,13 @@ impl SyntheticAuthority {
                         for rec in apex_zone.signed_soa().rrset.to_records() {
                             msg.push(Section::Authority, rec);
                         }
-                        if with_dnssec && *signed {
+                        if with_dnssec && signed {
                             let nsec = Self::fabricate_nsec(
                                 &child,
                                 true,
                                 TypeBitmap::from_types([RrType::Ns]),
                             );
-                            let sig =
-                                Self::sign_fabricated(&nsec, apex, keys, *inception, *expiration);
+                            let sig = signer.sign(&nsec);
                             for rec in nsec.to_records() {
                                 msg.push(Section::Authority, rec);
                             }
@@ -350,14 +294,14 @@ impl SyntheticAuthority {
                 for rec in ns_set.to_records() {
                     msg.push(Section::Authority, rec);
                 }
-                if with_dnssec && *signed {
+                if with_dnssec && signed {
                     if secure_child {
                         let ds = lookaside_wire::RrSet::single(
                             child.clone(),
                             DEFAULT_TTL,
                             ds_rdata(&child, &spec.keys().ksk.public()),
                         );
-                        let sig = Self::sign_fabricated(&ds, apex, keys, *inception, *expiration);
+                        let sig = signer.sign(&ds);
                         for rec in ds.to_records() {
                             msg.push(Section::Authority, rec);
                         }
@@ -368,7 +312,7 @@ impl SyntheticAuthority {
                             true,
                             TypeBitmap::from_types([RrType::Ns]),
                         );
-                        let sig = Self::sign_fabricated(&nsec, apex, keys, *inception, *expiration);
+                        let sig = signer.sign(&nsec);
                         for rec in nsec.to_records() {
                             msg.push(Section::Authority, rec);
                         }
@@ -383,6 +327,70 @@ impl SyntheticAuthority {
                 msg
             }
         }
+    }
+}
+
+/// Signs a TLD's fabricated DS and NSEC proofs, remembering the last
+/// [`ProofSigner::RECENT`] signatures. A referral and the resolver's
+/// explicit DS query at the same cut (BIND behaviour, and Table 4's DS
+/// column) carry the same proof a few queries apart; signing is
+/// deterministic, so the second answer reuses the first signature and its
+/// bytes are unchanged.
+struct ProofSigner {
+    apex: Name,
+    keys: SigningKeys,
+    inception: u32,
+    expiration: u32,
+    /// Recently signed proofs with their RRSIGs, oldest first.
+    recent: Vec<(RrSet, Record)>,
+}
+
+impl ProofSigner {
+    /// Proofs remembered: enough to span the NS-host lookups and
+    /// validation queries between a referral and its DS query.
+    const RECENT: usize = 8;
+
+    /// The RRSIG over `rrset` by the TLD's ZSK.
+    fn sign(&mut self, rrset: &RrSet) -> Record {
+        if let Some((_, sig)) = self.recent.iter().find(|(signed, _)| signed == rrset) {
+            return sig.clone();
+        }
+        let key_tag = self.keys.zsk.key_tag();
+        let algorithm = lookaside_crypto::ALGORITHM_SIM_SCHNORR;
+        let labels = rrset.name.label_count() as u8;
+        let input = rrsig_signing_input(
+            rrset.rrtype,
+            algorithm,
+            labels,
+            rrset.ttl,
+            self.expiration,
+            self.inception,
+            key_tag,
+            &self.apex,
+            rrset,
+        );
+        let sig = Record {
+            name: rrset.name.clone(),
+            rrtype: RrType::Rrsig,
+            class: RrClass::In,
+            ttl: rrset.ttl,
+            rdata: RData::Rrsig {
+                type_covered: rrset.rrtype,
+                algorithm,
+                labels,
+                original_ttl: rrset.ttl,
+                expiration: self.expiration,
+                inception: self.inception,
+                key_tag,
+                signer_name: self.apex.clone(),
+                signature: self.keys.zsk.sign_to_bytes(&input),
+            },
+        };
+        if self.recent.len() == Self::RECENT {
+            self.recent.remove(0);
+        }
+        self.recent.push((rrset.clone(), sig.clone()));
+        sig
     }
 }
 
@@ -418,7 +426,7 @@ impl DnsHandler for SyntheticAuthority {
 impl std::fmt::Debug for SyntheticAuthority {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.mode {
-            Mode::Tld { apex, .. } => write!(f, "SyntheticAuthority(tld {apex})"),
+            Mode::Tld { signer, .. } => write!(f, "SyntheticAuthority(tld {})", signer.apex),
             Mode::Sld { cache, .. } => {
                 write!(f, "SyntheticAuthority(sld, {} cached zones)", cache.len())
             }

@@ -6,6 +6,8 @@
 //! * [`Name`] — domain names with RFC 4034 §6.1 canonical ordering (the order
 //!   NSEC chains are built in, and therefore the order that drives the
 //!   aggressive-negative-caching behaviour the paper measures),
+//! * [`NameMap`] and [`NameSet`] — exact-match name maps keyed by a fixed
+//!   fingerprint, for caches whose order is never observed,
 //! * [`RrType`] — including the DLV type (32769) from RFC 4431,
 //! * [`Header`] and [`Flags`] — including the `DO`, `AD`, `CD` bits and the
 //!   spare `Z` bit that §6.2.1 of the paper proposes as a remedy signal,
@@ -51,6 +53,7 @@ mod error;
 mod header;
 mod message;
 mod name;
+mod name_map;
 mod rdata;
 mod record;
 mod rrtype;
@@ -63,6 +66,7 @@ pub use error::WireError;
 pub use header::{Flags, Header, Opcode, Rcode};
 pub use message::{Message, MessageBuilder, Question, Section};
 pub use name::{Label, LabelRef, Labels, Name, NameBuilder, NameRef, NameTable};
+pub use name_map::{NameKey, NameMap, NameSet};
 pub use rdata::{RData, SoaData};
 pub use record::{Record, RrSet};
 pub use rrtype::{RrClass, RrType, TypeBitmap};

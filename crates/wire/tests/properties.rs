@@ -1,10 +1,12 @@
 //! Property-based tests for the wire layer: parsing, canonical ordering,
 //! and codec round-trips over arbitrary inputs.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use proptest::prelude::*;
 
 use lookaside_wire::codec::{Reader, Writer};
-use lookaside_wire::{Message, Name, RData, Record, RrType, TypeBitmap};
+use lookaside_wire::{Message, Name, NameMap, NameSet, RData, Record, RrType, TypeBitmap};
 
 fn label_strategy() -> impl Strategy<Value = String> {
     proptest::string::string_regex("[a-z0-9]([a-z0-9-]{0,14}[a-z0-9])?").expect("valid regex")
@@ -196,6 +198,103 @@ proptest! {
         if let Ok(msg) = Message::from_bytes(&mangled) {
             prop_assert!(Message::from_bytes(&msg.to_bytes()).is_ok());
         }
+    }
+}
+
+/// The keys one name-map case draws on: each is the root, a short name
+/// (stored inline), or a name over 22 octets (stored behind an `Arc`).
+fn map_key_pool_strategy() -> impl Strategy<Value = Vec<String>> {
+    proptest::collection::vec((0u8..4, mixed_case_name_strategy()), 1..8).prop_map(|keys| {
+        keys.into_iter()
+            .map(|(form, text)| match form {
+                0 => ".".to_string(),
+                1 => format!("{text}.a-label-that-leaves-inline-storage"),
+                _ => text,
+            })
+            .collect()
+    })
+}
+
+/// Name-map operations: (kind, pool index, spelling, value).
+fn map_ops_strategy() -> impl Strategy<Value = Vec<(u8, usize, u8, u32)>> {
+    proptest::collection::vec((0u8..6, 0usize..8, 0u8..3, any::<u32>()), 0..64)
+}
+
+/// Spells one pool key three ways that all name the same name: as drawn,
+/// upper-cased, or as the tail of a longer name, which shares that name's
+/// heap buffer even when the tail itself is short.
+fn spell(text: &str, spelling: u8) -> Name {
+    let name = Name::parse(text).unwrap();
+    match spelling {
+        0 => name,
+        1 => Name::parse(&text.to_ascii_uppercase()).unwrap(),
+        _ if name.is_root() => name,
+        _ => Name::parse(&format!("padding-that-forces-shared-storage.{text}"))
+            .unwrap()
+            .suffix(name.label_count()),
+    }
+}
+
+proptest! {
+    #[test]
+    fn name_map_and_set_agree_with_a_canonical_btree_model(
+        pool in map_key_pool_strategy(),
+        ops in map_ops_strategy(),
+    ) {
+        let mut map = NameMap::new();
+        let mut model: BTreeMap<Name, u32> = BTreeMap::new();
+        let mut set = NameSet::new();
+        let mut set_model: BTreeSet<Name> = BTreeSet::new();
+        for (kind, index, spelling, value) in ops {
+            let name = spell(&pool[index % pool.len()], spelling);
+            match kind {
+                0 => {
+                    prop_assert_eq!(
+                        map.insert(name.clone(), value),
+                        model.insert(name.clone(), value)
+                    );
+                    prop_assert_eq!(set.insert(name.clone()), set_model.insert(name));
+                }
+                1 => {
+                    prop_assert_eq!(map.get(&name), model.get(&name));
+                    prop_assert_eq!(map.contains_key(&name), model.contains_key(&name));
+                    prop_assert_eq!(set.contains(&name), set_model.contains(&name));
+                }
+                2 => {
+                    prop_assert_eq!(map.remove(&name), model.remove(&name));
+                    prop_assert_eq!(set.remove(&name), set_model.remove(&name));
+                }
+                3 => {
+                    let got = map.entry(name.clone()).or_insert(value);
+                    *got = got.wrapping_add(1);
+                    let want = model.entry(name).or_insert(value);
+                    *want = want.wrapping_add(1);
+                    prop_assert_eq!(*got, *want);
+                }
+                4 => {
+                    let got = map.get_mut(&name).map(|v| *v ^= value).is_some();
+                    let want = model.get_mut(&name).map(|v| *v ^= value).is_some();
+                    prop_assert_eq!(got, want);
+                }
+                _ => {
+                    map.retain(|_, v| *v % 3 != value % 3);
+                    model.retain(|_, v| *v % 3 != value % 3);
+                }
+            }
+            prop_assert_eq!(map.len(), model.len());
+            prop_assert_eq!(set.len(), set_model.len());
+        }
+        for (name, value) in &model {
+            prop_assert_eq!(map.get(name), Some(value), "{}", name);
+        }
+        let mut values: Vec<u32> = map.values().copied().collect();
+        let mut want: Vec<u32> = model.values().copied().collect();
+        values.sort_unstable();
+        want.sort_unstable();
+        prop_assert_eq!(values, want);
+        prop_assert!(set_model.iter().all(|name| set.contains(name)));
+        prop_assert_eq!(map.is_empty(), model.is_empty());
+        prop_assert_eq!(set.is_empty(), set_model.is_empty());
     }
 }
 

@@ -2,7 +2,7 @@
 //! leak without destroying DLV's validation utility, and each unsigned
 //! signal can be defeated by an on-path attacker.
 
-use lookaside::attacks::{dictionary_attack, txt_poison_attack, zbit_flip_attack};
+use lookaside::attacks::{dictionary_attack, observe_hashed, txt_poison_attack, zbit_flip_attack};
 use lookaside::experiments::{run, RunConfig};
 use lookaside_wire::ext::RemedyMode;
 use lookaside_workload::{DomainPopulation, PopulationParams};
@@ -77,8 +77,9 @@ fn dictionary_attack_scales_with_dictionary_coverage() {
     let pop = DomainPopulation::new(PopulationParams { size: 2000, ..PopulationParams::default() });
     let full: Vec<_> = (1..=500).map(|r| pop.domain(r)).collect();
     let partial: Vec<_> = (1..=500).step_by(10).map(|r| pop.domain(r)).collect();
-    let big = dictionary_attack(120, 49, full);
-    let small = dictionary_attack(120, 49, partial);
+    let observed = observe_hashed(120, 49);
+    let big = dictionary_attack(&observed, full);
+    let small = dictionary_attack(&observed, partial);
     assert!(big.recovered > small.recovered, "{} vs {}", big.recovered, small.recovered);
     assert_eq!(small.hash_ops, 50);
     assert!(big.recovery_rate() <= 1.0);
