@@ -251,18 +251,14 @@ impl CoreOracle {
 }
 
 impl ZoneOracle for CoreOracle {
-    fn sld_spec(&self, qname: &Name) -> Option<SyntheticSpec> {
-        if qname.label_count() < 2 {
-            return None;
-        }
-        let apex = qname.suffix(2);
-        if apex == self.isc_apex {
+    fn sld_spec(&self, apex: &Name) -> Option<SyntheticSpec> {
+        if *apex == self.isc_apex {
             return Some(self.spec_for_isc());
         }
-        if let Some(d) = self.huque.iter().find(|d| d.name == apex) {
-            return Some(self.spec_for_huque(d));
+        if apex.label_count() > 0 && apex.label(0).as_bytes().starts_with(b"huque") {
+            return self.huque.iter().find(|d| d.name == *apex).map(|d| self.spec_for_huque(d));
         }
-        match self.population.entry_of(qname)? {
+        match self.population.entry_of(apex)? {
             PopEntry::Domain(attrs) => Some(self.spec_for_domain(&attrs)),
             PopEntry::Hoster(attrs) => Some(self.spec_for_hoster(&attrs)),
         }

@@ -101,7 +101,8 @@ impl<H> std::fmt::Debug for EpochRouter<H> {
 }
 
 /// An authority that serves the published zone version active at the
-/// simulated query time: one pre-signed [`AuthoritativeServer`] per epoch.
+/// simulated query time: one [`AuthoritativeServer`] per epoch, published
+/// with that epoch's keys and signing window.
 pub type EpochAuthority = EpochRouter<AuthoritativeServer>;
 
 impl EpochAuthority {

@@ -9,8 +9,14 @@
 //!   the TLD is signed) DS sets and tight NSEC proofs on demand,
 //! * SLD mode ([`SyntheticAuthority::sld_default`]) — installed as the
 //!   network's default route; serves any child zone the oracle recognises
-//!   by building (and caching) a real [`PublishedZone`] for it on first
-//!   touch.
+//!   by building a real [`PublishedZone`] for it on first touch. It asks
+//!   the oracle once per zone it builds and keeps only the last `SLD_MEMO`
+//!   (16) zones it built, dropping the oldest: the queries a resolution
+//!   sends one SLD arrive within that resolution, so the memo answers them
+//!   all and each zone is freed while its memory is still warm. A zone
+//!   asked for again after it was dropped is rebuilt to the same bytes, as
+//!   a zone is a pure function of its spec, and like every published zone
+//!   it signs only the RRsets, SOA and NSEC records it serves.
 //!
 //! Fabricated responses go through the same zone/signing/rendering code as
 //! materialised ones, so validators cannot tell the difference — which is
@@ -20,6 +26,7 @@
 // to a registrable name the oracle specified, which always fits.
 #![expect(clippy::expect_used, reason = "one more label over a registrable name fits")]
 
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
@@ -27,10 +34,9 @@ use lookaside_crypto::ds_rdata;
 use lookaside_netsim::DnsHandler;
 use lookaside_wire::ext::txt_signal;
 use lookaside_wire::{
-    Message, MessageBuilder, Name, NameMap, RData, Rcode, Record, RrClass, RrSet, RrType, Section,
-    TypeBitmap,
+    Message, MessageBuilder, Name, RData, Rcode, Record, RrSet, RrType, Section, TypeBitmap,
 };
-use lookaside_zone::{rrsig_signing_input, PublishedZone, SigningKeys, Zone, DEFAULT_TTL};
+use lookaside_zone::{PublishedZone, SigningKeys, Zone, ZoneSigner, DEFAULT_TTL};
 
 use crate::render::{glue_record, render_lookup};
 
@@ -69,20 +75,25 @@ impl SyntheticSpec {
     }
 }
 
-/// Maps names to synthetic zone attributes. Implemented by the experiment
-/// harness over its population model.
+/// Maps registrable names to synthetic zone attributes. Implemented by the
+/// experiment harness over its population model.
 pub trait ZoneOracle {
-    /// The synthetic SLD zone containing `qname`, if that domain exists.
-    fn sld_spec(&self, qname: &Name) -> Option<SyntheticSpec>;
+    /// The synthetic SLD zone whose apex is `apex` — a TLD label plus one
+    /// — if that domain exists. The answer depends on the apex alone, so
+    /// every name below it shares one spec.
+    fn sld_spec(&self, apex: &Name) -> Option<SyntheticSpec>;
 }
+
+/// SLD zones an SLD-mode authority keeps after building them.
+const SLD_MEMO: usize = 16;
 
 #[expect(clippy::large_enum_variant, reason = "two long-lived variants, never collections")]
 enum Mode {
     /// Serve children of this TLD: referrals, DS, NXDOMAIN.
     Tld { apex_zone: PublishedZone, signed: bool, signer: ProofSigner },
-    /// Serve SLD zone content for any oracle-known domain. Cached zones are
-    /// behind `Rc` so repeat queries share one publication.
-    Sld { inception: u32, expiration: u32, cache: NameMap<Rc<PublishedZone>>, cache_cap: usize },
+    /// Serve SLD zone content for any oracle-known domain, from the last
+    /// [`SLD_MEMO`] zones built, oldest first.
+    Sld { inception: u32, expiration: u32, recent: VecDeque<SldZone> },
 }
 
 /// A fabricating authoritative server (see module docs).
@@ -108,7 +119,10 @@ impl SyntheticAuthority {
         } else {
             PublishedZone::unsigned(zone)
         };
-        let signer = ProofSigner { apex, keys, inception, expiration, recent: Vec::new() };
+        let signer = ProofSigner {
+            zsk: ZoneSigner::new(apex, keys.zsk, inception, expiration),
+            recent: Vec::new(),
+        };
         SyntheticAuthority { oracle, mode: Mode::Tld { apex_zone, signed, signer } }
     }
 
@@ -116,45 +130,7 @@ impl SyntheticAuthority {
     pub fn sld_default(oracle: Rc<dyn ZoneOracle>, inception: u32, expiration: u32) -> Self {
         SyntheticAuthority {
             oracle,
-            mode: Mode::Sld { inception, expiration, cache: NameMap::new(), cache_cap: 512 },
-        }
-    }
-
-    /// Builds the content zone for a synthetic SLD.
-    fn build_sld_zone(spec: &SyntheticSpec, inception: u32, expiration: u32) -> PublishedZone {
-        let apex = spec.apex.clone();
-        let primary = spec
-            .ns_hosts
-            .first()
-            .map(|(n, _)| n.clone())
-            .unwrap_or_else(|| apex.prepend("ns1").expect("ns name"));
-        let mut zone = Zone::new(apex.clone(), primary);
-        // NS RRset at apex: replace the default with the full host list.
-        for (host, _) in spec.ns_hosts.iter().skip(1) {
-            zone.add(apex.clone(), DEFAULT_TTL, RData::Ns(host.clone()));
-        }
-        let addr = spec.server_addr;
-        zone.add(apex.clone(), DEFAULT_TTL, RData::A(addr));
-        zone.add(apex.prepend("www").expect("www name"), DEFAULT_TTL, RData::A(addr));
-        zone.add(
-            apex.clone(),
-            DEFAULT_TTL,
-            RData::Mx { preference: 10, exchange: apex.prepend("mail").expect("mx name") },
-        );
-        zone.add(apex.prepend("mail").expect("mail name"), DEFAULT_TTL, RData::A(addr));
-        // In-bailiwick NS host addresses live in the zone itself.
-        for (host, host_addr) in &spec.ns_hosts {
-            if host.is_subdomain_of(&apex) {
-                zone.add(host.clone(), DEFAULT_TTL, RData::A(*host_addr));
-            }
-        }
-        if let Some(present) = spec.txt_signal {
-            zone.add(apex, DEFAULT_TTL, RData::Txt(vec![txt_signal(present)]));
-        }
-        if spec.signed {
-            PublishedZone::signed(zone, &spec.keys(), inception, expiration)
-        } else {
-            PublishedZone::unsigned(zone)
+            mode: Mode::Sld { inception, expiration, recent: VecDeque::with_capacity(SLD_MEMO) },
         }
     }
 
@@ -162,27 +138,29 @@ impl SyntheticAuthority {
         let Some(question) = query.question() else {
             return MessageBuilder::respond_to(query).rcode(Rcode::FormErr).build();
         };
-        let Some(spec) = self.oracle.sld_spec(&question.name) else {
+        let (qname, qtype) = (&question.name, question.rrtype);
+        // Every TLD is one label, so the registrable apex is the last two.
+        if qname.label_count() < 2 {
             return MessageBuilder::respond_to(query).rcode(Rcode::Refused).build();
-        };
+        }
+        let apex = qname.suffix(2);
         #[expect(clippy::unreachable, reason = "`handle` dispatches on the mode")]
-        let Mode::Sld { inception, expiration, cache, cache_cap } = &mut self.mode
+        let Mode::Sld { inception, expiration, recent } = &mut self.mode
         else {
             unreachable!("handle_sld called in TLD mode");
         };
-        if cache.len() >= *cache_cap && !cache.contains_key(&spec.apex) {
-            cache.clear();
+        if let Some(sld) = recent.iter().rev().find(|sld| sld.zone.apex() == &apex) {
+            return sld.respond(query, qname, qtype);
         }
-        let zone = Rc::clone(
-            cache
-                .entry(spec.apex.clone())
-                .or_insert_with(|| Rc::new(Self::build_sld_zone(&spec, *inception, *expiration))),
-        );
-        let lookup = zone.lookup(&question.name, question.rrtype);
-        let mut response = render_lookup(query, &lookup);
-        if spec.z_signal && spec.dlv_deposited {
-            response.header.flags.z = true;
+        let Some(spec) = self.oracle.sld_spec(&apex) else {
+            return MessageBuilder::respond_to(query).rcode(Rcode::Refused).build();
+        };
+        let sld = SldZone::build(&spec, *inception, *expiration);
+        let response = sld.respond(query, qname, qtype);
+        if recent.len() == SLD_MEMO {
+            recent.pop_front();
         }
+        recent.push_back(sld);
         response
     }
 
@@ -213,7 +191,7 @@ impl SyntheticAuthority {
             unreachable!("handle_tld called in SLD mode");
         };
         let qname = &question.name;
-        let apex = &signer.apex;
+        let apex = apex_zone.apex();
         if !qname.is_subdomain_of(apex) {
             return MessageBuilder::respond_to(query).rcode(Rcode::Refused).build();
         }
@@ -232,7 +210,7 @@ impl SyntheticAuthority {
                     .authoritative(true)
                     .rcode(Rcode::NxDomain)
                     .build();
-                for rec in apex_zone.signed_soa().rrset.to_records() {
+                for rec in apex_zone.soa_rrset().to_records() {
                     msg.push(Section::Authority, rec);
                 }
                 if with_dnssec && signed {
@@ -265,7 +243,7 @@ impl SyntheticAuthority {
                         }
                     } else {
                         // NODATA: prove the DS's absence when we can.
-                        for rec in apex_zone.signed_soa().rrset.to_records() {
+                        for rec in apex_zone.soa_rrset().to_records() {
                             msg.push(Section::Authority, rec);
                         }
                         if with_dnssec && signed {
@@ -330,6 +308,64 @@ impl SyntheticAuthority {
     }
 }
 
+/// A synthetic SLD zone as an SLD-mode authority serves it.
+struct SldZone {
+    zone: PublishedZone,
+    /// Whether responses carry the Z-bit remedy signal: the zone
+    /// advertises it and has a DLV record deposited.
+    z_bit: bool,
+}
+
+impl SldZone {
+    /// Builds the content zone for a synthetic SLD.
+    fn build(spec: &SyntheticSpec, inception: u32, expiration: u32) -> Self {
+        let apex = spec.apex.clone();
+        let primary = spec
+            .ns_hosts
+            .first()
+            .map(|(n, _)| n.clone())
+            .unwrap_or_else(|| apex.prepend("ns1").expect("ns name"));
+        let mut zone = Zone::new(apex.clone(), primary);
+        // NS RRset at apex: replace the default with the full host list.
+        for (host, _) in spec.ns_hosts.iter().skip(1) {
+            zone.add(apex.clone(), DEFAULT_TTL, RData::Ns(host.clone()));
+        }
+        let addr = spec.server_addr;
+        zone.add(apex.clone(), DEFAULT_TTL, RData::A(addr));
+        zone.add(apex.prepend("www").expect("www name"), DEFAULT_TTL, RData::A(addr));
+        zone.add(
+            apex.clone(),
+            DEFAULT_TTL,
+            RData::Mx { preference: 10, exchange: apex.prepend("mail").expect("mx name") },
+        );
+        zone.add(apex.prepend("mail").expect("mail name"), DEFAULT_TTL, RData::A(addr));
+        // In-bailiwick NS host addresses live in the zone itself.
+        for (host, host_addr) in &spec.ns_hosts {
+            if host.is_subdomain_of(&apex) {
+                zone.add(host.clone(), DEFAULT_TTL, RData::A(*host_addr));
+            }
+        }
+        if let Some(present) = spec.txt_signal {
+            zone.add(apex, DEFAULT_TTL, RData::Txt(vec![txt_signal(present)]));
+        }
+        let zone = if spec.signed {
+            PublishedZone::signed(zone, &spec.keys(), inception, expiration)
+        } else {
+            PublishedZone::unsigned(zone)
+        };
+        SldZone { zone, z_bit: spec.z_signal && spec.dlv_deposited }
+    }
+
+    /// The zone's answer to `query` for `qname`/`qtype`.
+    fn respond(&self, query: &Message, qname: &Name, qtype: RrType) -> Message {
+        let mut response = render_lookup(query, &self.zone.lookup(qname, qtype));
+        if self.z_bit {
+            response.header.flags.z = true;
+        }
+        response
+    }
+}
+
 /// Signs a TLD's fabricated DS and NSEC proofs, remembering the last
 /// [`ProofSigner::RECENT`] signatures. A referral and the resolver's
 /// explicit DS query at the same cut (BIND behaviour, and Table 4's DS
@@ -337,10 +373,8 @@ impl SyntheticAuthority {
 /// deterministic, so the second answer reuses the first signature and its
 /// bytes are unchanged.
 struct ProofSigner {
-    apex: Name,
-    keys: SigningKeys,
-    inception: u32,
-    expiration: u32,
+    /// The TLD's ZSK signer.
+    zsk: ZoneSigner,
     /// Recently signed proofs with their RRSIGs, oldest first.
     recent: Vec<(RrSet, Record)>,
 }
@@ -355,37 +389,7 @@ impl ProofSigner {
         if let Some((_, sig)) = self.recent.iter().find(|(signed, _)| signed == rrset) {
             return sig.clone();
         }
-        let key_tag = self.keys.zsk.key_tag();
-        let algorithm = lookaside_crypto::ALGORITHM_SIM_SCHNORR;
-        let labels = rrset.name.label_count() as u8;
-        let input = rrsig_signing_input(
-            rrset.rrtype,
-            algorithm,
-            labels,
-            rrset.ttl,
-            self.expiration,
-            self.inception,
-            key_tag,
-            &self.apex,
-            rrset,
-        );
-        let sig = Record {
-            name: rrset.name.clone(),
-            rrtype: RrType::Rrsig,
-            class: RrClass::In,
-            ttl: rrset.ttl,
-            rdata: RData::Rrsig {
-                type_covered: rrset.rrtype,
-                algorithm,
-                labels,
-                original_ttl: rrset.ttl,
-                expiration: self.expiration,
-                inception: self.inception,
-                key_tag,
-                signer_name: self.apex.clone(),
-                signature: self.keys.zsk.sign_to_bytes(&input),
-            },
-        };
+        let sig = self.zsk.sign(rrset);
         if self.recent.len() == Self::RECENT {
             self.recent.remove(0);
         }
@@ -426,9 +430,11 @@ impl DnsHandler for SyntheticAuthority {
 impl std::fmt::Debug for SyntheticAuthority {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.mode {
-            Mode::Tld { signer, .. } => write!(f, "SyntheticAuthority(tld {})", signer.apex),
-            Mode::Sld { cache, .. } => {
-                write!(f, "SyntheticAuthority(sld, {} cached zones)", cache.len())
+            Mode::Tld { apex_zone, .. } => {
+                write!(f, "SyntheticAuthority(tld {})", apex_zone.apex())
+            }
+            Mode::Sld { recent, .. } => {
+                write!(f, "SyntheticAuthority(sld, {} recent zones)", recent.len())
             }
         }
     }
@@ -446,11 +452,7 @@ mod tests {
     struct TestOracle;
 
     impl ZoneOracle for TestOracle {
-        fn sld_spec(&self, qname: &Name) -> Option<SyntheticSpec> {
-            if qname.label_count() < 2 {
-                return None;
-            }
-            let apex = qname.suffix(2);
+        fn sld_spec(&self, apex: &Name) -> Option<SyntheticSpec> {
             let first = apex.label(0).to_string();
             if !first.starts_with('d') {
                 return None;
@@ -463,10 +465,23 @@ mod tests {
                 dlv_deposited: first.contains("dep"),
                 key_seed: 77,
                 txt_signal: None,
-                z_signal: false,
+                z_signal: first.contains('z'), // d...z... advertise the Z bit
                 ns_hosts: vec![(apex.prepend("ns1").unwrap(), Ipv4Addr::new(10, 0, 0, 1))],
                 server_addr: Ipv4Addr::new(10, 0, 0, 1),
             })
+        }
+    }
+
+    /// [`TestOracle`], counting its calls.
+    #[derive(Default)]
+    struct CountingOracle {
+        calls: std::cell::Cell<usize>,
+    }
+
+    impl ZoneOracle for CountingOracle {
+        fn sld_spec(&self, apex: &Name) -> Option<SyntheticSpec> {
+            self.calls.set(self.calls.get() + 1);
+            TestOracle.sld_spec(apex)
         }
     }
 
@@ -579,5 +594,74 @@ mod tests {
         assert_eq!(resp.answers_of(RrType::Dnskey).count(), 2);
         let q = Message::dnssec_query(11, n("com"), RrType::Soa);
         assert_eq!(auth.handle(&q, 0).answers_of(RrType::Soa).count(), 1);
+    }
+
+    /// The `i`-th zone of a drawn SLD query sequence: signed islands,
+    /// fully secure zones, unsigned zones, and deposited zones that
+    /// advertise the Z bit.
+    fn memo_apex(i: usize) -> Name {
+        match i % 4 {
+            0 => n(&format!("d{i:02}1.com")),
+            1 => n(&format!("d{i:02}11.net")),
+            2 => n(&format!("dzdep{i:02}.org")),
+            _ => n(&format!("d{i:02}0.com")),
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn sld_answers_do_not_depend_on_what_the_memo_holds(
+            draws in proptest::collection::vec((0usize..3 * SLD_MEMO, 0usize..8), 40..100),
+        ) {
+            let counter = Rc::new(CountingOracle::default());
+            let mut long_lived = SyntheticAuthority::sld_default(counter.clone(), 0, 10_000);
+            // What the memo should hold: the last SLD_MEMO apexes built.
+            let mut built: VecDeque<Name> = VecDeque::new();
+            for (id, &(i, kind)) in draws.iter().enumerate() {
+                let apex = memo_apex(i);
+                let (qname, qtype) = match kind {
+                    0 => (apex.clone(), RrType::Dnskey),
+                    1 => (apex.clone(), RrType::Ns),
+                    2 => (apex.prepend("www").unwrap(), RrType::Aaaa),
+                    3 => (apex.prepend("www").unwrap(), RrType::A),
+                    4 => (apex.prepend("nope").unwrap(), RrType::A),
+                    5 => (apex.clone(), RrType::Soa),
+                    6 => (n(apex.label(1).to_string().as_str()), RrType::A),
+                    _ => (n(&format!("x{i}.org")), RrType::A),
+                };
+                let query = Message::dnssec_query(id as u16, qname.clone(), qtype);
+                let before = counter.calls.get();
+                let response = long_lived.handle(&query, 0);
+                let fresh = sld_authority().handle(&query, 0);
+                proptest::prop_assert_eq!(response.to_bytes(), fresh.to_bytes(), "{} {:?}", qname, qtype);
+
+                let calls = counter.calls.get() - before;
+                match kind {
+                    6 => {
+                        proptest::prop_assert_eq!(response.rcode(), Rcode::Refused);
+                        proptest::prop_assert_eq!(calls, 0, "one-label names ask nothing");
+                    }
+                    7 => {
+                        proptest::prop_assert_eq!(response.rcode(), Rcode::Refused);
+                        proptest::prop_assert_eq!(calls, 1, "unknown apexes are asked each time");
+                    }
+                    _ if built.contains(&apex) => {
+                        proptest::prop_assert_eq!(calls, 0, "a memo hit asks the oracle nothing");
+                    }
+                    _ => {
+                        proptest::prop_assert_eq!(calls, 1, "one oracle call per zone built");
+                        if built.len() == SLD_MEMO {
+                            built.pop_front();
+                        }
+                        built.push_back(apex.clone());
+                    }
+                }
+                if kind == 4 {
+                    proptest::prop_assert_eq!(response.rcode(), Rcode::NxDomain);
+                }
+                let advertised = kind < 6 && i % 4 == 2;
+                proptest::prop_assert_eq!(response.header.flags.z, advertised, "{}", qname);
+            }
+        }
     }
 }

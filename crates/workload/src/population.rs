@@ -21,6 +21,16 @@ fn mix(a: u64, b: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// The value of `digits` when it is exactly `len` ASCII digits.
+fn decimal(digits: &[u8], len: usize) -> Option<usize> {
+    if digits.len() != len {
+        return None;
+    }
+    digits.iter().try_fold(0usize, |value, &b| {
+        b.is_ascii_digit().then(|| value * 10 + usize::from(b - b'0'))
+    })
+}
+
 /// One TLD of the synthetic mix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TldInfo {
@@ -280,7 +290,11 @@ impl DomainPopulation {
     ///
     /// Panics if `rank` is out of range.
     pub fn attributes(&self, rank: usize) -> DomainAttrs {
-        let name = self.domain(rank);
+        self.domain_attrs(rank, self.domain(rank))
+    }
+
+    /// Attributes of the rank-`rank` domain, whose name is `name`.
+    fn domain_attrs(&self, rank: usize, name: Name) -> DomainAttrs {
         let tld = self.tld_of_rank(rank);
         let signed = self.roll(0x7369, rank as u64, self.params.signed_milli);
         let ds_in_parent = signed
@@ -316,17 +330,26 @@ impl DomainPopulation {
     /// Panics if `index` is beyond the pool size.
     pub fn hoster(&self, index: usize) -> HosterAttrs {
         assert!(index < self.params.hoster_pool, "hoster {index} out of range");
-        let tld = {
-            let roll = (mix(self.params.seed ^ 0x6874_6c64, index as u64) % 1000) as u16;
-            let idx =
-                self.tld_cum.iter().find(|(cum, _)| roll < *cum).map(|(_, i)| *i).unwrap_or(0);
-            &TLDS[idx]
-        };
+        let tld = self.tld_of_hoster(index);
+        let name = Name::parse(&format!("h{index:04}.{}", tld.label)).expect("valid hoster name");
+        self.hoster_attrs(index, name)
+    }
+
+    /// The TLD that hosting provider `index` registers under.
+    fn tld_of_hoster(&self, index: usize) -> &'static TldInfo {
+        let roll = (mix(self.params.seed ^ 0x6874_6c64, index as u64) % 1000) as u16;
+        let idx = self.tld_cum.iter().find(|(cum, _)| roll < *cum).map(|(_, i)| *i).unwrap_or(0);
+        &TLDS[idx]
+    }
+
+    /// Attributes of hosting provider `index`, whose name is `name`.
+    fn hoster_attrs(&self, index: usize, name: Name) -> HosterAttrs {
+        let tld = self.tld_of_hoster(index);
         let signed = self.roll(0x687369, index as u64, 100);
         let ds_in_parent = signed && tld.signed && self.roll(0x686473, index as u64, 500);
         HosterAttrs {
             index,
-            name: Name::parse(&format!("h{index:04}.{}", tld.label)).expect("valid hoster name"),
+            name,
             tld: tld.label,
             signed,
             ds_in_parent,
@@ -346,38 +369,36 @@ impl DomainPopulation {
 
     /// Parses a name back into a population entry: the SLD apex of `qname`
     /// must be `d{rank:07}.{tld}` or `h{idx:04}.{tld}` with a matching TLD
-    /// assignment.
+    /// assignment. The label octets are read as they are, and the entry's
+    /// name is that apex, so nothing is formatted or parsed.
     pub fn entry_of(&self, qname: &Name) -> Option<PopEntry> {
         if qname.label_count() < 2 {
             return None;
         }
         let apex = qname.suffix(2);
-        let sld = apex.label(0).to_string();
-        let tld = apex.label(1).to_string();
-        let digits = |s: &str, n: usize| s.len() == n && s.bytes().all(|b| b.is_ascii_digit());
-        if let Some(rest) = sld.strip_prefix('d').filter(|rest| digits(rest, 7)) {
-            let rank: usize = rest.parse().ok()?;
-            if rank == 0 || rank > self.params.size {
-                return None;
+        let (sld, tld) = (apex.label(0).as_bytes(), apex.label(1).as_bytes());
+        match sld.split_first()? {
+            (b'd', digits) => {
+                let rank = decimal(digits, 7)?;
+                if rank == 0
+                    || rank > self.params.size
+                    || self.tld_of_rank(rank).label.as_bytes() != tld
+                {
+                    return None;
+                }
+                Some(PopEntry::Domain(self.domain_attrs(rank, apex)))
             }
-            let attrs = self.attributes(rank);
-            if attrs.tld != tld {
-                return None;
+            (b'h', digits) => {
+                let index = decimal(digits, 4)?;
+                if index >= self.params.hoster_pool
+                    || self.tld_of_hoster(index).label.as_bytes() != tld
+                {
+                    return None;
+                }
+                Some(PopEntry::Hoster(self.hoster_attrs(index, apex)))
             }
-            return Some(PopEntry::Domain(attrs));
+            _ => None,
         }
-        if let Some(rest) = sld.strip_prefix('h').filter(|rest| digits(rest, 4)) {
-            let index: usize = rest.parse().ok()?;
-            if index >= self.params.hoster_pool {
-                return None;
-            }
-            let attrs = self.hoster(index);
-            if attrs.tld != tld {
-                return None;
-            }
-            return Some(PopEntry::Hoster(attrs));
-        }
-        None
     }
 
     /// Whether the rank-`r` repository *neighbour* is included in the DLV

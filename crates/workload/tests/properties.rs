@@ -2,10 +2,41 @@
 
 use proptest::prelude::*;
 
-use lookaside_workload::{DitlTrace, DomainPopulation, PopEntry, PopulationParams, Zipf};
+use lookaside_wire::Name;
+use lookaside_workload::{DitlTrace, DomainPopulation, PopEntry, PopulationParams, Zipf, TLDS};
 
 fn pop(size: usize, seed: u64) -> DomainPopulation {
     DomainPopulation::new(PopulationParams { size, seed, ..PopulationParams::default() })
+}
+
+/// `entry_of` as a format-and-parse through strings: the label is printed,
+/// matched as `d` + 7 digits or `h` + 4 digits, parsed as a number, and
+/// its entry rebuilt from the rank or index, name included.
+fn entry_of_reference(p: &DomainPopulation, qname: &Name) -> Option<PopEntry> {
+    if qname.label_count() < 2 {
+        return None;
+    }
+    let apex = qname.suffix(2);
+    let sld = apex.label(0).to_string();
+    let tld = apex.label(1).to_string();
+    let digits = |s: &str, n: usize| s.len() == n && s.bytes().all(|b| b.is_ascii_digit());
+    if let Some(rest) = sld.strip_prefix('d').filter(|rest| digits(rest, 7)) {
+        let rank: usize = rest.parse().ok()?;
+        if rank == 0 || rank > p.size() {
+            return None;
+        }
+        let attrs = p.attributes(rank);
+        return (attrs.tld == tld).then_some(PopEntry::Domain(attrs));
+    }
+    if let Some(rest) = sld.strip_prefix('h').filter(|rest| digits(rest, 4)) {
+        let index: usize = rest.parse().ok()?;
+        if index >= p.params().hoster_pool {
+            return None;
+        }
+        let attrs = p.hoster(index);
+        return (attrs.tld == tld).then_some(PopEntry::Hoster(attrs));
+    }
+    None
 }
 
 proptest! {
@@ -20,6 +51,65 @@ proptest! {
             }
             other => prop_assert!(false, "expected domain, got {:?}", other),
         }
+    }
+
+    #[test]
+    fn entry_of_parses_label_bytes_like_the_string_reference(
+        seed in any::<u64>(),
+        rank in 0usize..6_000,
+        index in 0usize..3_200,
+        tld in any::<prop::sample::Index>(),
+        junk in proptest::string::string_regex("[a-z0-9]{1,9}").unwrap(),
+    ) {
+        let p = pop(5_000, seed);
+        let tld = TLDS[tld.index(TLDS.len())].label;
+        let slds = [
+            format!("d{rank:07}"),
+            format!("D{rank:07}"),
+            format!("d{:07}", 0),
+            format!("d{:07}", p.size() + 1 + rank),
+            format!("d{:06}", rank),
+            format!("d{rank:08}"),
+            format!("d{junk}"),
+            format!("d{:06}x", rank),
+            format!("h{index:04}"),
+            format!("H{index:04}"),
+            format!("h{:03}", index % 1_000),
+            format!("h{index:05}"),
+            format!("h{junk}"),
+            format!("huque{:02}", rank % 100),
+            format!("huque{junk}"),
+            junk.clone(),
+        ];
+        let tlds = [tld.to_string(), tld.to_uppercase(), "xyz".to_string(), format!("{tld}x")];
+        for sld in &slds {
+            for tld in &tlds {
+                for prefix in ["", "www.", "ns1.mail."] {
+                    let name = Name::parse(&format!("{prefix}{sld}.{tld}.")).unwrap();
+                    prop_assert_eq!(p.entry_of(&name), entry_of_reference(&p, &name), "{}", name);
+                }
+            }
+        }
+        for name in [Name::root(), Name::parse(tld).unwrap()] {
+            prop_assert_eq!(p.entry_of(&name), None);
+        }
+
+        // The population's own names, whose TLDs match: the parsed name is
+        // the generated one, octet for octet.
+        let rank = rank % p.size() + 1;
+        let domain = p.domain(rank);
+        for name in [domain.clone(), domain.prepend("www").unwrap()] {
+            let entry = p.entry_of(&name);
+            prop_assert_eq!(&entry, &entry_of_reference(&p, &name));
+            let Some(PopEntry::Domain(attrs)) = entry else {
+                panic!("{name} is ranked");
+            };
+            prop_assert_eq!(attrs.name.wire_labels(), domain.wire_labels());
+        }
+        let hoster = p.hoster(index % p.params().hoster_pool);
+        let name = hoster.name.prepend("ns2").unwrap();
+        prop_assert_eq!(p.entry_of(&name), Some(PopEntry::Hoster(hoster)));
+        prop_assert_eq!(p.entry_of(&name), entry_of_reference(&p, &name));
     }
 
     #[test]

@@ -2,33 +2,35 @@
 //!
 //! [`crate::Zone`] stores RRsets in a two-level `BTreeMap` — flexible while
 //! a zone is being built, but every authoritative lookup then walks two
-//! tree descents (owner, then type) and every signed answer probes a third
-//! map for its RRSIG with a freshly built key. A [`FlatZone`] is the
-//! publish-time freeze of that structure: one sorted array of
-//! `(owner, type, rrset, rrsig)` entries addressed by binary search and
-//! [`FlatHandle`] indices, laid out contiguously so the streaming hot path
-//! touches one cache-friendly table per lookup and allocates nothing.
+//! tree descents (owner, then type). A [`FlatZone`] is the publish-time
+//! freeze of that structure: one sorted array of `(owner, type, rrset,
+//! rrsig)` entries addressed by binary search and [`FlatHandle`] indices,
+//! laid out contiguously so the streaming hot path touches one
+//! cache-friendly table per lookup.
 //!
-//! The flat table is built once by [`crate::PublishedZone`] after signing
-//! and is immutable from then on — published zones expose no mutators, so
-//! the index can never go stale. Lifecycle epochs republish whole zones,
-//! which rebuilds the table.
+//! The table is built once by [`crate::PublishedZone`], and its entries
+//! never change: published zones expose no mutators, so the index can
+//! never go stale, and lifecycle epochs republish whole zones, which
+//! rebuilds the table. Only the signatures fill in: each entry keeps its
+//! RRSIG in a once-cell, which [`FlatZone::signed`] fills the first time
+//! the entry is served with a signer. That first serve signs and allocates
+//! the signature record; every later one shares it.
 //!
 //! `find`/`signed`/`name_exists` run on every authoritative query of a
 //! replay; `crates/bench/tests/alloc_free.rs` holds them to zero heap
-//! allocations.
+//! allocations once an entry's signature is made.
 
-// Handles are minted by `find` over this immutable table, so every index
-// they carry is in bounds.
+// Handles are minted by `find` over this fixed table, so every index they
+// carry is in bounds.
 #![expect(clippy::indexing_slicing, reason = "handles index the table that minted them")]
 
-use std::collections::BTreeMap;
+use std::cell::OnceCell;
 use std::sync::Arc;
 
 use lookaside_wire::{Name, Record, RrSet, RrType};
-use serde::{Deserialize, Serialize};
 
 use crate::lookup::SignedRrSet;
+use crate::published::ZoneSigner;
 use crate::Zone;
 
 /// Index of an entry in a [`FlatZone`] — a dense `u32` instead of an
@@ -44,33 +46,35 @@ impl FlatHandle {
 }
 
 /// One `(owner, type)` slot of the flat table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug)]
 struct FlatEntry {
     name: Name,
     rrtype: RrType,
     set: Arc<RrSet>,
-    sig: Option<Arc<Record>>,
+    /// The RRSIG over `set`, made the first time it is served signed.
+    sig: OnceCell<Arc<Record>>,
 }
 
-/// A zone's RRsets (and their signatures) as one sorted flat array.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// A zone's RRsets (and their signatures, once made) as one sorted flat
+/// array.
+#[derive(Debug)]
 pub struct FlatZone {
     /// Sorted by `(owner, type)` in canonical order; binary-searched.
     entries: Vec<FlatEntry>,
 }
 
 impl FlatZone {
-    /// Freezes a zone (and its signature map) into a flat table.
-    ///
-    /// `sigs` maps `(owner, type)` to the covering RRSIG, exactly as
-    /// `PublishedZone` computes it at signing time; unsigned zones pass an
-    /// empty map.
-    pub fn build(zone: &Zone, sigs: &BTreeMap<(Name, RrType), Arc<Record>>) -> Self {
-        let mut entries = Vec::with_capacity(zone.rrset_count());
-        for (name, rrtype, set) in zone.shared_rrsets() {
-            let sig = sigs.get(&(name.clone(), rrtype)).cloned();
-            entries.push(FlatEntry { name: name.clone(), rrtype, set: Arc::clone(set), sig });
-        }
+    /// Freezes a zone into a flat table, with no signature made yet.
+    pub fn build(zone: &Zone) -> Self {
+        let entries: Vec<FlatEntry> = zone
+            .shared_rrsets()
+            .map(|(name, rrtype, set)| FlatEntry {
+                name: name.clone(),
+                rrtype,
+                set: Arc::clone(set),
+                sig: OnceCell::new(),
+            })
+            .collect();
         // `shared_rrsets` iterates two nested ordered maps, so `entries`
         // is already sorted by `(owner, type)`; debug-check the invariant
         // binary search depends on.
@@ -93,18 +97,32 @@ impl FlatZone {
         &self.entries[handle.index()].set
     }
 
-    /// The covering RRSIG behind a handle, when the zone is signed.
+    /// The RRSIG made so far for the RRset behind a handle: `None` until
+    /// the entry is first served with a signer.
     pub fn rrsig_at(&self, handle: FlatHandle) -> Option<&Arc<Record>> {
-        self.entries[handle.index()].sig.as_ref()
+        self.entries[handle.index()].sig.get()
+    }
+
+    /// The entry behind a handle as shared handles. With a `signer` the
+    /// RRSIG is made on the entry's first signed serve and shared after;
+    /// without one the RRset goes out unsigned.
+    pub fn signed_at(&self, handle: FlatHandle, signer: Option<&ZoneSigner>) -> SignedRrSet {
+        let entry = &self.entries[handle.index()];
+        let rrsig = signer
+            .map(|signer| Arc::clone(entry.sig.get_or_init(|| Arc::new(signer.sign(&entry.set)))));
+        SignedRrSet::new(Arc::clone(&entry.set), rrsig)
     }
 
     /// An RRset with its signature as shared handles — the flat
-    /// replacement for `Zone::rrset` + the signature-map probe (two
-    /// refcount bumps, no key allocation, one binary search).
-    pub fn signed(&self, name: &Name, rrtype: RrType) -> Option<SignedRrSet> {
-        let handle = self.find(name, rrtype)?;
-        let entry = &self.entries[handle.index()];
-        Some(SignedRrSet::new(Arc::clone(&entry.set), entry.sig.clone()))
+    /// replacement for `Zone::rrset` plus a signature probe (two refcount
+    /// bumps and one binary search once the signature is made).
+    pub fn signed(
+        &self,
+        name: &Name,
+        rrtype: RrType,
+        signer: Option<&ZoneSigner>,
+    ) -> Option<SignedRrSet> {
+        Some(self.signed_at(self.find(name, rrtype)?, signer))
     }
 
     /// Whether any data exists at `name`, including empty non-terminals —
@@ -149,7 +167,7 @@ mod tests {
     #[test]
     fn flat_find_agrees_with_zone_rrset_everywhere() {
         let zone = sample_zone();
-        let flat = FlatZone::build(&zone, &BTreeMap::new());
+        let flat = FlatZone::build(&zone);
         assert_eq!(flat.len(), zone.rrset_count());
         for (name, rrtype, set) in zone.shared_rrsets() {
             let handle = flat.find(name, rrtype).expect("present in flat table");
@@ -162,7 +180,7 @@ mod tests {
     #[test]
     fn flat_name_exists_matches_zone_including_empty_non_terminals() {
         let zone = sample_zone();
-        let flat = FlatZone::build(&zone, &BTreeMap::new());
+        let flat = FlatZone::build(&zone);
         for probe in [
             "example.com.",
             "www.example.com.",
@@ -178,20 +196,18 @@ mod tests {
     #[test]
     fn signed_carries_the_matching_rrsig() {
         let zone = sample_zone();
-        let key = (n("www.example.com."), RrType::A);
-        let sig = Arc::new(Record {
-            name: key.0.clone(),
-            rrtype: RrType::Rrsig,
-            class: lookaside_wire::RrClass::In,
-            ttl: 300,
-            rdata: RData::Txt(vec!["sig".to_string()]),
-        });
-        let mut sigs = BTreeMap::new();
-        sigs.insert(key.clone(), Arc::clone(&sig));
-        let flat = FlatZone::build(&zone, &sigs);
-        let answer = flat.signed(&key.0, RrType::A).expect("answer");
-        assert!(answer.rrsig.is_some_and(|s| Arc::ptr_eq(&s, &sig)));
-        let unsigned = flat.signed(&n("ns1.example.com."), RrType::A).expect("answer");
+        let flat = FlatZone::build(&zone);
+        let signer =
+            ZoneSigner::new(n("example.com."), lookaside_crypto::KeyPair::generate_zsk(9), 0, 1000);
+        let www = flat.find(&n("www.example.com."), RrType::A).expect("entry");
+        let unsigned = flat.signed(&n("www.example.com."), RrType::A, None).expect("answer");
         assert!(unsigned.rrsig.is_none());
+        assert!(flat.rrsig_at(www).is_none(), "an unsigned serve makes no signature");
+        let first = flat.signed_at(www, Some(&signer)).rrsig.expect("signed serve");
+        assert_eq!(*first, signer.sign(flat.rrset_at(www)));
+        let again = flat.signed_at(www, Some(&signer)).rrsig.expect("signed serve");
+        assert!(Arc::ptr_eq(&first, &again), "later serves share the first signature");
+        let ns1 = flat.find(&n("ns1.example.com."), RrType::A).expect("entry");
+        assert!(flat.rrsig_at(ns1).is_none(), "entries never served stay unsigned");
     }
 }

@@ -3,7 +3,8 @@
 //! A [`Zone`] holds authoritative content (RRsets, delegations, glue); a
 //! [`PublishedZone`] is a zone prepared for serving — optionally
 //! DNSSEC-signed with a ZSK/KSK pair, with an NSEC chain in RFC 4034
-//! canonical order. [`PublishedZone::lookup`] implements the authoritative
+//! canonical order, and signing each RRset, SOA and NSEC record the first
+//! time it serves it. [`PublishedZone::lookup`] implements the authoritative
 //! lookup algorithm (answer / CNAME / referral / NODATA / NXDOMAIN with
 //! denial-of-existence proofs) that the simulated servers expose on the
 //! wire.
@@ -65,7 +66,9 @@ pub use lifecycle::{
 pub use lookup::{Lookup, SignedRrSet};
 pub use nsec::{covers, NsecChain};
 pub use nsec3::{base32hex, nsec3_hash, DenialMode, Nsec3Chain, NSEC3_HASH_LEN};
-pub use published::{rrsig_signing_input, PublishedKey, PublishedZone, SigningKeys, ZoneKeySet};
+pub use published::{
+    rrsig_signing_input, PublishedKey, PublishedZone, SigningKeys, ZoneKeySet, ZoneSigner,
+};
 pub use zone::Zone;
 
 /// Default TTL for records created without an explicit TTL.

@@ -1,3 +1,4 @@
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -5,7 +6,7 @@ use lookaside_crypto::KeyPair;
 use lookaside_wire::{Name, RData, Record, RrClass, RrSet, RrType, TypeBitmap};
 use serde::{Deserialize, Serialize};
 
-use crate::flat::FlatZone;
+use crate::flat::{FlatHandle, FlatZone};
 use crate::lookup::{Lookup, SignedRrSet};
 use crate::nsec::NsecChain;
 use crate::nsec3::{DenialMode, Nsec3Chain};
@@ -139,48 +140,150 @@ pub fn rrsig_signing_input(
     input
 }
 
-/// A zone prepared for serving: optionally signed, with DNSKEY RRset, NSEC
-/// chain, and one RRSIG per covered RRset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Makes one zone's RRSIGs: each names the zone apex as signer, is made
+/// with one key, and carries one validity window. Signing is
+/// deterministic, so the same RRset always gets the same bytes.
+#[derive(Debug)]
+pub struct ZoneSigner {
+    apex: Name,
+    key: KeyPair,
+    inception: u32,
+    expiration: u32,
+}
+
+impl ZoneSigner {
+    /// A signer for the zone at `apex`, signing with `key` over
+    /// `inception..expiration`.
+    pub fn new(apex: Name, key: KeyPair, inception: u32, expiration: u32) -> Self {
+        ZoneSigner { apex, key, inception, expiration }
+    }
+
+    /// The RRSIG over `rrset`.
+    pub fn sign(&self, rrset: &RrSet) -> Record {
+        let key_tag = self.key.key_tag();
+        let algorithm = lookaside_crypto::ALGORITHM_SIM_SCHNORR;
+        let labels = rrset.name.label_count() as u8;
+        let input = rrsig_signing_input(
+            rrset.rrtype,
+            algorithm,
+            labels,
+            rrset.ttl,
+            self.expiration,
+            self.inception,
+            key_tag,
+            &self.apex,
+            rrset,
+        );
+        Record {
+            name: rrset.name.clone(),
+            rrtype: RrType::Rrsig,
+            class: RrClass::In,
+            ttl: rrset.ttl,
+            rdata: RData::Rrsig {
+                type_covered: rrset.rrtype,
+                algorithm,
+                labels,
+                original_ttl: rrset.ttl,
+                expiration: self.expiration,
+                inception: self.inception,
+                key_tag,
+                signer_name: self.apex.clone(),
+                signature: self.key.sign_to_bytes(&input),
+            },
+        }
+    }
+}
+
+/// A zone prepared for serving: optionally DNSSEC-signed, with a DNSKEY
+/// RRset and an NSEC or NSEC3 chain.
+///
+/// A signed zone signs on first serve. Publishing signs the DNSKEY RRset
+/// alone; every other RRSIG — over an RRset, the SOA, or an NSEC/NSEC3
+/// record — is made the first time a lookup returns what it covers, kept
+/// in a once-cell next to it, and shared by every later lookup. Signing is
+/// deterministic, so the bytes served do not depend on when or in what
+/// order signatures are made, and a zone pays only for the signatures it
+/// serves. Delegation NS sets are never signed (RFC 4035 §2.2).
+#[derive(Debug)]
 pub struct PublishedZone {
     zone: Zone,
-    /// The publish-time freeze of `zone` + `sigs`: one sorted flat array
-    /// binary-searched on the lookup hot path (see [`crate::FlatZone`]).
+    /// The publish-time freeze of `zone`: one sorted flat array
+    /// binary-searched on the lookup hot path, holding each RRset's RRSIG
+    /// once made (see [`crate::FlatZone`]).
     flat: FlatZone,
-    signed: bool,
-    dnskeys: Option<SignedRrSet>,
-    /// RRSIG covering each (owner, type) RRset, behind `Arc` so answers
-    /// share one signature record instead of deep-copying it per query.
-    sigs: BTreeMap<(Name, RrType), Arc<Record>>,
-    /// The signed SOA, rendered once at publish time: every negative
-    /// response reuses these handles.
-    soa: SignedRrSet,
-    nsec: Option<NsecChain>,
-    /// Signed NSEC RRsets, index-aligned with the chain's entries and
-    /// rendered once at publish time.
-    nsec_rendered: Vec<SignedRrSet>,
-    nsec3: Option<Nsec3Chain>,
-    /// Signed NSEC3 RRsets, index-aligned with the chain's entries.
-    nsec3_rendered: Vec<SignedRrSet>,
+    /// The SOA's entry in `flat`; every negative response serves it.
+    soa: FlatHandle,
+    /// What only a signed zone has.
+    dnssec: Option<Dnssec>,
+}
+
+/// A signed zone's keys and denial of existence.
+#[derive(Debug)]
+struct Dnssec {
+    /// Signs with the designated ZSK.
+    zsk: ZoneSigner,
+    /// The DNSKEY RRset, signed by the designated KSK at publish time.
+    dnskeys: SignedRrSet,
+    chain: DenialChain,
+    /// Each chain record with its RRSIG, index-aligned with the chain's
+    /// entries, rendered and signed the first time it is served.
+    proofs: Vec<OnceCell<SignedRrSet>>,
+}
+
+/// The denial-of-existence chain of a signed zone.
+#[derive(Debug)]
+enum DenialChain {
+    Nsec(NsecChain),
+    Nsec3(Nsec3Chain),
+}
+
+impl Dnssec {
+    /// The `idx`-th chain record with its RRSIG, rendered and signed the
+    /// first time it is served.
+    fn proof(&self, idx: usize, ttl: u32) -> Option<SignedRrSet> {
+        let proof = self.proofs.get(idx)?.get_or_init(|| {
+            let set = self.chain.record_at(idx, ttl);
+            let rrsig = Arc::new(self.zsk.sign(&set));
+            SignedRrSet::new(Arc::new(set), Some(rrsig))
+        });
+        Some(proof.clone())
+    }
+}
+
+impl DenialChain {
+    fn len(&self) -> usize {
+        match self {
+            DenialChain::Nsec(chain) => chain.len(),
+            DenialChain::Nsec3(chain) => chain.len(),
+        }
+    }
+
+    fn covering_index(&self, name: &Name) -> Option<usize> {
+        match self {
+            DenialChain::Nsec(chain) => chain.covering_index(name),
+            DenialChain::Nsec3(chain) => chain.covering_index(name),
+        }
+    }
+
+    fn index_of(&self, name: &Name) -> Option<usize> {
+        match self {
+            DenialChain::Nsec(chain) => chain.index_of(name),
+            DenialChain::Nsec3(chain) => chain.index_of(name),
+        }
+    }
+
+    fn record_at(&self, idx: usize, ttl: u32) -> RrSet {
+        match self {
+            DenialChain::Nsec(chain) => chain.record_at(idx, ttl),
+            DenialChain::Nsec3(chain) => chain.record_at(idx, ttl),
+        }
+    }
 }
 
 impl PublishedZone {
     /// Publishes a zone without DNSSEC.
     pub fn unsigned(zone: Zone) -> Self {
-        let soa = SignedRrSet::unsigned(zone.soa_rrset());
-        let flat = FlatZone::build(&zone, &BTreeMap::new());
-        PublishedZone {
-            zone,
-            flat,
-            signed: false,
-            dnskeys: None,
-            sigs: BTreeMap::new(),
-            soa,
-            nsec: None,
-            nsec_rendered: Vec::new(),
-            nsec3: None,
-            nsec3_rendered: Vec::new(),
-        }
+        Self::publish(zone, None)
     }
 
     /// Signs and publishes a zone with plain NSEC denial.
@@ -188,7 +291,8 @@ impl PublishedZone {
     /// Every authoritative RRset is signed with the ZSK; the DNSKEY RRset is
     /// signed with the KSK; an NSEC chain over all owner names (plus
     /// delegation points) is generated and signed. Delegation NS RRsets are
-    /// left unsigned, per RFC 4035 §2.2.
+    /// left unsigned, per RFC 4035 §2.2. Only the DNSKEY RRset is signed
+    /// here; the rest is signed on first serve (see the type's docs).
     pub fn signed(zone: Zone, keys: &SigningKeys, inception: u32, expiration: u32) -> Self {
         Self::signed_with_denial(zone, keys, inception, expiration, DenialMode::Nsec)
     }
@@ -218,8 +322,6 @@ impl PublishedZone {
         denial: DenialMode,
     ) -> Self {
         let apex = zone.apex().clone();
-        let zsk = keyset.zsk_signer();
-        let ksk = keyset.ksk_signer();
 
         // DNSKEY RRset: every published key (ZSKs then KSKs), signed by the
         // designated KSK.
@@ -227,23 +329,9 @@ impl PublishedZone {
         for rdata in keyset.dnskey_rdatas() {
             dnskey_set.push(rdata);
         }
-        let dnskey_sig = Arc::new(sign_rrset(&dnskey_set, &apex, ksk, inception, expiration));
+        let ksk = ZoneSigner::new(apex.clone(), *keyset.ksk_signer(), inception, expiration);
+        let dnskey_sig = Arc::new(ksk.sign(&dnskey_set));
         let dnskeys = SignedRrSet::new(Arc::new(dnskey_set), Some(dnskey_sig));
-
-        // Sign all authoritative RRsets (skip delegation NS sets).
-        let mut sigs = BTreeMap::new();
-        for set in zone.iter() {
-            if set.rrtype == RrType::Ns && zone.is_cut(&set.name) {
-                continue;
-            }
-            let sig = Arc::new(sign_rrset(set, &apex, zsk, inception, expiration));
-            sigs.insert((set.name.clone(), set.rrtype), sig);
-        }
-        #[expect(clippy::expect_used, reason = "the DNSKEY RRset was signed just above")]
-        sigs.insert(
-            (apex.clone(), RrType::Dnskey),
-            dnskeys.rrsig.clone().expect("dnskey signed above"),
-        );
 
         // Denial chain over every owner name with its present types.
         let mut per_owner: BTreeMap<Name, TypeBitmap> = BTreeMap::new();
@@ -252,22 +340,8 @@ impl PublishedZone {
         }
         per_owner.entry(apex.clone()).or_default().insert(RrType::Dnskey);
         let owners: Vec<(Name, TypeBitmap)> = per_owner.into_iter().collect();
-
-        // Denial records are signed *and rendered* once here; queries then
-        // clone shared handles instead of rebuilding RRsets.
-        let mut nsec = None;
-        let mut nsec_rendered = Vec::new();
-        let mut nsec3 = None;
-        let mut nsec3_rendered = Vec::new();
-        match denial {
-            DenialMode::Nsec => {
-                let chain = NsecChain::build(apex.clone(), owners);
-                for set in chain.records(zone.soa().minimum) {
-                    let sig = Arc::new(sign_rrset(&set, &apex, zsk, inception, expiration));
-                    nsec_rendered.push(SignedRrSet::new(Arc::new(set), Some(sig)));
-                }
-                nsec = Some(chain);
-            }
+        let chain = match denial {
+            DenialMode::Nsec => DenialChain::Nsec(NsecChain::build(apex.clone(), owners)),
             DenialMode::Nsec3 => {
                 // Salt derived from the apex, one extra iteration: fixed,
                 // deterministic parameters (the study never rolls salts).
@@ -276,33 +350,20 @@ impl PublishedZone {
                     apex.encode_uncompressed(&mut wire);
                     lookaside_crypto::sha256(&wire)[..4].to_vec()
                 };
-                let chain = Nsec3Chain::build(apex.clone(), owners, salt, 1);
-                for idx in 0..chain.len() {
-                    let set = chain.record_at(idx, zone.soa().minimum);
-                    let sig = Arc::new(sign_rrset(&set, &apex, zsk, inception, expiration));
-                    nsec3_rendered.push(SignedRrSet::new(Arc::new(set), Some(sig)));
-                }
-                nsec3 = Some(chain);
+                DenialChain::Nsec3(Nsec3Chain::build(apex.clone(), owners, salt, 1))
             }
-        }
+        };
+        let proofs = std::iter::repeat_with(OnceCell::new).take(chain.len()).collect();
 
-        let soa_set = zone.soa_rrset();
-        let soa_sig = sigs.get(&(soa_set.name.clone(), RrType::Soa)).cloned();
-        let soa = SignedRrSet::new(Arc::new(soa_set), soa_sig);
-        let flat = FlatZone::build(&zone, &sigs);
+        let zsk = ZoneSigner::new(apex, *keyset.zsk_signer(), inception, expiration);
+        Self::publish(zone, Some(Dnssec { zsk, dnskeys, chain, proofs }))
+    }
 
-        PublishedZone {
-            zone,
-            flat,
-            signed: true,
-            dnskeys: Some(dnskeys),
-            sigs,
-            soa,
-            nsec,
-            nsec_rendered,
-            nsec3,
-            nsec3_rendered,
-        }
+    fn publish(zone: Zone, dnssec: Option<Dnssec>) -> Self {
+        let flat = FlatZone::build(&zone);
+        #[expect(clippy::expect_used, reason = "`Zone::new` stores the SOA at the apex")]
+        let soa = flat.find(zone.apex(), RrType::Soa).expect("every zone has an SOA");
+        PublishedZone { zone, flat, soa, dnssec }
     }
 
     /// The zone apex.
@@ -312,7 +373,7 @@ impl PublishedZone {
 
     /// Whether the zone is DNSSEC-signed.
     pub fn is_signed(&self) -> bool {
-        self.signed
+        self.dnssec.is_some()
     }
 
     /// The underlying content zone.
@@ -322,49 +383,40 @@ impl PublishedZone {
 
     /// The DNSKEY RRset, when signed.
     pub fn dnskeys(&self) -> Option<&SignedRrSet> {
-        self.dnskeys.as_ref()
+        self.dnssec.as_ref().map(|dnssec| &dnssec.dnskeys)
     }
 
-    /// The (signed, pre-rendered) SOA used in negative responses.
-    pub fn signed_soa(&self) -> &SignedRrSet {
-        &self.soa
+    /// The SOA RRset that negative responses carry.
+    pub fn soa_rrset(&self) -> &Arc<RrSet> {
+        self.flat.rrset_at(self.soa)
     }
 
-    /// The signed SOA for negative responses (pre-rendered, shared).
+    fn zsk(&self) -> Option<&ZoneSigner> {
+        self.dnssec.as_ref().map(|dnssec| &dnssec.zsk)
+    }
+
+    /// The RRset at `(name, rrtype)` with its RRSIG, signed on first serve.
+    fn signed_rrset(&self, name: &Name, rrtype: RrType) -> Option<SignedRrSet> {
+        self.flat.signed(name, rrtype, self.zsk())
+    }
+
+    /// The SOA with its RRSIG, for negative responses.
     fn soa_signed(&self) -> SignedRrSet {
-        self.soa.clone()
-    }
-
-    fn with_sig(&self, rrset: &Arc<RrSet>) -> SignedRrSet {
-        // The key's `Name` clone is O(1) in the compact representation.
-        let rrsig = self.sigs.get(&(rrset.name.clone(), rrset.rrtype)).cloned();
-        SignedRrSet::new(Arc::clone(rrset), rrsig)
+        self.flat.signed_at(self.soa, self.zsk())
     }
 
     /// The NSEC/NSEC3 record (with signature) proving `name` does not
-    /// exist. Served from the pre-rendered tables — two refcount bumps.
-    #[expect(clippy::indexing_slicing, reason = "each rendered table is built from its chain")]
+    /// exist; `None` in an unsigned zone.
     pub fn nxdomain_proof(&self, name: &Name) -> Option<SignedRrSet> {
-        if let Some(chain) = &self.nsec {
-            return Some(self.nsec_rendered[chain.covering_index(name)?].clone());
-        }
-        if let Some(chain) = &self.nsec3 {
-            return Some(self.nsec3_rendered[chain.covering_index(name)?].clone());
-        }
-        None
+        let dnssec = self.dnssec.as_ref()?;
+        dnssec.proof(dnssec.chain.covering_index(name)?, self.zone.soa().minimum)
     }
 
     /// The NSEC/NSEC3 record at `name` itself (type-absence proof), if
     /// `name` owns one.
-    #[expect(clippy::indexing_slicing, reason = "each rendered table is built from its chain")]
     pub fn nodata_proof(&self, name: &Name) -> Option<SignedRrSet> {
-        if let Some(chain) = &self.nsec {
-            return Some(self.nsec_rendered[chain.index_of(name)?].clone());
-        }
-        if let Some(chain) = &self.nsec3 {
-            return Some(self.nsec3_rendered[chain.index_of(name)?].clone());
-        }
-        None
+        let dnssec = self.dnssec.as_ref()?;
+        dnssec.proof(dnssec.chain.index_of(name)?, self.zone.soa().minimum)
     }
 
     /// Authoritative lookup of `qname`/`qtype`.
@@ -380,7 +432,7 @@ impl PublishedZone {
 
         // DNSKEY at apex is served from the published set.
         if qtype == RrType::Dnskey && qname == self.zone.apex() {
-            return match &self.dnskeys {
+            return match self.dnskeys() {
                 Some(set) => Lookup::Answer { answer: set.clone() },
                 None => Lookup::NoData { soa: self.soa_signed(), proof: None },
             };
@@ -395,12 +447,12 @@ impl PublishedZone {
         }
 
         if qtype != RrType::Cname {
-            if let Some(cname) = self.flat.signed(qname, RrType::Cname) {
+            if let Some(cname) = self.signed_rrset(qname, RrType::Cname) {
                 return Lookup::Cname { cname };
             }
         }
 
-        if let Some(answer) = self.flat.signed(qname, qtype) {
+        if let Some(answer) = self.signed_rrset(qname, qtype) {
             return Lookup::Answer { answer };
         }
 
@@ -421,8 +473,8 @@ impl PublishedZone {
         #[expect(clippy::expect_used, reason = "a zone cut is where an NS RRset sits")]
         let ns =
             self.zone.rrset(cut, RrType::Ns).cloned().expect("cut names always own an NS RRset");
-        let ds = self.zone.rrset(cut, RrType::Ds).map(|set| self.with_sig(set));
-        let no_ds_proof = if ds.is_none() && self.signed { self.nodata_proof(cut) } else { None };
+        let ds = self.signed_rrset(cut, RrType::Ds);
+        let no_ds_proof = if ds.is_none() { self.nodata_proof(cut) } else { None };
         let glue = ns
             .rdatas
             .iter()
@@ -432,47 +484,6 @@ impl PublishedZone {
             })
             .collect();
         Lookup::Referral { cut: cut.clone(), ns, ds, no_ds_proof, glue }
-    }
-}
-
-fn sign_rrset(
-    rrset: &RrSet,
-    signer: &Name,
-    key: &KeyPair,
-    inception: u32,
-    expiration: u32,
-) -> Record {
-    let key_tag = key.key_tag();
-    let algorithm = lookaside_crypto::ALGORITHM_SIM_SCHNORR;
-    let labels = rrset.name.label_count() as u8;
-    let input = rrsig_signing_input(
-        rrset.rrtype,
-        algorithm,
-        labels,
-        rrset.ttl,
-        expiration,
-        inception,
-        key_tag,
-        signer,
-        rrset,
-    );
-    let signature = key.sign_to_bytes(&input);
-    Record {
-        name: rrset.name.clone(),
-        rrtype: RrType::Rrsig,
-        class: RrClass::In,
-        ttl: rrset.ttl,
-        rdata: RData::Rrsig {
-            type_covered: rrset.rrtype,
-            algorithm,
-            labels,
-            original_ttl: rrset.ttl,
-            expiration,
-            inception,
-            key_tag,
-            signer_name: signer.clone(),
-            signature,
-        },
     }
 }
 
@@ -741,12 +752,24 @@ mod tests {
         let mut parent = Zone::new(n("com"), n("a.gtld-servers.net"));
         parent.delegate(n("child.com"), &[]).unwrap();
         let pz = PublishedZone::signed(parent, &SigningKeys::from_seed(8), 0, 100);
-        match pz.lookup(&n("x.child.com"), RrType::A) {
-            Lookup::Referral { ns, .. } => {
-                // No RRSIG is stored for the delegation NS set.
-                assert!(!pz.sigs.contains_key(&(ns.name.clone(), RrType::Ns)));
+        // Every way a query reaches the cut: below it, at it, and the DS
+        // query the parent answers there.
+        for (qname, qtype) in
+            [("x.child.com", RrType::A), ("child.com", RrType::Ns), ("child.com", RrType::Ds)]
+        {
+            match pz.lookup(&n(qname), qtype) {
+                Lookup::Referral { ns, .. } => assert_eq!(ns.name, n("child.com")),
+                Lookup::NoData { proof, .. } => assert!(proof.is_some(), "signed no-DS proof"),
+                other => panic!("unexpected {other:?}"),
             }
-            other => panic!("unexpected {other:?}"),
         }
+        // The apex NS set is signed on first serve; the delegation NS set
+        // never is.
+        let Lookup::Answer { answer } = pz.lookup(&n("com"), RrType::Ns) else {
+            panic!("apex NS answer");
+        };
+        assert!(answer.rrsig.is_some());
+        let cut = pz.flat.find(&n("child.com"), RrType::Ns).expect("cut NS in the flat table");
+        assert!(pz.flat.rrsig_at(cut).is_none(), "no RRSIG made for the delegation NS set");
     }
 }
